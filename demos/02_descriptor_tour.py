@@ -9,21 +9,23 @@ Run:  python3 demos/02_descriptor_tour.py
 import numpy as np
 
 from labankit import (
+    FEATURE_NAMES_110,
     FRAME_FEATURE_NAMES,
     RegimeSpec,
     aggregate,
-    directness,
     frame_matrix,
     generate,
     slice_fragments,
+    windowed_directness,
 )
 
-# Directness on a hand-built track: chord length over traveled path.
+# Directness on a hand-built track: chord length over traveled path,
+# here at the middle frame of each track.
 line = np.outer(np.arange(60), [0.03, 0.0, 0.0])
 theta = np.linspace(0, 2 * np.pi, 60)
 loop = np.stack([0.5 * np.cos(theta), np.zeros(60), 0.5 * np.sin(theta)], axis=1)
-print("directness of a straight track :", f"{directness(line, 30, 15):.3f}")
-print("directness of a closed loop    :", f"{directness(loop, 30, 30):.3f}")
+print("directness of a straight track :", f"{windowed_directness(line, 15)[30]:.3f}")
+print("directness of a closed loop    :", f"{windowed_directness(loop, 30)[30]:.3f}")
 
 # The full per-frame matrix for one fragment of each style.
 walk = slice_fragments(generate(RegimeSpec(0, seed=1), source_id="walk"))[0]
@@ -32,16 +34,16 @@ sway = slice_fragments(generate(RegimeSpec(2, seed=1), source_id="sway"))[0]
 names = list(FRAME_FEATURE_NAMES)
 for label, frag in (("walk", walk), ("sway", sway)):
     matrix = frame_matrix(frag)
-    print(f"\n{label}: per-frame matrix {matrix.values.shape}  "
+    print(f"\n{label}: per-frame matrix {matrix.shape}  "
           f"(T frames x {len(names)} descriptors)")
     for family in ("effort.flow", "effort.space", "effort.time", "effort.weight",
                    "kin.pelvis.directness", "trajectory.net_displacement"):
-        col = matrix.values[:, names.index(family)]
+        col = matrix[:, names.index(family)]
         print(f"  {family:<28} mean {col.mean():9.3f}   std {col.std():8.3f}")
 
 # Aggregation to the 110-dim vector every classifier consumes.
 vector = aggregate(frame_matrix(walk))
-print(f"\naggregate vector: {vector.values.shape[0]} values "
+print(f"\naggregate vector: {vector.shape[0]} values "
       f"({len(names)} means then {len(names)} stds)")
-print("first five names:", ", ".join(vector.names[:5]))
+print("first five names:", ", ".join(FEATURE_NAMES_110[:5]))
 print("vector is deterministic: same fragment, same bits, every run")

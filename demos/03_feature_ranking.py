@@ -30,7 +30,7 @@ for regime in (0, 2):
     for i in range(40):
         seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
         for frag in slice_fragments(seq):
-            rows.append(fragment_features(frag).values)
+            rows.append(fragment_features(frag))
             tiers.append(regime)
 X = np.asarray(rows)
 labels, mask = remap_task(tiers, get_task("binary"))

@@ -32,7 +32,7 @@ def build_dataset(per_regime, blend, duration=5.0):
             seq = generate(RegimeSpec(regime, duration_s=duration,
                                       seed=regime * 10_000 + i, blend=blend))
             for frag in slice_fragments(seq):
-                rows.append(fragment_features(frag).values)
+                rows.append(fragment_features(frag))
                 tiers.append(regime)
     return np.asarray(rows), np.asarray(tiers)
 

@@ -33,20 +33,10 @@ from .descriptors import (
     FRAME_FEATURE_NAMES,
     TRACKED_JOINT_INDICES,
     TRACKED_JOINT_NAMES,
-    FeatureVector,
-    FrameFeatureMatrix,
-    KinematicState,
     aggregate,
-    aggregate_feature_names,
     differentiate,
-    directness,
-    dispersion_frame,
-    effort_frame,
     fragment_features,
-    frame_feature_names,
     frame_matrix,
-    initiation_frame,
-    trajectory_frame,
     windowed_directness,
 )
 from .stats import (

@@ -33,7 +33,6 @@ class TrainConfig:
     l2_lambda: float = 1.0
     max_iters: int = 1000
     grad_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.l2_lambda < 0:
@@ -221,13 +220,16 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
 
 
 def predict_proba(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for raw feature row(s); positive, summing to 1."""
+    """Class probabilities for raw, finite feature row(s); positive, summing to 1."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = np.atleast_2d(x)
     expected = model.weights.shape[1]
     if rows.shape[1] != expected:
         raise ValueError(f"expected {expected} features, got {rows.shape[1]}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite feature value in row {np.argmin(finite)}")
     z = model.standardizer.transform(rows)
     probs = _softmax(z @ model.weights.T + model.biases)
     return probs[0] if single else probs

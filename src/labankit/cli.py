@@ -47,7 +47,7 @@ _DEFAULTS: dict[str, dict] = {
     },
     "train": {
         "features": None, "out": None, "task": "four_way", "l2": 1.0,
-        "max_iters": 1000, "grad_tol": 1e-6, "seed": 0,
+        "max_iters": 1000, "grad_tol": 1e-6,
     },
     "predict": {
         "model": None, "features": None, "out": None, "task": None,
@@ -157,14 +157,10 @@ def cmd_synth(params: dict) -> int:
 
 
 def _extract_one(entry, length: float, stride: float):
-    seq = load_sequence(entry.path)
-    seq = with_tier(seq, entry.tier)
-    rows = []
-    for fragment in slice_fragments(seq, length_s=length, stride_s=stride):
-        vector = fragment_features(fragment)
-        rows.append((entry.source_id, fragment.start_frame, fragment.tier,
-                     vector.values))
-    return rows
+    seq = with_tier(load_sequence(entry.path), entry.tier)
+    return [(entry.source_id, fragment.start_frame, fragment.tier,
+             fragment_features(fragment))
+            for fragment in slice_fragments(seq, length_s=length, stride_s=stride)]
 
 
 def cmd_extract(params: dict) -> int:
@@ -197,6 +193,11 @@ def cmd_extract(params: dict) -> int:
     write_features_csv(out, FEATURE_NAMES_110, all_rows)
     _write_echo(out, "extract", params)
 
+    short = [str(entry.path) for entry, rows, _ in results if rows == []]
+    if short:
+        print(f"warning: {len(short)} file(s) shorter than one {length:g} s "
+              f"fragment gave no rows: {', '.join(short)}", file=sys.stderr)
+
     if failures:
         log_path = out.with_name(out.name + ".errors.log")
         with open(log_path, "w", encoding="utf-8") as fh:
@@ -209,6 +210,14 @@ def cmd_extract(params: dict) -> int:
     return 0
 
 
+def _train_config(params: dict) -> TrainConfig:
+    return TrainConfig(
+        l2_lambda=float(params["l2"]),
+        max_iters=int(params["max_iters"]),
+        grad_tol=float(params["grad_tol"]),
+    )
+
+
 def cmd_train(params: dict) -> int:
     table = read_features_csv(params["features"])
     if len(table) == 0:
@@ -216,14 +225,8 @@ def cmd_train(params: dict) -> int:
     X = _canonical_features(table)
     task = get_task(params["task"])
     labels, mask = remap_task(table.tiers, task)
-    config = TrainConfig(
-        l2_lambda=float(params["l2"]),
-        max_iters=int(params["max_iters"]),
-        grad_tol=float(params["grad_tol"]),
-        seed=int(params["seed"]),
-    )
     try:
-        model = train(X[mask], labels, config,
+        model = train(X[mask], labels, _train_config(params),
                       feature_names=FEATURE_NAMES_110, task=task.kind)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -273,15 +276,9 @@ def cmd_evaluate(params: dict) -> int:
         raise UsageError("feature table has no rows")
     X = _canonical_features(table)
     task = get_task(params["task"])
-    config = TrainConfig(
-        l2_lambda=float(params["l2"]),
-        max_iters=int(params["max_iters"]),
-        grad_tol=float(params["grad_tol"]),
-        seed=int(params["seed"]),
-    )
     try:
         report = cross_validate(X, table.tiers, task, k=int(params["k"]),
-                                config=config, seed=int(params["seed"]),
+                                config=_train_config(params), seed=int(params["seed"]),
                                 feature_names=FEATURE_NAMES_110)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -373,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, help="L2 weight penalty (default 1.0)")
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--seed", type=int)
 
     p = add("predict", "predict classes and probabilities for feature rows")
     p.add_argument("--model", help="model JSON from train")
@@ -413,10 +409,7 @@ def main(argv=None) -> int:
     try:
         params = _resolve_params(args.subcommand, args)
         return _HANDLERS[args.subcommand](params)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SkeletonError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError, SkeletonError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,17 +20,15 @@ invariant to rotation about a vertical axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .skeleton import Fragment
-
-# Tracked joints: root plus end effectors, which dominate expressive motion.
-TRACKED_JOINT_NAMES = ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r")
-TRACKED_JOINT_INDICES = (0, 15, 22, 23, 10, 11)
+from .skeleton import SMPL_JOINT_NAMES, Fragment
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
+
+# Tracked joints: root plus end effectors, which dominate expressive motion.
+TRACKED_JOINT_INDICES = (PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R)
+TRACKED_JOINT_NAMES = tuple(SMPL_JOINT_NAMES[j] for j in TRACKED_JOINT_INDICES)
 
 # Half-window (frames) for windowed Directness: 0.5 s at 30 fps.
 DIRECTNESS_WINDOW = 15
@@ -70,77 +68,24 @@ _TRAJECTORY_NAMES = (
     "trajectory.net_displacement",
 )
 
-
-def frame_feature_names(tracked_names=TRACKED_JOINT_NAMES) -> list[str]:
-    """The 55 per-frame descriptor names in canonical column order."""
-    names = list(_DISPERSION_NAMES)
-    names.extend(_EFFORT_NAMES)
-    for joint in tracked_names:
-        names.extend(f"kin.{joint}.{suffix}" for suffix in _KIN_SUFFIXES)
-    names.extend(f"initiation.{joint}" for joint in tracked_names)
-    names.extend(_TRAJECTORY_NAMES)
-    return names
-
-
-def aggregate_feature_names(frame_names) -> list[str]:
-    """The 110 aggregate names: every frame feature's mean, then its std."""
-    return [f"{n}.mean" for n in frame_names] + [f"{n}.std" for n in frame_names]
+# The 55 per-frame descriptor names in canonical column order.
+FRAME_FEATURE_NAMES = (
+    _DISPERSION_NAMES
+    + _EFFORT_NAMES
+    + tuple(f"kin.{joint}.{suffix}"
+            for joint in TRACKED_JOINT_NAMES for suffix in _KIN_SUFFIXES)
+    + tuple(f"initiation.{joint}" for joint in TRACKED_JOINT_NAMES)
+    + _TRAJECTORY_NAMES
+)
+# The 110 aggregate names: every frame feature's mean, then its std.
+FEATURE_NAMES_110 = (tuple(f"{n}.mean" for n in FRAME_FEATURE_NAMES)
+                     + tuple(f"{n}.std" for n in FRAME_FEATURE_NAMES))
 
 
-FRAME_FEATURE_NAMES = tuple(frame_feature_names())
-FEATURE_NAMES_110 = tuple(aggregate_feature_names(FRAME_FEATURE_NAMES))
+def differentiate(fragment: Fragment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(velocity, acceleration, jerk) by frame differencing at 1/fps.
 
-
-@dataclass(frozen=True)
-class KinematicState:
-    """Velocity, acceleration, and jerk tracks for every joint of a fragment.
-
-    Arrays have the fragment's (T, 24, 3) shape, in m/s, m/s^2, m/s^3.
-    """
-
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    jerk: np.ndarray
-    fps: float
-
-
-@dataclass(frozen=True)
-class FrameFeatureMatrix:
-    """A (T x 55) per-frame descriptor matrix with its canonical column names."""
-
-    values: np.ndarray
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"matrix shape {self.values.shape} does not match "
-                f"{len(self.feature_names)} feature names"
-            )
-
-    @property
-    def frame_count(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """A 110-dim (mean || std) fragment aggregate with stable names."""
-
-    values: np.ndarray
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if self.values.shape != (len(self.names),):
-            raise ValueError(
-                f"vector length {self.values.shape} does not match {len(self.names)} names"
-            )
-
-
-def differentiate(fragment: Fragment) -> KinematicState:
-    """Velocity, acceleration, and jerk by frame differencing at 1/fps.
+    Each array has the fragment's (T, 24, 3) shape, in m/s, m/s^2, m/s^3.
 
     Central differences at interior frames, one-sided at the ends; each
     derivative order applies the same operator to the previous one.
@@ -154,35 +99,15 @@ def differentiate(fragment: Fragment) -> KinematicState:
     velocity = np.gradient(fragment.positions, dt, axis=0)
     acceleration = np.gradient(velocity, dt, axis=0)
     jerk = np.gradient(acceleration, dt, axis=0)
-    return KinematicState(velocity=velocity, acceleration=acceleration,
-                          jerk=jerk, fps=fragment.fps)
-
-
-def directness(track: np.ndarray, t: int, w: int) -> float:
-    """Chord-to-path ratio of one joint track over a clamped window around t.
-
-    Returns ||p(b) - p(a)|| / sum(||p(tau+1) - p(tau)||) with
-    a = max(0, t - w) and b = min(T - 1, t + w). A joint whose windowed
-    path is shorter than EPS_PATH wanders nowhere and counts as fully
-    Direct (1.0).
-    """
-    if w < 1:
-        raise ValueError(f"half-window must be >= 1, got {w}")
-    track = np.asarray(track, dtype=np.float64)
-    n = track.shape[0]
-    a = max(0, t - w)
-    b = min(n - 1, t + w)
-    steps = np.linalg.norm(np.diff(track[a:b + 1], axis=0), axis=1)
-    path = float(steps.sum())
-    if path < EPS_PATH:
-        return 1.0
-    chord = float(np.linalg.norm(track[b] - track[a]))
-    # chord <= path mathematically; the min guards float roundoff.
-    return min(1.0, chord / path)
+    return velocity, acceleration, jerk
 
 
 def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
-    """Directness at every frame of a (T, 3) track, vectorized via cumulative path."""
+    """Directness at every frame t of a (T, 3) track: the chord-to-path ratio
+    ||p(b) - p(a)|| / sum(||p(tau+1) - p(tau)||) over the clamped window
+    a = max(0, t - w), b = min(T - 1, t + w), via the cumulative path. A
+    window whose path is shorter than EPS_PATH counts as fully Direct (1.0).
+    """
     if w < 1:
         raise ValueError(f"half-window must be >= 1, got {w}")
     track = np.asarray(track, dtype=np.float64)
@@ -200,84 +125,10 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def effort_frame(state: KinematicState, fragment: Fragment, t: int,
-                 w: int = DIRECTNESS_WINDOW,
-                 tracked=TRACKED_JOINT_INDICES) -> np.ndarray:
-    """Effort qualities (Flow, Space, Time, Weight) at frame t.
-
-    Weight is total kinetic energy of the tracked joints under unit
-    masses; Time and Flow are mean acceleration and jerk magnitudes;
-    Space is mean windowed Directness.
-    """
-    joints = list(tracked)
-    flow = float(np.linalg.norm(state.jerk[t, joints], axis=1).mean())
-    space = float(np.mean([
-        directness(fragment.positions[:, j], t, w) for j in joints
-    ]))
-    time_ = float(np.linalg.norm(state.acceleration[t, joints], axis=1).mean())
-    speed_sq = (state.velocity[t, joints] ** 2).sum(axis=1)
-    weight = float(0.5 * speed_sq.sum())
-    return np.array([flow, space, time_, weight])
-
-
-def dispersion_frame(fragment: Fragment, t: int) -> np.ndarray:
-    """Twelve body-extent measurements of the pose at frame t."""
-    pose = fragment.positions[t]
-    pelvis = pose[PELVIS]
-    values = np.empty(12)
-    for k, j in enumerate((HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R)):
-        values[k] = np.linalg.norm(pose[j] - pelvis)
-    centroid = pose.mean(axis=0)
-    to_centroid = np.linalg.norm(pose - centroid, axis=1)
-    values[5] = to_centroid.mean()
-    values[6] = pose[:, 1].max() - pose[:, 1].min()
-    xz = pose[:, [0, 2]]
-    values[7] = np.linalg.norm(xz[:, None, :] - xz[None, :, :], axis=2).max()
-    values[8] = to_centroid.std()
-    values[9] = np.linalg.norm(pose[HAND_L] - pose[HAND_R])
-    values[10] = np.linalg.norm(pose[FOOT_L] - pose[FOOT_R])
-    values[11] = pose[PELVIS, 1]
-    return values
-
-
-def initiation_frame(state: KinematicState, t: int,
-                     tracked=TRACKED_JOINT_INDICES) -> np.ndarray:
-    """Each tracked joint's share of total speed at frame t; sums to 1.
-
-    A near-rest frame (total speed below EPS_SPEED) has no leader and
-    scores uniformly.
-    """
-    speeds = np.linalg.norm(state.velocity[t, list(tracked)], axis=1)
-    total = speeds.sum()
-    if total < EPS_SPEED:
-        return np.full(len(tracked), 1.0 / len(tracked))
-    return speeds / total
-
-
-def trajectory_frame(fragment: Fragment, state: KinematicState, t: int) -> np.ndarray:
-    """Pelvis path increment, curvature, and net displacement at frame t.
-
-    The path increment is 0 at the final frame. Curvature is
-    ||v x a|| / ||v||^3, zero below EPS_SPEED and capped at CURVATURE_CAP.
-    """
-    track = fragment.positions[:, PELVIS]
-    n = track.shape[0]
-    increment = float(np.linalg.norm(track[t + 1] - track[t])) if t + 1 < n else 0.0
-    v = state.velocity[t, PELVIS]
-    a = state.acceleration[t, PELVIS]
-    speed = float(np.linalg.norm(v))
-    if speed < EPS_SPEED:
-        curvature = 0.0
-    else:
-        curvature = min(float(np.linalg.norm(np.cross(v, a))) / speed ** 3,
-                        CURVATURE_CAP)
-    net = float(np.linalg.norm(track[t] - track[0]))
-    return np.array([increment, curvature, net])
-
-
-def frame_matrix(fragment: Fragment, w: int = DIRECTNESS_WINDOW) -> FrameFeatureMatrix:
-    """The (T x 55) descriptor matrix of a fragment, vectorized over frames."""
-    state = differentiate(fragment)
+def frame_matrix(fragment: Fragment) -> np.ndarray:
+    """The (T x 55) descriptor matrix of a fragment, vectorized over frames;
+    its columns are FRAME_FEATURE_NAMES."""
+    velocity, acceleration, jerk = differentiate(fragment)
     pos = fragment.positions
     n = fragment.frame_count
     joints = list(TRACKED_JOINT_INDICES)
@@ -301,11 +152,12 @@ def frame_matrix(fragment: Fragment, w: int = DIRECTNESS_WINDOW) -> FrameFeature
 
     # Tracked-joint kinematic magnitudes, shared by Effort and the
     # per-joint block.
-    speeds = np.linalg.norm(state.velocity[:, joints], axis=2)
-    accels = np.linalg.norm(state.acceleration[:, joints], axis=2)
-    jerks = np.linalg.norm(state.jerk[:, joints], axis=2)
+    speeds = np.linalg.norm(velocity[:, joints], axis=2)
+    accels = np.linalg.norm(acceleration[:, joints], axis=2)
+    jerks = np.linalg.norm(jerk[:, joints], axis=2)
     energies = 0.5 * speeds ** 2
-    direct = np.stack([windowed_directness(pos[:, j], w) for j in joints], axis=1)
+    direct = np.stack([windowed_directness(pos[:, j], DIRECTNESS_WINDOW)
+                       for j in joints], axis=1)
 
     # Effort (columns 12-15): Flow, Space, Time, Weight.
     values[:, 12] = jerks.mean(axis=1)
@@ -333,8 +185,8 @@ def frame_matrix(fragment: Fragment, w: int = DIRECTNESS_WINDOW) -> FrameFeature
     # Trajectory (columns 52-54), pelvis reference.
     increments = np.zeros(n)
     increments[:-1] = np.linalg.norm(np.diff(pelvis, axis=0), axis=1)
-    v = state.velocity[:, PELVIS]
-    a = state.acceleration[:, PELVIS]
+    v = velocity[:, PELVIS]
+    a = acceleration[:, PELVIS]
     speed = np.linalg.norm(v, axis=1)
     cross = np.linalg.norm(np.cross(v, a), axis=1)
     curvature = np.zeros(n)
@@ -344,22 +196,19 @@ def frame_matrix(fragment: Fragment, w: int = DIRECTNESS_WINDOW) -> FrameFeature
     values[:, 53] = curvature
     values[:, 54] = np.linalg.norm(pelvis - pelvis[0], axis=1)
 
-    return FrameFeatureMatrix(values=values, feature_names=FRAME_FEATURE_NAMES)
+    return values
 
 
-def aggregate(matrix: FrameFeatureMatrix) -> FeatureVector:
-    """Collapse a (T x 55) matrix to 110 values: column means, then
-    population standard deviations."""
-    if matrix.frame_count < 1:
-        raise ValueError("cannot aggregate an empty matrix")
-    means = matrix.values.mean(axis=0)
-    stds = matrix.values.std(axis=0)
-    return FeatureVector(
-        values=np.concatenate([means, stds]),
-        names=tuple(aggregate_feature_names(matrix.feature_names)),
-    )
+def aggregate(matrix: np.ndarray) -> np.ndarray:
+    """Collapse a (T x 55) matrix to the 110 values named by
+    FEATURE_NAMES_110: column means, then population standard deviations."""
+    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] != len(FRAME_FEATURE_NAMES):
+        raise ValueError(f"expected a non-empty (T, {len(FRAME_FEATURE_NAMES)}) "
+                         f"matrix, got shape {matrix.shape}")
+    return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)])
 
 
-def fragment_features(fragment: Fragment, w: int = DIRECTNESS_WINDOW) -> FeatureVector:
-    """Convenience: the 110-dim aggregate feature vector of one fragment."""
-    return aggregate(frame_matrix(fragment, w=w))
+def fragment_features(fragment: Fragment) -> np.ndarray:
+    """The 110-dim aggregate feature vector of one fragment, in
+    FEATURE_NAMES_110 order."""
+    return aggregate(frame_matrix(fragment))

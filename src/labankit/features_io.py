@@ -79,7 +79,10 @@ def write_features_csv(path, feature_names, rows) -> None:
 
 
 def read_features_csv(path) -> FeatureTable:
-    """Read a feature CSV; feature columns are everything non-metadata."""
+    """Read a feature CSV; feature columns are everything non-metadata.
+
+    Every feature cell must parse as a finite float.
+    """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -113,6 +116,11 @@ def read_features_csv(path) -> FeatureTable:
                 values.append([float(row[j]) for j, _ in feature_cols])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            finite = np.isfinite(values[-1])
+            if not finite.all():
+                j = np.argmin(finite)
+                raise ValueError(f"{path}:{lineno}: non-finite value {values[-1][j]} "
+                                 f"in column {feature_cols[j][1]!r}")
 
     matrix = np.asarray(values, dtype=np.float64) if values \
         else np.empty((0, len(feature_cols)))

@@ -80,7 +80,8 @@ class SkeletonSequence:
         positions = np.asarray(self.positions, dtype=np.float64)
         object.__setattr__(self, "positions", positions)
         context = f"sequence {self.source_id!r}"
-        if not (isinstance(self.fps, (int, float)) and math.isfinite(self.fps) and self.fps > 0):
+        if (isinstance(self.fps, bool) or not isinstance(self.fps, (int, float))
+                or not (math.isfinite(self.fps) and self.fps > 0)):
             raise SkeletonError(f"{context}: fps must be positive and finite, got {self.fps!r}")
         object.__setattr__(self, "fps", float(self.fps))
         _check_positions(positions, context)
@@ -92,10 +93,6 @@ class SkeletonSequence:
     @property
     def frame_count(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def joints_per_frame(self) -> int:
-        return self.positions.shape[1]
 
     @property
     def duration_s(self) -> float:

@@ -32,9 +32,6 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.means) / self.stds
 
-    def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
-        return np.asarray(Z, dtype=np.float64) * self.stds + self.means
-
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:
     """Fit per-column mean and population std, with std floored at STD_FLOOR."""
@@ -82,6 +79,8 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("values and labels must be 1-D arrays of equal length")
     if values.size == 0:
         raise ValueError("empty input")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value in input")
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError(f"need at least 2 classes, got {classes.size}")
@@ -114,6 +113,9 @@ def rank_features(X: np.ndarray, labels: np.ndarray, names) -> FeatureRanking:
         raise ValueError(
             f"matrix shape {X.shape} does not match {len(names)} feature names"
         )
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"feature {names[np.argmin(finite)]!r} has a non-finite value")
     scored = [
         (names[j], kruskal_wallis(X[:, j], labels))
         for j in range(X.shape[1])

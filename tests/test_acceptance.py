@@ -12,12 +12,11 @@ import scipy.optimize
 
 from labankit import (
     FEATURE_NAMES_110,
+    FRAME_FEATURE_NAMES,
     RegimeSpec,
     TrainConfig,
     cross_validate,
     differentiate,
-    directness,
-    effort_frame,
     frame_matrix,
     fragment_features,
     generate,
@@ -27,12 +26,12 @@ from labankit import (
     rank_features,
     remap_task,
     slice_fragments,
-    trajectory_frame,
 )
 from labankit.cli import main as cli_main
 from labankit.features_io import read_features_csv
 
 from conftest import make_fragment, rest_positions, wiggle_positions
+from oracles import directness, effort_frame, trajectory_frame
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -81,9 +80,9 @@ def test_descriptor_correctness():
 
 def test_invariance_suite():
     positions = wiggle_positions(150, fps=30.0, seed=12)
-    base = frame_matrix(make_fragment(positions)).values
+    base = frame_matrix(make_fragment(positions))
 
-    shifted = frame_matrix(make_fragment(positions + np.array([5.2, 0.0, -3.3]))).values
+    shifted = frame_matrix(make_fragment(positions + np.array([5.2, 0.0, -3.3])))
     horizontal = np.abs(shifted - base).max()
     assert horizontal <= 1e-6
 
@@ -92,14 +91,13 @@ def test_invariance_suite():
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     pivot = np.array([center[0], 0.0, center[2]])
-    rotated = frame_matrix(make_fragment((positions - pivot) @ rot.T + pivot)).values
+    rotated = frame_matrix(make_fragment((positions - pivot) @ rot.T + pivot))
     rotation = np.abs(rotated - base).max()
     assert rotation <= 1e-6
 
     offset = 0.61
-    lifted = frame_matrix(make_fragment(positions + np.array([0.0, offset, 0.0]))).values
-    height_col = list(frame_matrix(make_fragment(positions)).feature_names
-                      ).index("dispersion.pelvis_height")
+    lifted = frame_matrix(make_fragment(positions + np.array([0.0, offset, 0.0])))
+    height_col = FRAME_FEATURE_NAMES.index("dispersion.pelvis_height")
     others = [j for j in range(55) if j != height_col]
     assert np.abs(lifted[:, others] - base[:, others]).max() <= 1e-6
     height_delta = lifted[:, height_col] - base[:, height_col]
@@ -237,7 +235,7 @@ def test_ordinal_confusion_concentrates_on_adjacent_tiers():
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 7919 + i, blend=0.85))
             for frag in slice_fragments(seq):
-                rows.append(fragment_features(frag).values)
+                rows.append(fragment_features(frag))
                 tiers.append(regime)
     report = cross_validate(np.array(rows), np.array(tiers),
                             get_task("four_way"), k=5, seed=1)
@@ -260,7 +258,7 @@ def test_directness_family_ranks_in_top_ten():
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
             for frag in slice_fragments(seq):
-                rows.append(fragment_features(frag).values)
+                rows.append(fragment_features(frag))
                 tiers.append(regime)
     labels, mask = remap_task(tiers, get_task("binary"))
     ranking = rank_features(np.array(rows)[mask], labels, FEATURE_NAMES_110)

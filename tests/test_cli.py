@@ -67,6 +67,43 @@ def test_extract_empty_manifest(tmp_path, capsys):
     assert "empty manifest" in capsys.readouterr().err
 
 
+def test_extract_warns_about_files_too_short_for_a_fragment(tmp_path, capsys):
+    from labankit import RegimeSpec, generate, save_sequence
+    lines = []
+    for name, seconds in (("short", 3.5), ("long", 5.0)):
+        seq = generate(RegimeSpec(0, duration_s=seconds, seed=1), source_id=name)
+        save_sequence(seq, tmp_path / f"{name}.json")
+        lines.append(json.dumps({"path": f"{name}.json", "tier": 0}))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "features.csv"
+    assert run("extract", "--manifest", manifest, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 1 fragment rows to {out}\n"
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 1
+    assert "1 file(s)" in warnings[0] and "short.json" in warnings[0]
+    assert "long.json" not in warnings[0]
+    assert len(read_features_csv(out)) == 1
+
+
+def test_features_csv_rejects_non_finite_cells(small_dataset, tmp_path, capsys):
+    _, features = small_dataset
+    with open(features) as fh:
+        rows = list(csv.reader(fh))
+    column = "effort.flow.mean"
+    for cell in ("nan", "inf", "-inf"):
+        rows[3][rows[0].index(column)] = cell
+        broken = tmp_path / f"{cell}.csv"
+        with open(broken, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValueError, match=f"{cell}.csv:4: .*'{column}'"):
+            read_features_csv(broken)
+        assert run("rank-features", "--features", broken,
+                   "--out", tmp_path / "ranking.csv") == 2
+        assert f"{cell}.csv:4" in capsys.readouterr().err
+
+
 def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     corrupt = tmp_path / "corrupt.json"
@@ -238,6 +275,24 @@ def test_config_echo_reruns_bit_exactly(small_dataset, tmp_path):
     assert echo.exists()
     assert run("evaluate", "--config", echo) == 0
     assert report.read_bytes() == first
+
+
+def test_train_seed_flag_is_gone_and_old_echoes_still_load(small_dataset, tmp_path):
+    _, features = small_dataset
+    model = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as err:
+        run("train", "--features", features, "--out", model, "--seed", 1)
+    assert err.value.code == 2
+    assert run("train", "--features", features, "--out", model) == 0
+    echo = model.parent / (model.name + ".config.json")
+    assert "seed" not in json.loads(echo.read_text())["params"]
+    old = json.loads(echo.read_text())
+    old["params"]["seed"] = 0
+    old_echo = tmp_path / "old.config.json"
+    old_echo.write_text(json.dumps(old))
+    first = model.read_bytes()
+    assert run("train", "--config", old_echo) == 0
+    assert model.read_bytes() == first
 
 
 def test_config_echo_subcommand_mismatch(small_dataset, tmp_path, capsys):

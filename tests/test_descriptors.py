@@ -9,17 +9,19 @@ from labankit import (
     TRACKED_JOINT_INDICES,
     aggregate,
     differentiate,
-    directness,
-    dispersion_frame,
-    effort_frame,
     fragment_features,
     frame_matrix,
-    initiation_frame,
-    trajectory_frame,
     windowed_directness,
 )
 
 from conftest import make_fragment, rest_positions, wiggle_positions
+from oracles import (
+    directness,
+    dispersion_frame,
+    effort_frame,
+    initiation_frame,
+    trajectory_frame,
+)
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 
@@ -36,16 +38,15 @@ def test_differentiate_linear_motion():
     n, fps = 100, 30.0
     positions = rest_positions(n)
     positions[:, :, 0] += np.arange(n)[:, None]  # slope 1 m/frame along x
-    state = differentiate(make_fragment(positions, fps=fps))
-    assert np.allclose(state.velocity[:, :, 0], 30.0, atol=1e-9)
-    assert np.allclose(state.velocity[:, :, 1:], 0.0, atol=1e-9)
-    assert np.allclose(state.acceleration, 0.0, atol=1e-6)
-    assert np.allclose(state.jerk, 0.0, atol=1e-4)
+    velocity, acceleration, jerk = differentiate(make_fragment(positions, fps=fps))
+    assert np.allclose(velocity[:, :, 0], 30.0, atol=1e-9)
+    assert np.allclose(velocity[:, :, 1:], 0.0, atol=1e-9)
+    assert np.allclose(acceleration, 0.0, atol=1e-6)
+    assert np.allclose(jerk, 0.0, atol=1e-4)
 
 
 def test_differentiate_rest():
-    state = differentiate(make_fragment(rest_positions(100)))
-    for arr in (state.velocity, state.acceleration, state.jerk):
+    for arr in differentiate(make_fragment(rest_positions(100))):
         assert np.all(arr == 0.0)
 
 
@@ -57,12 +58,12 @@ def test_differentiate_quadratic_against_analytic_second_derivative():
     t = np.arange(n)
     positions = rest_positions(n)
     positions[:, :, 0] += ((t * dt) ** 2)[:, None]
-    state = differentiate(make_fragment(positions, fps=fps))
+    velocity, acceleration, _ = differentiate(make_fragment(positions, fps=fps))
     interior = slice(2, n - 2)
-    assert np.allclose(state.acceleration[interior, :, 0], 2.0, atol=1e-9)
+    assert np.allclose(acceleration[interior, :, 0], 2.0, atol=1e-9)
     # velocity oracle: dp/ds = 2 t dt^2 * fps = 2 t dt
     expected_v = 2.0 * t[interior] * dt
-    assert np.allclose(state.velocity[interior, :, 0], expected_v[:, None], atol=1e-9)
+    assert np.allclose(velocity[interior, :, 0], expected_v[:, None], atol=1e-9)
 
 
 def test_differentiate_needs_four_frames():
@@ -298,19 +299,18 @@ def test_trajectory_rest_and_final_increment():
 
 def test_frame_matrix_has_55_stable_columns(wiggle_fragment):
     matrix = frame_matrix(wiggle_fragment)
-    assert matrix.values.shape == (150, 55)
-    assert len(matrix.feature_names) == 55
-    assert len(set(matrix.feature_names)) == 55
-    assert matrix.feature_names == FRAME_FEATURE_NAMES
+    assert matrix.shape == (150, 55)
+    assert len(FRAME_FEATURE_NAMES) == 55
+    assert len(set(FRAME_FEATURE_NAMES)) == 55
 
 
 def test_frame_matrix_rest_columns():
     matrix = frame_matrix(make_fragment(rest_positions(100)))
     for name in ("effort.flow", "effort.time", "effort.weight"):
-        assert np.all(matrix.values[:, column(name)] == 0.0)
+        assert np.all(matrix[:, column(name)] == 0.0)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
-        assert np.all(matrix.values[:, column(f"kin.{j}.directness")] == 1.0)
-    assert np.all(matrix.values[:, column("effort.space")] == 1.0)
+        assert np.all(matrix[:, column(f"kin.{j}.directness")] == 1.0)
+    assert np.all(matrix[:, column("effort.space")] == 1.0)
 
 
 def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
@@ -318,16 +318,17 @@ def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
     # applied independently at every frame.
     frag = wiggle_fragment
     state = differentiate(frag)
-    matrix = frame_matrix(frag).values
+    velocity, acceleration, jerk = state
+    matrix = frame_matrix(frag)
     for t in range(0, frag.frame_count, 13):
         row = np.concatenate([
             dispersion_frame(frag, t),
             effort_frame(state, frag, t),
             np.concatenate([
-                [np.linalg.norm(state.velocity[t, j]),
-                 np.linalg.norm(state.acceleration[t, j]),
-                 np.linalg.norm(state.jerk[t, j]),
-                 0.5 * np.linalg.norm(state.velocity[t, j]) ** 2,
+                [np.linalg.norm(velocity[t, j]),
+                 np.linalg.norm(acceleration[t, j]),
+                 np.linalg.norm(jerk[t, j]),
+                 0.5 * np.linalg.norm(velocity[t, j]) ** 2,
                  directness(frag.positions[:, j], t, 15)]
                 for j in TRACKED_JOINT_INDICES
             ]),
@@ -338,39 +339,35 @@ def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
 
 
 def test_aggregate_constant_columns_have_zero_std():
-    from labankit import FrameFeatureMatrix
-    constant = FrameFeatureMatrix(values=np.full((64, 55), 2.5),
-                                  feature_names=FRAME_FEATURE_NAMES)
-    assert np.all(aggregate(constant).values[55:] == 0.0)
+    assert np.all(aggregate(np.full((64, 55), 2.5))[55:] == 0.0)
     # A rest fragment is constant per column too, up to float summation dust.
     vector = aggregate(frame_matrix(make_fragment(rest_positions(100))))
-    assert np.allclose(vector.values[55:], 0.0, atol=1e-12)
-    assert len(vector.values) == 110
-    assert vector.names == FEATURE_NAMES_110
+    assert np.allclose(vector[55:], 0.0, atol=1e-12)
+    assert vector.shape == (len(FEATURE_NAMES_110),) == (110,)
+    assert FEATURE_NAMES_110[:55] == tuple(f"{n}.mean" for n in FRAME_FEATURE_NAMES)
+    assert FEATURE_NAMES_110[55:] == tuple(f"{n}.std" for n in FRAME_FEATURE_NAMES)
 
 
 def test_aggregate_two_point_arithmetic():
-    from labankit import FrameFeatureMatrix
-    values = np.tile([[1.0], [3.0]], (1, 55))
-    matrix = FrameFeatureMatrix(values=values, feature_names=FRAME_FEATURE_NAMES)
-    vector = aggregate(matrix)
-    assert np.allclose(vector.values[:55], 2.0)
-    assert np.allclose(vector.values[55:], 1.0)
+    vector = aggregate(np.tile([[1.0], [3.0]], (1, 55)))
+    assert np.allclose(vector[:55], 2.0)
+    assert np.allclose(vector[55:], 1.0)
+    for bad in (np.ones((2, 54)), np.ones(55), np.ones((0, 55))):
+        with pytest.raises(ValueError):
+            aggregate(bad)
 
 
 def test_aggregate_matches_two_pass_oracle():
-    from labankit import FrameFeatureMatrix
     rng = np.random.default_rng(17)
     values = rng.normal(loc=3.0, scale=2.0, size=(100, 55))
-    vector = aggregate(FrameFeatureMatrix(values=values,
-                                          feature_names=FRAME_FEATURE_NAMES))
+    vector = aggregate(values)
     # Independent two-pass mean/variance with compensated summation.
     for j in range(55):
         col = values[:, j]
         mean = math.fsum(col) / len(col)
         var = math.fsum((x - mean) ** 2 for x in col) / len(col)
-        assert vector.values[j] == pytest.approx(mean, rel=1e-9)
-        assert vector.values[55 + j] == pytest.approx(math.sqrt(var), rel=1e-9)
+        assert vector[j] == pytest.approx(mean, rel=1e-9)
+        assert vector[55 + j] == pytest.approx(math.sqrt(var), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +375,17 @@ def test_aggregate_matches_two_pass_oracle():
 # ---------------------------------------------------------------------------
 
 def test_horizontal_translation_invariance(wiggle_fragment):
-    base = frame_matrix(wiggle_fragment).values
+    base = frame_matrix(wiggle_fragment)
     shifted = wiggle_fragment.positions + np.array([3.7, 0.0, -12.1])
-    moved = frame_matrix(make_fragment(shifted)).values
+    moved = frame_matrix(make_fragment(shifted))
     assert np.abs(moved - base).max() <= 1e-6
 
 
 def test_vertical_translation_changes_only_pelvis_height(wiggle_fragment):
     offset = 0.83
-    base = frame_matrix(wiggle_fragment).values
+    base = frame_matrix(wiggle_fragment)
     shifted = wiggle_fragment.positions + np.array([0.0, offset, 0.0])
-    moved = frame_matrix(make_fragment(shifted)).values
+    moved = frame_matrix(make_fragment(shifted))
     height = column("dispersion.pelvis_height")
     others = [j for j in range(55) if j != height]
     assert np.abs(moved[:, others] - base[:, others]).max() <= 1e-6
@@ -397,22 +394,22 @@ def test_vertical_translation_changes_only_pelvis_height(wiggle_fragment):
 
 def test_rotation_about_vertical_axis_invariance(wiggle_fragment):
     positions = wiggle_fragment.positions
-    base = frame_matrix(wiggle_fragment).values
+    base = frame_matrix(wiggle_fragment)
     center = positions[:, PELVIS].mean(axis=0)
     angle = 1.1
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     relative = positions - np.array([center[0], 0.0, center[2]])
     rotated = relative @ rot.T + np.array([center[0], 0.0, center[2]])
-    moved = frame_matrix(make_fragment(rotated)).values
+    moved = frame_matrix(make_fragment(rotated))
     assert np.abs(moved - base).max() <= 1e-6
 
 
 def test_time_reversal_preserves_total_path(wiggle_fragment):
     inc = column("trajectory.path_increment")
-    forward = frame_matrix(wiggle_fragment).values[:, inc].sum()
+    forward = frame_matrix(wiggle_fragment)[:, inc].sum()
     rev = make_fragment(wiggle_fragment.positions[::-1].copy())
-    backward = frame_matrix(rev).values[:, inc].sum()
+    backward = frame_matrix(rev)[:, inc].sum()
     assert forward == pytest.approx(backward, abs=1e-9)
 
 
@@ -424,11 +421,11 @@ def test_frame_rate_consistency_of_speed_means():
     names = list(FEATURE_NAMES_110)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
         idx = names.index(f"kin.{j}.speed.mean")
-        assert lo.values[idx] == pytest.approx(hi.values[idx], rel=0.02)
+        assert lo[idx] == pytest.approx(hi[idx], rel=0.02)
 
 
 def test_directness_and_initiation_ranges(wiggle_fragment):
-    matrix = frame_matrix(wiggle_fragment).values
+    matrix = frame_matrix(wiggle_fragment)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
         col = matrix[:, column(f"kin.{j}.directness")]
         assert np.all((col > 0.0) & (col <= 1.0))

@@ -31,7 +31,7 @@ def test_load_minimal_valid_file(tmp_path):
     path = write_skeleton(tmp_path / "ok.json", frames)
     seq = load_sequence(path)
     assert seq.frame_count == 2
-    assert seq.joints_per_frame == 24
+    assert seq.positions.shape[1] == 24
     assert seq.tier == 0
     assert seq.fps == 30.0
 
@@ -59,6 +59,10 @@ def test_load_rejects_bad_fps_and_parse_failures(tmp_path):
     frames = rest_positions(2).tolist()
     with pytest.raises(SkeletonError, match="fps"):
         load_sequence(write_skeleton(tmp_path / "fps.json", frames, fps=0.0))
+    with pytest.raises(SkeletonError, match="fps"):
+        load_sequence(write_skeleton(tmp_path / "bool.json", frames, fps=True))
+    with pytest.raises(SkeletonError, match="fps"):
+        SkeletonSequence(source_id="clip", fps=True, positions=rest_positions(2))
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     with pytest.raises(SkeletonError, match="invalid JSON"):

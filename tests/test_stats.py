@@ -79,7 +79,7 @@ def test_standardizer_inverse_is_identity():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 4)) * 10.0
     std = fit_standardizer(X)
-    assert np.allclose(std.inverse_transform(std.transform(X)), X, atol=1e-9)
+    assert np.allclose(std.transform(X) * std.stds + std.means, X, atol=1e-9)
 
 
 def test_standardizer_needs_two_rows():
@@ -169,6 +169,16 @@ def test_kw_errors():
         kruskal_wallis(np.arange(5.0), np.zeros(5, dtype=int))
     with pytest.raises(ValueError, match="empty"):
         kruskal_wallis(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="non-finite"):
+        kruskal_wallis(np.array([1.0, np.nan, 3.0, 4.0]), np.array([0, 0, 1, 1]))
+
+
+def test_rank_features_rejects_non_finite_column():
+    labels = np.repeat([0, 1], 10)
+    X = np.tile(labels[:, None] * 1.0, (1, 3))
+    X[4, 1] = np.nan
+    with pytest.raises(ValueError, match="'b'"):
+        rank_features(X, labels, ["a", "b", "c"])
 
 
 def test_average_ranks_matches_brute_force():

@@ -17,8 +17,7 @@ NAMES = list(FEATURE_NAMES_110)
 def regime_feature(regime, seed, name, **kwargs):
     seq = generate(RegimeSpec(regime, seed=seed, **kwargs))
     fragment = slice_fragments(seq)[0]
-    vector = fragment_features(fragment)
-    return vector.values[NAMES.index(name)]
+    return fragment_features(fragment)[NAMES.index(name)]
 
 
 def regime_features(regime, seeds, name, **kwargs):
@@ -44,7 +43,7 @@ def test_generated_sequences_pass_validation():
     for regime in range(4):
         seq = generate(RegimeSpec(regime, seed=regime))
         assert seq.frame_count == 150
-        assert seq.joints_per_frame == 24
+        assert seq.positions.shape[1] == 24
         assert np.isfinite(seq.positions).all()
         assert seq.tier == regime
         assert slice_fragments(seq)  # long enough for one fragment
