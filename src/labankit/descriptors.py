@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .skeleton import SMPL_JOINT_NAMES, Fragment
+from .skeleton import SMPL_JOINT_COUNT, SMPL_JOINT_NAMES, Fragment
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 
@@ -32,6 +32,9 @@ TRACKED_JOINT_NAMES = tuple(SMPL_JOINT_NAMES[j] for j in TRACKED_JOINT_INDICES)
 
 # Half-window (frames) for windowed Directness: 0.5 s at 30 fps.
 DIRECTNESS_WINDOW = 15
+
+# The unordered joint pairs i < j that the horizontal extent compares.
+_PAIR_I, _PAIR_J = np.triu_indices(SMPL_JOINT_COUNT, 1)
 
 # Path shorter than this counts as stationary; stationary joints are Direct.
 EPS_PATH = 1e-6
@@ -142,9 +145,13 @@ def frame_matrix(fragment: Fragment) -> np.ndarray:
     to_centroid = np.linalg.norm(pos - centroid[:, None, :], axis=2)
     values[:, 5] = to_centroid.mean(axis=1)
     values[:, 6] = pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1)
-    xz = pos[:, :, [0, 2]]
-    pairwise = np.linalg.norm(xz[:, :, None, :] - xz[:, None, :, :], axis=3)
-    values[:, 7] = pairwise.max(axis=(1, 2))
+    # Bit-identical to the max of the full 24x24 norm matrix: sqrt is monotone
+    # and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
+    # sqrt(dx*dx + dz*dz).
+    x, z = pos[:, :, 0], pos[:, :, 2]
+    dx = x[:, _PAIR_I] - x[:, _PAIR_J]
+    dz = z[:, _PAIR_I] - z[:, _PAIR_J]
+    values[:, 7] = np.sqrt((dx * dx + dz * dz).max(axis=1))
     values[:, 8] = to_centroid.std(axis=1)
     values[:, 9] = np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1)
     values[:, 10] = np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1)

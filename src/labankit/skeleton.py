@@ -48,6 +48,14 @@ def _validate_tier(tier, context: str):
     return tier
 
 
+def _check_fps(fps, context: str) -> float:
+    # bool is an int subclass and np.bool_ is neither np.integer nor np.floating.
+    if (isinstance(fps, bool) or not isinstance(fps, (int, float, np.integer, np.floating))
+            or not (math.isfinite(fps) and fps > 0)):
+        raise SkeletonError(f"{context}: fps must be positive and finite, got {fps!r}")
+    return float(fps)
+
+
 def _check_positions(positions: np.ndarray, context: str):
     if positions.ndim != 3 or positions.shape[2] != 3:
         raise SkeletonError(
@@ -80,10 +88,7 @@ class SkeletonSequence:
         positions = np.asarray(self.positions, dtype=np.float64)
         object.__setattr__(self, "positions", positions)
         context = f"sequence {self.source_id!r}"
-        if (isinstance(self.fps, bool) or not isinstance(self.fps, (int, float))
-                or not (math.isfinite(self.fps) and self.fps > 0)):
-            raise SkeletonError(f"{context}: fps must be positive and finite, got {self.fps!r}")
-        object.__setattr__(self, "fps", float(self.fps))
+        object.__setattr__(self, "fps", _check_fps(self.fps, context))
         _check_positions(positions, context)
         if positions.shape[0] < 2:
             raise SkeletonError(f"{context}: need at least 2 frames, got {positions.shape[0]}")
@@ -118,6 +123,7 @@ class Fragment:
         context = f"fragment {self.parent_id!r}[{self.start_frame}:{self.end_frame}]"
         if self.end_frame <= self.start_frame:
             raise SkeletonError(f"{context}: end_frame must exceed start_frame")
+        object.__setattr__(self, "fps", _check_fps(self.fps, context))
         n = self.end_frame - self.start_frame
         if n / self.fps < MIN_FRAGMENT_SECONDS - _DURATION_TOL:
             raise SkeletonError(
@@ -217,8 +223,10 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
         "tier": seq.tier,
         "frames": seq.positions.tolist(),
     }
+    # json.dumps takes the C encoder; json.dump would run the pure-Python
+    # iterencode. Both produce the same text.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        fh.write(json.dumps(payload, separators=(",", ":")))
 
 
 def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,

@@ -338,6 +338,25 @@ def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
         assert np.allclose(matrix[t], row, atol=1e-9), f"frame {t}"
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_horizontal_extent_equals_full_norm_matrix_max_exactly(seed):
+    rng = np.random.default_rng(seed)
+    frag = make_fragment(rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(120, 24, 3)))
+    xz = frag.positions[:, :, [0, 2]]
+    full = np.linalg.norm(xz[:, :, None, :] - xz[:, None, :, :], axis=3)
+    extent = frame_matrix(frag)[:, column("dispersion.horizontal_extent")]
+    assert np.array_equal(extent, full.max(axis=(1, 2)))
+
+
+def test_horizontal_extent_of_coincident_xz_pose_is_exactly_zero():
+    positions = np.zeros((100, 24, 3))
+    positions[:, :, 0] = 0.25
+    positions[:, :, 2] = -1.5
+    positions[:, :, 1] = np.linspace(0.0, 1.8, 24)
+    extent = frame_matrix(make_fragment(positions))[:, column("dispersion.horizontal_extent")]
+    assert np.all(extent == 0.0)
+
+
 def test_aggregate_constant_columns_have_zero_std():
     assert np.all(aggregate(np.full((64, 55), 2.5))[55:] == 0.0)
     # A rest fragment is constant per column too, up to float summation dust.

@@ -5,10 +5,13 @@ import pytest
 
 from labankit import (
     DatasetManifest,
+    Fragment,
     ManifestEntry,
+    RegimeSpec,
     SkeletonError,
     SkeletonSequence,
     balance_dataset,
+    generate,
     load_manifest,
     load_sequence,
     save_manifest,
@@ -105,6 +108,57 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert loaded.fps == seq.fps
     assert loaded.tier == seq.tier
     assert np.array_equal(loaded.positions, seq.positions)
+
+
+def _stdlib_dump_bytes(seq, path):
+    payload = {
+        "source_id": seq.source_id,
+        "fps": seq.fps,
+        "tier": seq.tier,
+        "frames": seq.positions.tolist(),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, separators=(",", ":"))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("regime", range(4))
+def test_save_writes_the_stdlib_dump_bytes_for_every_regime(tmp_path, regime):
+    seq = generate(RegimeSpec(regime, seed=40 + regime))
+    save_sequence(seq, tmp_path / "fast.json")
+    assert (tmp_path / "fast.json").read_bytes() == _stdlib_dump_bytes(seq, tmp_path / "ref.json")
+
+
+def test_save_writes_the_stdlib_dump_bytes_for_edge_floats(tmp_path):
+    positions = rest_positions(3)
+    positions[0, 0] = (-0.0, 5e-324, 1e17)
+    positions[1, 5] = (1 / 3, 2.0, -7.0)
+    seq = SkeletonSequence("edge \u00e9\"quoted\"", 29.97, positions, tier=None)
+    save_sequence(seq, tmp_path / "fast.json")
+    written = (tmp_path / "fast.json").read_bytes()
+    assert written == _stdlib_dump_bytes(seq, tmp_path / "ref.json")
+    assert b"[-0.0,5e-324,1e+17]" in written and b"2.0,-7.0]" in written
+    assert np.array_equal(load_sequence(tmp_path / "fast.json").positions, positions)
+
+
+@pytest.mark.parametrize("fps", [30, 29.97, np.int64(30), np.int32(25), np.float32(30),
+                                 np.float64(59.94)])
+def test_sequence_and_fragment_accept_numeric_fps(fps):
+    seq = SkeletonSequence("s", fps, rest_positions(200), tier=1)
+    frag = Fragment("s", fps, 0, 200, 1, rest_positions(200))
+    for obj in (seq, frag):
+        assert type(obj.fps) is float and obj.fps == float(fps)
+    assert frag.duration_s == 200 / float(fps)
+
+
+@pytest.mark.parametrize("fps", [True, False, np.bool_(True), 0, 0.0, -30.0, np.int64(-1),
+                                 float("nan"), np.float32("nan"), float("inf"),
+                                 np.float64("-inf"), "30", None])
+def test_sequence_and_fragment_reject_bad_fps(fps):
+    with pytest.raises(SkeletonError, match="fps must be positive and finite"):
+        SkeletonSequence("s", fps, rest_positions(200), tier=1)
+    with pytest.raises(SkeletonError, match="fps must be positive and finite"):
+        Fragment("s", fps, 0, 200, 1, rest_positions(200))
 
 
 def test_slice_exact_tiling():
