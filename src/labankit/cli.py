@@ -12,19 +12,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .classifier import TrainConfig, load_model, predict_proba, save_model, train
 from .descriptors import FEATURE_NAMES_110, FEATURE_SCHEMA_VERSION, fragment_features
-from .evaluation import cross_validate, get_task, remap_task, render_confusion
+from .evaluation import TASKS, cross_validate, get_task, remap_task, render_confusion
 from .features_io import (read_features_csv, write_features_csv,
                           write_ranking_csv)
-from .skeleton import (DatasetManifest, ManifestEntry, SkeletonError,
+from .skeleton import (MIN_FRAGMENT_SECONDS, DatasetManifest, ManifestEntry,
                        balance_dataset, load_manifest, load_sequence,
                        save_manifest, save_sequence, slice_fragments,
                        with_tier)
@@ -36,42 +39,81 @@ ECHO_SUFFIX = ".config.json"
 # Keeps per-sequence seeds disjoint across regimes in cmd_synth.
 _SYNTH_SEED_STRIDE = 1_000_000
 
-_DEFAULTS: dict[str, dict] = {
-    "synth": {
-        "out_dir": None, "per_regime": 10, "duration": 5.0, "fps": 30.0,
-        "noise": 0.005, "blend": 0.0, "seed": 0,
-    },
-    "extract": {
-        "manifest": None, "out": None, "length": 5.0, "stride": 5.0,
-        "workers": 1,
-    },
-    "train": {
-        "features": None, "out": None, "task": "four_way", "l2": 1.0,
-        "max_iters": 1000, "grad_tol": 1e-6,
-    },
-    "predict": {
-        "model": None, "features": None, "out": None, "task": None,
-    },
-    "evaluate": {
-        "features": None, "out": None, "task": "four_way", "k": 5,
-        "l2": 1.0, "max_iters": 1000, "grad_tol": 1e-6, "seed": 0,
-    },
-    "rank-features": {
-        "features": None, "out": None, "task": "four_way",
-    },
-    "balance": {
-        "manifest": None, "out": None, "per_class": None, "seed": 0,
-    },
-}
+_REQUIRED = object()
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "synth": ("out_dir",),
-    "extract": ("manifest", "out"),
-    "train": ("features", "out"),
-    "predict": ("model", "features", "out"),
-    "evaluate": ("features", "out"),
-    "rank-features": ("features", "out"),
-    "balance": ("manifest", "out", "per_class"),
+
+class _Option(NamedTuple):
+    """One subcommand option; its flag is --key with "_" written "-".
+
+    default is _REQUIRED, None (optional, unset) or the value used when
+    neither the config echo nor a flag sets one. bound is (">=" or ">", limit).
+    """
+    key: str
+    type: type
+    default: object
+    help: str
+    choices: object = None
+    bound: tuple | None = None
+
+
+_FEATURES = _Option("features", str, _REQUIRED, "input feature CSV")
+_TASK = _Option("task", str, "four_way", "classification task", TASKS)
+_SOLVER = (
+    _Option("l2", float, 1.0, "L2 weight penalty"),
+    _Option("max_iters", int, 1000, "Newton iteration cap"),
+    _Option("grad_tol", float, 1e-6, "gradient max-norm stopping tolerance"),
+)
+
+# Subcommand -> (help, options). Option order is the config echo key order.
+_COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "synth": ("generate a synthetic four-regime skeleton dataset", (
+        _Option("out_dir", str, _REQUIRED, "output directory"),
+        _Option("per_regime", int, 10, "sequences per regime", bound=(">=", 1)),
+        _Option("duration", float, 5.0, "sequence length in seconds"),
+        _Option("fps", float, 30.0, "frame rate"),
+        _Option("noise", float, 0.005, "position jitter std in meters"),
+        _Option("blend", float, 0.0, "adjacent-regime overlap half-width in [0, 1)"),
+        _Option("seed", int, 0, "base seed"),
+    )),
+    "extract": ("compute 110-dim fragment features from a manifest", (
+        _Option("manifest", str, _REQUIRED, "JSON-lines manifest of skeleton files"),
+        _Option("out", str, _REQUIRED, "output feature CSV"),
+        _Option("length", float, 5.0, "fragment length in seconds",
+                bound=(">=", MIN_FRAGMENT_SECONDS)),
+        _Option("stride", float, 5.0, "fragment stride in seconds", bound=(">", 0)),
+        _Option("workers", int, 1, "parallel file workers", bound=(">=", 1)),
+    )),
+    "train": ("train a logistic-regression model on a feature CSV", (
+        _FEATURES,
+        _Option("out", str, _REQUIRED, "output model JSON"),
+        _TASK, *_SOLVER,
+    )),
+    "predict": ("predict classes and probabilities for feature rows", (
+        _Option("model", str, _REQUIRED, "model JSON from train"),
+        _FEATURES,
+        _Option("out", str, _REQUIRED, "output prediction CSV"),
+        _Option("task", str, None, "guard: must match the model's task", TASKS),
+    )),
+    "evaluate": ("stratified k-fold cross-validation report", (
+        _FEATURES,
+        _Option("out", str, _REQUIRED, "output report JSON"),
+        _TASK,
+        _Option("k", int, 5, "fold count"),
+        *_SOLVER,
+        _Option("seed", int, 0, "fold assignment seed"),
+    )),
+    "rank-features": ("Kruskal-Wallis feature ranking for a task", (
+        _FEATURES,
+        _Option("out", str, _REQUIRED, "output ranking CSV"),
+        _TASK,
+    )),
+    "balance": ("seeded per-tier subsampling of a manifest", (
+        _Option("manifest", str, _REQUIRED, "input manifest"),
+        _Option("out", str, _REQUIRED, "output manifest"),
+        _Option("per_class", int, _REQUIRED, "entries to keep per tier"),
+        _Option("seed", int, 0, "subsampling seed"),
+    )),
 }
 
 
@@ -79,32 +121,58 @@ class UsageError(ValueError):
     """A configuration problem the user must fix (exit code 2)."""
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config_value(option: _Option, value, where: str):
+    """A config echo value converted to the option's type, or a UsageError."""
+    if value is None and (option.default is None or option.default is _REQUIRED):
+        return None
+    if (option.type is float and type(value) is int
+            and abs(value) <= sys.float_info.max):  # a larger int would overflow
+        value = float(value)
+    if type(value) is not option.type:  # JSON gives exact types; bool is no int
+        raise UsageError(f"{where} must be {option.type.__name__}, got {value!r}")
+    if option.choices is not None and value not in option.choices:
+        raise UsageError(f"{where} must be one of {list(option.choices)}, got {value!r}")
+    return value
+
+
+def _read_config(path: str, subcommand: str, options) -> dict:
+    """The params of a config echo that belong to the subcommand's options."""
+    try:
+        echo = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    params = echo.get("params", {}) if isinstance(echo, dict) else None
+    if not isinstance(params, dict):
+        raise UsageError(f"config {path}: expected a JSON object with a params object")
+    if echo.get("subcommand") != subcommand:
+        raise UsageError(f"config {path} is for {echo.get('subcommand')!r}, "
+                         f"not {subcommand!r}")
+    return {o.key: _config_value(o, params[o.key], f"config {path}: {o.key!r}")
+            for o in options if o.key in params}
+
+
 def _resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, --config echo values, and explicit flags (in that order)."""
-    params = dict(_DEFAULTS[subcommand])
+    """Defaults < --config echo values < flags; then check required flags and bounds."""
+    options = _COMMANDS[subcommand][1]
+    params = {o.key: None if o.default is _REQUIRED else o.default for o in options}
     if args.config is not None:
-        try:
-            echo = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if echo.get("subcommand") != subcommand:
-            raise UsageError(
-                f"config {args.config} is for {echo.get('subcommand')!r}, "
-                f"not {subcommand!r}"
-            )
-        for key, value in echo.get("params", {}).items():
-            if key in params:
-                params[key] = value
-    for key in params:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            params[key] = value
-    missing = [k for k in _REQUIRED[subcommand] if params[k] is None]
+        params.update(_read_config(args.config, subcommand, options))
+    for o in options:
+        if getattr(args, o.key) is not None:
+            params[o.key] = getattr(args, o.key)
+    missing = [_flag(o.key) for o in options
+               if o.default is _REQUIRED and params[o.key] is None]
     if missing:
-        raise UsageError(
-            f"{subcommand}: missing required option(s): "
-            + ", ".join(f"--{m.replace('_', '-')}" for m in missing)
-        )
+        raise UsageError(f"{subcommand}: missing required option(s): "
+                         + ", ".join(missing))
+    for o in options:
+        if o.bound and not _BOUNDS[o.bound[0]](params[o.key], o.bound[1]):
+            raise UsageError(f"{_flag(o.key)} must be {o.bound[0]} {o.bound[1]}, "
+                             f"got {params[o.key]}")
     return params
 
 
@@ -120,29 +188,16 @@ def _write_echo(output_path: Path, subcommand: str, params: dict) -> None:
     echo_path.write_text(json.dumps(echo, indent=1) + "\n", encoding="utf-8")
 
 
-def _canonical_features(table):
-    """Align a feature table to the canonical 110-column schema."""
-    try:
-        return table.aligned_to(FEATURE_NAMES_110)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_synth(params: dict) -> int:
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for regime in range(N_REGIMES):
-        for i in range(int(params["per_regime"])):
-            seed = int(params["seed"]) + regime * _SYNTH_SEED_STRIDE + i
-            spec = RegimeSpec(
-                regime=regime,
-                duration_s=float(params["duration"]),
-                fps=float(params["fps"]),
-                noise_amp=float(params["noise"]),
-                seed=seed,
-                blend=float(params["blend"]),
-            )
+        for i in range(params["per_regime"]):
+            spec = RegimeSpec(regime=regime, duration_s=params["duration"],
+                              fps=params["fps"], noise_amp=params["noise"],
+                              seed=params["seed"] + regime * _SYNTH_SEED_STRIDE + i,
+                              blend=params["blend"])
             source_id = f"r{regime}_{i:04d}"
             seq = generate(spec, source_id=source_id)
             file_path = out_dir / f"{source_id}.json"
@@ -157,33 +212,22 @@ def cmd_synth(params: dict) -> int:
 
 
 def _extract_one(entry, length: float, stride: float):
-    seq = with_tier(load_sequence(entry.path), entry.tier)
-    return [(entry.source_id, fragment.start_frame, fragment.tier,
-             fragment_features(fragment))
-            for fragment in slice_fragments(seq, length_s=length, stride_s=stride)]
+    """(entry, fragment rows, None), or (entry, None, message) if the file fails."""
+    try:
+        seq = with_tier(load_sequence(entry.path), entry.tier)
+        fragments = slice_fragments(seq, length_s=length, stride_s=stride)
+        return entry, [(entry.source_id, f.start_frame, f.tier, fragment_features(f))
+                       for f in fragments], None
+    except (ValueError, OSError) as exc:
+        return entry, None, str(exc)
 
 
 def cmd_extract(params: dict) -> int:
     manifest = load_manifest(params["manifest"])
     out = Path(params["out"])
-    length = float(params["length"])
-    stride = float(params["stride"])
-    workers = int(params["workers"])
-
-    if not manifest.entries:
-        write_features_csv(out, FEATURE_NAMES_110, [])
-        _write_echo(out, "extract", params)
-        print("warning: empty manifest, wrote header-only CSV", file=sys.stderr)
-        return 0
-
-    def job(entry):
-        try:
-            return entry, _extract_one(entry, length, stride), None
-        except (SkeletonError, ValueError, OSError) as exc:
-            return entry, None, str(exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    job = partial(_extract_one, length=params["length"], stride=params["stride"])
+    if params["workers"] > 1:
+        with ThreadPoolExecutor(max_workers=params["workers"]) as pool:
             results = list(pool.map(job, manifest.entries))
     else:
         results = [job(entry) for entry in manifest.entries]
@@ -193,9 +237,11 @@ def cmd_extract(params: dict) -> int:
     write_features_csv(out, FEATURE_NAMES_110, all_rows)
     _write_echo(out, "extract", params)
 
+    if not manifest.entries:
+        print("warning: empty manifest, wrote header-only CSV", file=sys.stderr)
     short = [str(entry.path) for entry, rows, _ in results if rows == []]
     if short:
-        print(f"warning: {len(short)} file(s) shorter than one {length:g} s "
+        print(f"warning: {len(short)} file(s) shorter than one {params['length']:g} s "
               f"fragment gave no rows: {', '.join(short)}", file=sys.stderr)
 
     if failures:
@@ -211,25 +257,19 @@ def cmd_extract(params: dict) -> int:
 
 
 def _train_config(params: dict) -> TrainConfig:
-    return TrainConfig(
-        l2_lambda=float(params["l2"]),
-        max_iters=int(params["max_iters"]),
-        grad_tol=float(params["grad_tol"]),
-    )
+    return TrainConfig(l2_lambda=params["l2"], max_iters=params["max_iters"],
+                       grad_tol=params["grad_tol"])
 
 
 def cmd_train(params: dict) -> int:
     table = read_features_csv(params["features"])
     if len(table) == 0:
         raise UsageError("feature table has no rows")
-    X = _canonical_features(table)
+    X = table.aligned_to(FEATURE_NAMES_110)
     task = get_task(params["task"])
     labels, mask = remap_task(table.tiers, task)
-    try:
-        model = train(X[mask], labels, _train_config(params),
-                      feature_names=FEATURE_NAMES_110, task=task.kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    model = train(X[mask], labels, _train_config(params),
+                  feature_names=FEATURE_NAMES_110, task=task.kind)
     out = Path(params["out"])
     save_model(model, out)
     _write_echo(out, "train", params)
@@ -240,14 +280,10 @@ def cmd_train(params: dict) -> int:
 def cmd_predict(params: dict) -> int:
     model = load_model(params["model"])
     if params["task"] is not None and params["task"] != model.task:
-        raise UsageError(
-            f"model was trained for task {model.task!r}, not {params['task']!r}"
-        )
+        raise UsageError(f"model was trained for task {model.task!r}, "
+                         f"not {params['task']!r}")
     table = read_features_csv(params["features"])
-    try:
-        X = table.aligned_to(model.feature_names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    X = table.aligned_to(model.feature_names)
 
     out = Path(params["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -274,14 +310,10 @@ def cmd_evaluate(params: dict) -> int:
     table = read_features_csv(params["features"])
     if len(table) == 0:
         raise UsageError("feature table has no rows")
-    X = _canonical_features(table)
-    task = get_task(params["task"])
-    try:
-        report = cross_validate(X, table.tiers, task, k=int(params["k"]),
-                                config=_train_config(params), seed=int(params["seed"]),
-                                feature_names=FEATURE_NAMES_110)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    X = table.aligned_to(FEATURE_NAMES_110)
+    report = cross_validate(X, table.tiers, get_task(params["task"]), k=params["k"],
+                            config=_train_config(params), seed=params["seed"],
+                            feature_names=FEATURE_NAMES_110)
     out = Path(params["out"])
     out.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
     _write_echo(out, "evaluate", params)
@@ -293,12 +325,8 @@ def cmd_rank_features(params: dict) -> int:
     table = read_features_csv(params["features"])
     if len(table) == 0:
         raise UsageError("feature table has no rows")
-    task = get_task(params["task"])
-    labels, mask = remap_task(table.tiers, task)
-    try:
-        ranking = rank_features(table.values[mask], labels, table.names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    labels, mask = remap_task(table.tiers, get_task(params["task"]))
+    ranking = rank_features(table.values[mask], labels, table.names)
     out = Path(params["out"])
     write_ranking_csv(out, ranking)
     _write_echo(out, "rank-features", params)
@@ -307,12 +335,8 @@ def cmd_rank_features(params: dict) -> int:
 
 
 def cmd_balance(params: dict) -> int:
-    manifest = load_manifest(params["manifest"])
-    try:
-        balanced = balance_dataset(manifest, int(params["per_class"]),
-                                   int(params["seed"]))
-    except (SkeletonError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    balanced = balance_dataset(load_manifest(params["manifest"]),
+                               params["per_class"], params["seed"])
     out = Path(params["out"])
     save_manifest(balanced, out)
     _write_echo(out, "balance", params)
@@ -339,73 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"labankit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, help_text):
+    for name, (help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config echo JSON to re-run from")
-        return p
-
-    p = add("synth", "generate a synthetic four-regime skeleton dataset")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--per-regime", dest="per_regime", type=int,
-                   help="sequences per regime (default 10)")
-    p.add_argument("--duration", type=float, help="sequence length in seconds (default 5)")
-    p.add_argument("--fps", type=float, help="frame rate (default 30)")
-    p.add_argument("--noise", type=float, help="position jitter std in meters (default 0.005)")
-    p.add_argument("--blend", type=float,
-                   help="adjacent-regime overlap half-width in [0, 1) (default 0)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-
-    p = add("extract", "compute 110-dim fragment features from a manifest")
-    p.add_argument("--manifest", help="JSON-lines manifest of skeleton files")
-    p.add_argument("--out", help="output feature CSV")
-    p.add_argument("--length", type=float, help="fragment length in seconds (default 5)")
-    p.add_argument("--stride", type=float, help="fragment stride in seconds (default 5)")
-    p.add_argument("--workers", type=int, help="parallel file workers (default 1)")
-
-    p = add("train", "train a logistic-regression model on a feature CSV")
-    p.add_argument("--features", help="input feature CSV")
-    p.add_argument("--out", help="output model JSON")
-    p.add_argument("--task", choices=["four_way", "three_way", "binary"])
-    p.add_argument("--l2", type=float, help="L2 weight penalty (default 1.0)")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-
-    p = add("predict", "predict classes and probabilities for feature rows")
-    p.add_argument("--model", help="model JSON from train")
-    p.add_argument("--features", help="input feature CSV")
-    p.add_argument("--out", help="output prediction CSV")
-    p.add_argument("--task", choices=["four_way", "three_way", "binary"],
-                   help="guard: must match the model's task")
-
-    p = add("evaluate", "stratified k-fold cross-validation report")
-    p.add_argument("--features", help="input feature CSV")
-    p.add_argument("--out", help="output report JSON")
-    p.add_argument("--task", choices=["four_way", "three_way", "binary"])
-    p.add_argument("--k", type=int, help="fold count (default 5)")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = add("rank-features", "Kruskal-Wallis feature ranking for a task")
-    p.add_argument("--features", help="input feature CSV")
-    p.add_argument("--out", help="output ranking CSV")
-    p.add_argument("--task", choices=["four_way", "three_way", "binary"])
-
-    p = add("balance", "seeded per-tier subsampling of a manifest")
-    p.add_argument("--manifest", help="input manifest")
-    p.add_argument("--out", help="output manifest")
-    p.add_argument("--per-class", dest="per_class", type=int,
-                   help="entries to keep per tier")
-    p.add_argument("--seed", type=int)
-
+        for o in options:
+            note = ("required" if o.default is _REQUIRED
+                    else None if o.default is None else f"default {o.default}")
+            p.add_argument(_flag(o.key), type=o.type, choices=o.choices,
+                           help=f"{o.help} ({note})" if note else o.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         params = _resolve_params(args.subcommand, args)
         return _HANDLERS[args.subcommand](params)

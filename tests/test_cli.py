@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +316,152 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run("no-such-command")
     assert err.value.code == 2
+
+
+ECHO_KEYS = {
+    "synth": ["out_dir", "per_regime", "duration", "fps", "noise", "blend", "seed"],
+    "extract": ["manifest", "out", "length", "stride", "workers"],
+    "train": ["features", "out", "task", "l2", "max_iters", "grad_tol"],
+    "predict": ["model", "features", "out", "task"],
+    "evaluate": ["features", "out", "task", "k", "l2", "max_iters", "grad_tol",
+                 "seed"],
+    "rank-features": ["features", "out", "task"],
+    "balance": ["manifest", "out", "per_class", "seed"],
+}
+
+
+def _echo_path(output):
+    return output.parent / (output.name + ".config.json")
+
+
+def test_config_echo_keys_are_pinned_and_reruns_rewrite_every_byte(tmp_path):
+    data = tmp_path / "data"
+    manifest = data / "manifest.jsonl"
+    features = tmp_path / "features.csv"
+    model = tmp_path / "model.json"
+    outputs = {
+        "synth": (manifest, ["--out-dir", data, "--per-regime", 2, "--seed", 9]),
+        "extract": (features, ["--manifest", manifest, "--out", features]),
+        "train": (model, ["--features", features, "--out", model,
+                          "--task", "binary"]),
+        "predict": (tmp_path / "pred.csv", ["--model", model, "--features", features,
+                                            "--out", tmp_path / "pred.csv"]),
+        "evaluate": (tmp_path / "r.json", ["--features", features, "--task", "binary",
+                                           "--k", 2, "--out", tmp_path / "r.json"]),
+        "rank-features": (tmp_path / "rank.csv", ["--features", features,
+                                                  "--out", tmp_path / "rank.csv"]),
+        "balance": (tmp_path / "b.jsonl", ["--manifest", manifest, "--per-class", 1,
+                                           "--out", tmp_path / "b.jsonl"]),
+    }
+    for subcommand, (output, argv) in outputs.items():
+        assert run(subcommand, *argv) == 0, subcommand
+    assert list(outputs) == list(ECHO_KEYS)
+    for subcommand, (output, _) in outputs.items():
+        echo = _echo_path(output)
+        first = (output.read_bytes(), echo.read_bytes())
+        loaded = json.loads(first[1])
+        assert loaded["subcommand"] == subcommand
+        assert list(loaded["params"]) == ECHO_KEYS[subcommand], subcommand
+        assert run(subcommand, "--config", echo) == 0, subcommand
+        assert (output.read_bytes(), echo.read_bytes()) == first, subcommand
+
+
+@pytest.mark.parametrize("subcommand", list(ECHO_KEYS))
+def test_help_names_every_option(subcommand, capsys):
+    from labankit.cli import _COMMANDS
+    keys = [option.key for option in _COMMANDS[subcommand][1]]
+    assert keys == ECHO_KEYS[subcommand]
+    with pytest.raises(SystemExit) as err:
+        run(subcommand, "--help")
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    for key in ["config", *keys]:
+        assert "--" + key.replace("_", "-") in text, key
+    if subcommand == "synth":
+        assert "(default 10)" in text and "(required)" in text
+    if subcommand == "rank-features":
+        assert "{four_way,three_way,binary}" in text
+
+
+def test_readme_quick_start_commands_parse():
+    from labankit.cli import _resolve_params, build_parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)")[1].split("```bash")[1].split("```")[0]
+    commands = [line for line in block.splitlines() if line.startswith("labankit ")]
+    assert len(commands) == 6
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        _resolve_params(args.subcommand, args)  # every required flag is given
+
+
+@pytest.mark.parametrize("body", ["[]", '{"subcommand": "train", "params": [1]}',
+                                  '{"subcommand": "train", "params": "x"}'])
+def test_malformed_config_exits_2_with_its_path(tmp_path, capsys, body):
+    config = tmp_path / "a.json"
+    config.write_text(body)
+    assert run("train", "--config", config) == 2
+    assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("synth", "per_regime", 2.7),
+    ("synth", "seed", True),
+    ("synth", "per_regime", "abc"),
+    ("synth", "per_regime", None),
+    ("synth", "duration", "5"),
+    ("synth", "duration", 10 ** 400),
+    ("synth", "out_dir", 3),
+    ("rank-features", "task", "five_way"),
+])
+def test_config_values_are_checked_against_the_option_type(tmp_path, capsys,
+                                                            subcommand, key, value):
+    out = tmp_path / "out"
+    params = {"out_dir": str(out), "features": "f.csv", "out": str(out), key: value}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": subcommand, "params": params}))
+    assert run(subcommand, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and repr(key) in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_config_int_for_a_float_option_is_taken_as_float(tmp_path):
+    data = tmp_path / "data"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": "synth", "params": {
+        "out_dir": str(data), "per_regime": 1, "duration": 4}}))
+    assert run("synth", "--config", config) == 0
+    echo = json.loads(_echo_path(data / "manifest.jsonl").read_text())
+    assert echo["params"]["duration"] == 4.0
+    assert isinstance(echo["params"]["duration"], float)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["extract", "--workers", 0], "--workers"),
+    (["extract", "--workers", -3], "--workers"),
+    (["extract", "--length", 2], "--length"),
+    (["extract", "--length", "nan"], "--length"),
+    (["extract", "--stride", 0], "--stride"),
+    (["synth", "--per-regime", -1], "--per-regime"),
+])
+def test_out_of_range_values_exit_2_before_any_output(small_dataset, tmp_path,
+                                                      capsys, argv, flag):
+    root, _ = small_dataset
+    out = tmp_path / "out"
+    paths = {"extract": ["--manifest", root / "manifest.jsonl", "--out", out],
+             "synth": ["--out-dir", out]}
+    assert run(*argv, *paths[argv[0]]) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_range_config_value_exits_2_naming_the_flag(small_dataset, tmp_path,
+                                                           capsys):
+    root, _ = small_dataset
+    out = tmp_path / "features.csv"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": "extract", "params": {
+        "manifest": str(root / "manifest.jsonl"), "out": str(out), "workers": 0}}))
+    assert run("extract", "--config", config) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
