@@ -104,14 +104,14 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     biases = params[:, -1]
     logits = X @ weights.T + biases
 
-    # log-sum-exp with max subtraction for overflow safety.
+    # log-sum-exp and softmax from one max-shifted (overflow-safe) exponential.
     zmax = logits.max(axis=1)
-    lse = np.log(np.exp(logits - zmax[:, None]).sum(axis=1)) + zmax
-    nll = (lse - logits[np.arange(n), y]).mean()
+    exp = np.exp(logits - zmax[:, None])
+    sums = exp.sum(axis=1)
+    nll = (np.log(sums) + zmax - logits[np.arange(n), y]).mean()
     loss = nll + 0.5 * l2_lambda * (weights ** 2).sum()
 
-    probs = _softmax(logits)
-    delta = probs.copy()
+    delta = exp / sums[:, None]
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grad_w = delta.T @ X + l2_lambda * weights
@@ -119,12 +119,12 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return float(loss), np.concatenate([grad_w, grad_b[:, None]], axis=1)
 
 
-def _hessian(params: np.ndarray, X: np.ndarray, l2_lambda: float) -> np.ndarray:
-    """Exact Hessian of the objective over flattened (C, d+1) parameters."""
-    n, d = X.shape
+def _hessian(params: np.ndarray, X: np.ndarray, design: np.ndarray,
+             diagonal: np.ndarray) -> np.ndarray:
+    """Exact Hessian over flattened (C, d+1) parameters, given the fit's fixed
+    design matrix [X, 1] and diagonal (L2 penalty plus Newton ridge)."""
+    n, da = design.shape
     c = params.shape[0]
-    da = d + 1
-    design = np.concatenate([X, np.ones((n, 1))], axis=1)
     probs = _softmax(X @ params[:, :-1].T + params[:, -1])
     hess = np.empty((c, da, c, da))
     for i in range(c):
@@ -135,8 +135,7 @@ def _hessian(params: np.ndarray, X: np.ndarray, l2_lambda: float) -> np.ndarray:
             if j != i:
                 hess[j, :, i, :] = block
     hess = hess.reshape(c * da, c * da)
-    penalty = np.tile(np.concatenate([np.full(d, l2_lambda), [0.0]]), c)
-    hess[np.diag_indices_from(hess)] += penalty + _NEWTON_RIDGE
+    hess[np.diag_indices_from(hess)] += diagonal
     return hess
 
 
@@ -144,26 +143,27 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
                      config: TrainConfig,
                      init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Damped Newton descent on the convex objective; returns (params, loss history)."""
-    d = Z.shape[1]
+    n, d = Z.shape
     params = np.zeros((class_count, d + 1)) if init is None else init.astype(np.float64)
+    design = np.concatenate([Z, np.ones((n, 1))], axis=1)
+    penalty = np.append(np.full(d, config.l2_lambda), 0.0)  # biases unpenalized
+    diagonal = np.tile(penalty, class_count) + _NEWTON_RIDGE
     loss, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):
         if np.abs(grad).max() <= config.grad_tol:
             break
-        hess = _hessian(params, Z, config.l2_lambda)
+        hess = _hessian(params, Z, design, diagonal)
         step = np.linalg.solve(hess, grad.reshape(-1)).reshape(params.shape)
         descent = float((grad * step).sum())
         scale = 1.0
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             candidate = params - scale * step
             cand_loss, cand_grad = loss_and_gradient(candidate, Z, y, config.l2_lambda)
             if cand_loss <= loss - _ARMIJO_C1 * scale * descent:
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             # Numerically flat: no step length improves the objective.
             break
         params, loss, grad = candidate, cand_loss, cand_grad
@@ -267,21 +267,28 @@ def load_model(path) -> LinearModel:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid model JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported model format version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
-    return LinearModel(
-        task=payload["task"],
-        class_count=payload["class_count"],
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        biases=np.asarray(payload["biases"], dtype=np.float64),
-        standardizer=Standardizer(
-            means=np.asarray(payload["standardizer"]["means"], dtype=np.float64),
-            stds=np.asarray(payload["standardizer"]["stds"], dtype=np.float64),
-        ),
-        feature_names=tuple(payload["feature_names"]),
-        l2_lambda=float(payload["l2_lambda"]),
-    )
+    try:
+        return LinearModel(
+            task=payload["task"],
+            class_count=payload["class_count"],
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            biases=np.asarray(payload["biases"], dtype=np.float64),
+            standardizer=Standardizer(
+                means=np.asarray(payload["standardizer"]["means"], dtype=np.float64),
+                stds=np.asarray(payload["standardizer"]["stds"], dtype=np.float64),
+            ),
+            feature_names=tuple(payload["feature_names"]),
+            l2_lambda=float(payload["l2_lambda"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -10,7 +10,6 @@ outputs byte for byte. Exit codes: 0 success, 1 partial data failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import operator
 import sys
@@ -19,14 +18,12 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .classifier import TrainConfig, load_model, predict_proba, save_model, train
 from .descriptors import FEATURE_NAMES_110, FEATURE_SCHEMA_VERSION, fragment_features
 from .evaluation import TASKS, cross_validate, get_task, remap_task, render_confusion
 from .features_io import (read_features_csv, write_features_csv,
-                          write_ranking_csv)
+                          write_predictions_csv, write_ranking_csv)
 from .skeleton import (MIN_FRAGMENT_SECONDS, DatasetManifest, ManifestEntry,
                        balance_dataset, load_manifest, load_sequence,
                        save_manifest, save_sequence, slice_fragments,
@@ -189,21 +186,20 @@ def _write_echo(output_path: Path, subcommand: str, params: dict) -> None:
 
 
 def cmd_synth(params: dict) -> int:
+    # Every spec is checked before the output directory is created.
+    specs = {f"r{regime}_{i:04d}": RegimeSpec(
+                 regime=regime, duration_s=params["duration"], fps=params["fps"],
+                 noise_amp=params["noise"], blend=params["blend"],
+                 seed=params["seed"] + regime * _SYNTH_SEED_STRIDE + i)
+             for regime in range(N_REGIMES) for i in range(params["per_regime"])}
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for regime in range(N_REGIMES):
-        for i in range(params["per_regime"]):
-            spec = RegimeSpec(regime=regime, duration_s=params["duration"],
-                              fps=params["fps"], noise_amp=params["noise"],
-                              seed=params["seed"] + regime * _SYNTH_SEED_STRIDE + i,
-                              blend=params["blend"])
-            source_id = f"r{regime}_{i:04d}"
-            seq = generate(spec, source_id=source_id)
-            file_path = out_dir / f"{source_id}.json"
-            save_sequence(seq, file_path)
-            entries.append(ManifestEntry(path=file_path, source_id=source_id,
-                                         tier=regime))
+    for source_id, spec in specs.items():
+        file_path = out_dir / f"{source_id}.json"
+        save_sequence(generate(spec, source_id=source_id), file_path)
+        entries.append(ManifestEntry(path=file_path, source_id=source_id,
+                                     tier=spec.regime))
     manifest_path = out_dir / "manifest.jsonl"
     save_manifest(DatasetManifest(tuple(entries)), manifest_path)
     _write_echo(manifest_path, "synth", params)
@@ -261,10 +257,15 @@ def _train_config(params: dict) -> TrainConfig:
                        grad_tol=params["grad_tol"])
 
 
-def cmd_train(params: dict) -> int:
-    table = read_features_csv(params["features"])
+def _read_nonempty_table(path: str):
+    table = read_features_csv(path)
     if len(table) == 0:
-        raise UsageError("feature table has no rows")
+        raise UsageError(f"{path}: feature table has no rows")
+    return table
+
+
+def cmd_train(params: dict) -> int:
+    table = _read_nonempty_table(params["features"])
     X = table.aligned_to(FEATURE_NAMES_110)
     task = get_task(params["task"])
     labels, mask = remap_task(table.tiers, task)
@@ -283,37 +284,19 @@ def cmd_predict(params: dict) -> int:
         raise UsageError(f"model was trained for task {model.task!r}, "
                          f"not {params['task']!r}")
     table = read_features_csv(params["features"])
-    X = table.aligned_to(model.feature_names)
-
+    probs = predict_proba(model, table.aligned_to(model.feature_names))
     out = Path(params["out"])
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "source_id", "start_frame", "tier", "predicted_class",
-            *(f"prob_{c}" for c in range(model.class_count)),
-        ])
-        if len(table):
-            probs = predict_proba(model, X)
-            classes = np.argmax(probs, axis=1)
-            for i in range(len(table)):
-                writer.writerow([
-                    table.source_ids[i], table.start_frames[i], table.tiers[i],
-                    int(classes[i]),
-                    *(f"{p:.9g}" for p in probs[i]),
-                ])
+    write_predictions_csv(out, table, probs)
     _write_echo(out, "predict", params)
     print(f"wrote {len(table)} predictions to {out}")
     return 0
 
 
 def cmd_evaluate(params: dict) -> int:
-    table = read_features_csv(params["features"])
-    if len(table) == 0:
-        raise UsageError("feature table has no rows")
+    table = _read_nonempty_table(params["features"])
     X = table.aligned_to(FEATURE_NAMES_110)
     report = cross_validate(X, table.tiers, get_task(params["task"]), k=params["k"],
-                            config=_train_config(params), seed=params["seed"],
-                            feature_names=FEATURE_NAMES_110)
+                            config=_train_config(params), seed=params["seed"])
     out = Path(params["out"])
     out.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
     _write_echo(out, "evaluate", params)
@@ -322,9 +305,7 @@ def cmd_evaluate(params: dict) -> int:
 
 
 def cmd_rank_features(params: dict) -> int:
-    table = read_features_csv(params["features"])
-    if len(table) == 0:
-        raise UsageError("feature table has no rows")
+    table = _read_nonempty_table(params["features"])
     labels, mask = remap_task(table.tiers, get_task(params["task"]))
     ranking = rank_features(table.values[mask], labels, table.names)
     out = Path(params["out"])

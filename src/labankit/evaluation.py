@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,28 +152,13 @@ class EvalReport:
     folds: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "k": self.k,
-            "seed": self.seed,
-            "n_rows": self.n_rows,
-            "class_count": self.class_count,
-            "accuracy": self.accuracy,
-            "mean_fold_accuracy": self.mean_fold_accuracy,
-            "macro_f1": self.macro_f1,
-            "fold_accuracies": list(self.fold_accuracies),
-            "per_class_recall": list(self.per_class_recall),
-            "confusion": self.confusion.tolist(),
-            "confusion_row_normalized": self.confusion_row_normalized.tolist(),
-            "predictions": self.predictions.tolist(),
-            "labels": self.labels.tolist(),
-            "folds": self.folds.tolist(),
-        }
+        """JSON-ready fields in declaration order; arrays become nested lists."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in items}
 
 
 def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
-                   config: TrainConfig | None = None, seed: int = 0,
-                   feature_names=None) -> EvalReport:
+                   config: TrainConfig | None = None, seed: int = 0) -> EvalReport:
     """Stratified k-fold cross-validation of the logistic classifier.
 
     Each fold's model is trained purely on its training rows (the
@@ -193,8 +178,7 @@ def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
     fold_accuracies = []
     for f in range(k):
         test = folds == f
-        model = train(kept[~test], labels[~test], config,
-                      feature_names=feature_names, task=task.kind)
+        model = train(kept[~test], labels[~test], config)
         fold_pred = predict(model, kept[test])
         predictions[test] = fold_pred
         fold_accuracies.append(float((fold_pred == labels[test]).mean()))

@@ -90,6 +90,9 @@ def read_features_csv(path) -> FeatureTable:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise ValueError(f"{path}: duplicate column {name!r}")
         for column in METADATA_COLUMNS:
             if column not in header:
                 raise ValueError(f"{path}: missing required column {column!r}")
@@ -131,6 +134,21 @@ def read_features_csv(path) -> FeatureTable:
         source_ids=tuple(source_ids),
         start_frames=np.asarray(start_frames, dtype=np.int64),
     )
+
+
+def write_predictions_csv(path, table: FeatureTable, probs) -> None:
+    """Write each table row's metadata, most probable class (exact ties go to
+    the lower id) and class probabilities; probs is (len(table), C)."""
+    classes = np.argmax(probs, axis=1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*METADATA_COLUMNS, "predicted_class",
+                         *(f"prob_{c}" for c in range(probs.shape[1]))])
+        for i, row in enumerate(probs):
+            writer.writerow([
+                table.source_ids[i], table.start_frames[i], table.tiers[i],
+                int(classes[i]), *(_VALUE_FORMAT.format(p) for p in row),
+            ])
 
 
 def write_ranking_csv(path, ranking) -> None:

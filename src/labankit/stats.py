@@ -26,6 +26,8 @@ class Standardizer:
         object.__setattr__(self, "stds", np.asarray(self.stds, dtype=np.float64))
         if self.means.shape != self.stds.shape or self.means.ndim != 1:
             raise ValueError("means and stds must be 1-D arrays of equal length")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.stds).all()):
+            raise ValueError("means and stds must be finite")
         if (self.stds <= 0).any():
             raise ValueError("stds must be positive (floored at fit time)")
 

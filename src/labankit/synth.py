@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .skeleton import SkeletonSequence, SMPL_JOINT_COUNT
+from .skeleton import MIN_FRAGMENT_SECONDS, SkeletonSequence, SMPL_JOINT_COUNT
 
 N_REGIMES = 4
 
@@ -91,12 +91,14 @@ class RegimeSpec:
     def __post_init__(self):
         if self.regime not in range(N_REGIMES):
             raise ValueError(f"regime must be in 0..{N_REGIMES - 1}, got {self.regime}")
-        if self.duration_s < 3.0:
-            raise ValueError(f"duration must be >= 3 s, got {self.duration_s}")
+        if not MIN_FRAGMENT_SECONDS <= self.duration_s < math.inf:  # NaN fails too
+            raise ValueError(f"duration must be finite and >= "
+                             f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s}")
         if not 10.0 <= self.fps <= 120.0:
             raise ValueError(f"fps must be in [10, 120], got {self.fps}")
-        if self.noise_amp < 0:
-            raise ValueError(f"noise amplitude must be >= 0, got {self.noise_amp}")
+        if not 0.0 <= self.noise_amp < math.inf:
+            raise ValueError(f"noise amplitude must be finite and >= 0, "
+                             f"got {self.noise_amp}")
         if not 0.0 <= self.blend < 1.0:
             raise ValueError(f"blend must be in [0, 1), got {self.blend}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:

@@ -1,12 +1,19 @@
-"""Per-frame scalar reference implementations of the descriptor families.
+"""Reference implementations that the tests compare the library against.
 
-Each function computes one family at a single frame, independently of
-the vectorized labankit.descriptors.frame_matrix; the tests compare the
-two. A `state` argument is the (velocity, acceleration, jerk) triple that
+The per-frame scalar functions compute one descriptor family at a single
+frame, independently of the vectorized labankit.descriptors.frame_matrix.
+A `state` argument is the (velocity, acceleration, jerk) triple that
 labankit.descriptors.differentiate returns.
+
+loss_and_gradient and hessian are the straightforward classifier
+objective: two separate softmax exponentials, and a Hessian that rebuilds
+its design matrix and penalty on every call. The library computes the
+same operations once each, so it must agree with them bit for bit.
 """
 
 import numpy as np
+
+from labankit.classifier import _NEWTON_RIDGE
 
 from labankit.descriptors import (
     CURVATURE_CAP,
@@ -122,3 +129,69 @@ def trajectory_frame(fragment, state, t: int) -> np.ndarray:
                         CURVATURE_CAP)
     net = float(np.linalg.norm(track[t] - track[0]))
     return np.array([increment, curvature, net])
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                      l2_lambda: float) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy + (lambda/2) ||W||^2 and its exact gradient.
+
+    params is (C, d + 1): the first d columns are class weights, the last
+    column is the bias. X is the standardized (N, d) design matrix and
+    y holds class ids in [0, C).
+    """
+    params = np.asarray(params, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if not np.isfinite(params).all():
+        raise ValueError("non-finite parameters")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite features")
+    n = X.shape[0]
+    c = params.shape[0]
+    if y.min() < 0 or y.max() >= c:
+        raise ValueError(f"labels must lie in [0, {c})")
+
+    weights = params[:, :-1]
+    biases = params[:, -1]
+    logits = X @ weights.T + biases
+
+    # log-sum-exp with max subtraction for overflow safety.
+    zmax = logits.max(axis=1)
+    lse = np.log(np.exp(logits - zmax[:, None]).sum(axis=1)) + zmax
+    nll = (lse - logits[np.arange(n), y]).mean()
+    loss = nll + 0.5 * l2_lambda * (weights ** 2).sum()
+
+    probs = _softmax(logits)
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad_w = delta.T @ X + l2_lambda * weights
+    grad_b = delta.sum(axis=0)
+    return float(loss), np.concatenate([grad_w, grad_b[:, None]], axis=1)
+
+
+def hessian(params: np.ndarray, X: np.ndarray, l2_lambda: float) -> np.ndarray:
+    """Exact Hessian of the objective over flattened (C, d+1) parameters."""
+    n, d = X.shape
+    c = params.shape[0]
+    da = d + 1
+    design = np.concatenate([X, np.ones((n, 1))], axis=1)
+    probs = _softmax(X @ params[:, :-1].T + params[:, -1])
+    hess = np.empty((c, da, c, da))
+    for i in range(c):
+        for j in range(i, c):
+            w = probs[:, i] * ((1.0 if i == j else 0.0) - probs[:, j]) / n
+            block = design.T @ (w[:, None] * design)
+            hess[i, :, j, :] = block
+            if j != i:
+                hess[j, :, i, :] = block
+    hess = hess.reshape(c * da, c * da)
+    penalty = np.tile(np.concatenate([np.full(d, l2_lambda), [0.0]]), c)
+    hess[np.diag_indices_from(hess)] += penalty + _NEWTON_RIDGE
+    return hess

@@ -216,7 +216,7 @@ def test_end_to_end_synthetic_gate(tmp_path):
     rng = np.random.default_rng(1)
     shuffled = rng.permutation(table.tiers)
     control = cross_validate(table.values, shuffled, get_task("four_way"),
-                             k=5, seed=0, feature_names=table.names)
+                             k=5, seed=0)
     assert abs(control.accuracy - 0.25) <= 0.05
 
     elapsed = time.time() - start

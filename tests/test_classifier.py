@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import oracles
+from labankit import classifier
 from labankit import (
     LinearModel,
     Standardizer,
@@ -93,6 +95,54 @@ def test_softmax_overflow_safety():
     params = np.array([[5.0, -5.0, 0.0], [-5.0, 5.0, 0.0]])
     loss, grad = loss_and_gradient(params, X, np.array([0, 1]), 0.0)
     assert np.isfinite(loss) and np.isfinite(grad).all()
+
+
+EXACTNESS_CASES = [(c, l2) for c in (2, 3, 4) for l2 in (0.0, 0.01, 1.0)]
+
+
+@pytest.mark.parametrize("c, l2", EXACTNESS_CASES)
+def test_loss_and_gradient_equal_the_two_softmax_reference_bit_for_bit(c, l2):
+    rng = np.random.default_rng(100 * c + int(100 * l2))
+    X, y, c, d = random_problem(rng, n=90, c=c, d=7)
+    for scale in (0.0, 0.5, 3.0):
+        params = rng.normal(scale=scale, size=(c, d + 1))
+        loss, grad = loss_and_gradient(params, X, y, l2)
+        ref_loss, ref_grad = oracles.loss_and_gradient(params, X, y, l2)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_loss_and_gradient_equal_the_reference_with_logits_above_700():
+    rng = np.random.default_rng(11)
+    X, y, c, d = random_problem(rng, n=40, c=3, d=4)
+    params = rng.normal(size=(c, d + 1))
+    params[:, -1] = [750.0, 720.0, 705.0]
+    logits = X @ params[:, :-1].T + params[:, -1]
+    assert logits.max() > 700  # np.exp(logits) itself would overflow
+    loss, grad = loss_and_gradient(params, X, y, 0.01)
+    ref_loss, ref_grad = oracles.loss_and_gradient(params, X, y, 0.01)
+    assert np.isfinite(loss) and loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("c, l2", EXACTNESS_CASES)
+def test_newton_hessians_equal_the_rebuilding_reference_bit_for_bit(c, l2, monkeypatch):
+    # Every Hessian a fit builds, from the design matrix and diagonal that
+    # _newton_minimize prepares once, must equal the per-call rebuild.
+    rng = np.random.default_rng(200 + 10 * c + int(100 * l2))
+    X, y = blobs(rng, per_class=15, c=c, d=5, spread=1.0)
+    Z = (X - X.mean(0)) / X.std(0)
+    real_hessian = classifier._hessian
+    built = []
+
+    def checked(params, X, design, diagonal):
+        hess = real_hessian(params, X, design, diagonal)
+        built.append(np.array_equal(hess, oracles.hessian(params, X, l2)))
+        return hess
+
+    monkeypatch.setattr(classifier, "_hessian", checked)
+    _newton_minimize(Z, y, c, TrainConfig(l2_lambda=l2, max_iters=4))
+    assert built and all(built)
 
 
 # ---------------------------------------------------------------------------

@@ -465,3 +465,63 @@ def test_out_of_range_config_value_exits_2_naming_the_flag(small_dataset, tmp_pa
     assert run("extract", "--config", config) == 2
     assert "--workers" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--duration", 2], "duration must be finite and >= 3 s"),
+    (["--duration", "nan"], "duration must be"),
+    (["--duration", "inf"], "duration must be"),
+    (["--fps", 500], "fps must be in [10, 120]"),
+    (["--noise", "nan"], "noise amplitude must be finite and >= 0"),
+    (["--noise", "inf"], "noise amplitude must be finite and >= 0"),
+], ids=["duration-2", "duration-nan", "duration-inf", "fps-500", "noise-nan",
+        "noise-inf"])
+def test_synth_bad_spec_exits_2_and_creates_no_directory(tmp_path, capsys, argv,
+                                                         message):
+    assert run("synth", "--out-dir", tmp_path / "d", "--per-regime", 1, *argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("column", ["dispersion.head_pelvis.mean", "tier"])
+def test_repeated_csv_column_exits_2(small_dataset, tmp_path, capsys, column):
+    # A second, zero-filled copy of a column used to replace the first silently.
+    _, features = small_dataset
+    with open(features, newline="") as fh:
+        rows = list(csv.reader(fh))
+    doubled = tmp_path / "doubled.csv"
+    with open(doubled, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [rows[0] + [column]] + [row + ["0"] for row in rows[1:]])
+    for command in ("evaluate", "rank-features"):
+        out = tmp_path / f"{command}.out"
+        assert run(command, "--features", doubled, "--out", out) == 2
+        assert f"{doubled}: duplicate column {column!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _nan_std(payload):
+    payload["standardizer"]["stds"][0] = float("nan")
+    return payload
+
+
+def _drop_weights(payload):
+    del payload["weights"]
+    return payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_nan_std, "means and stds must be finite"),
+    (_drop_weights, "missing key 'weights'"),
+    (lambda payload: [1], "expected a JSON object"),
+], ids=["nan-std", "missing-key", "top-level-list"])
+def test_predict_with_a_broken_model_exits_2_naming_it(small_dataset, tmp_path,
+                                                       capsys, edit, message):
+    _, features = small_dataset
+    model = tmp_path / "model.json"
+    assert run("train", "--features", features, "--out", model) == 0
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    out = tmp_path / "pred.csv"
+    assert run("predict", "--model", model, "--features", features, "--out", out) == 2
+    assert f"{model}: {message}" in capsys.readouterr().err
+    assert not out.exists()

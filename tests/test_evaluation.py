@@ -184,6 +184,20 @@ def test_cross_validate_is_deterministic():
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
+def test_report_dict_key_order_is_pinned():
+    # The evaluate report JSON is written from to_dict in this key order.
+    rng = np.random.default_rng(3)
+    X, tiers = separable_blobs(rng, per_class=15)
+    payload = cross_validate(X, tiers, TASKS["binary"], k=3, seed=7).to_dict()
+    assert list(payload) == [
+        "task", "k", "seed", "n_rows", "class_count", "accuracy",
+        "mean_fold_accuracy", "macro_f1", "fold_accuracies", "per_class_recall",
+        "confusion", "confusion_row_normalized", "predictions", "labels", "folds",
+    ]
+    assert isinstance(payload["confusion"], list)
+    assert isinstance(payload["predictions"][0], int)
+
+
 def test_cross_validate_three_way_row_count():
     rng = np.random.default_rng(4)
     X, tiers = separable_blobs(rng, per_class=20)

@@ -89,6 +89,17 @@ def test_standardizer_needs_two_rows():
         Standardizer(means=np.zeros(3), stds=np.zeros(3))
 
 
+@pytest.mark.parametrize("means, stds", [
+    ([0.0, np.nan], [1.0, 1.0]),
+    ([0.0, np.inf], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, np.nan]),
+    ([0.0, 0.0], [1.0, np.inf]),
+])
+def test_standardizer_rejects_non_finite_means_and_stds(means, stds):
+    with pytest.raises(ValueError, match="finite"):
+        Standardizer(means=np.array(means), stds=np.array(stds))
+
+
 # ---------------------------------------------------------------------------
 # kruskal_wallis
 # ---------------------------------------------------------------------------
