@@ -27,13 +27,21 @@ loop = np.stack([0.5 * np.cos(theta), np.zeros(60), 0.5 * np.sin(theta)], axis=1
 print("directness of a straight track :", f"{windowed_directness(line, 15)[30]:.3f}")
 print("directness of a closed loop    :", f"{windowed_directness(loop, 30)[30]:.3f}")
 
+
+def first_fragment(regime, name):
+    """The (positions, fps) of a clip's first 5 s fragment."""
+    seq = generate(RegimeSpec(regime, seed=1), source_id=name)
+    _, positions = slice_fragments(seq)[0]
+    return positions, seq.fps
+
+
 # The full per-frame matrix for one fragment of each style.
-walk = slice_fragments(generate(RegimeSpec(0, seed=1), source_id="walk"))[0]
-sway = slice_fragments(generate(RegimeSpec(2, seed=1), source_id="sway"))[0]
+walk = first_fragment(0, "walk")
+sway = first_fragment(2, "sway")
 
 names = list(FRAME_FEATURE_NAMES)
 for label, frag in (("walk", walk), ("sway", sway)):
-    matrix = frame_matrix(frag)
+    matrix = frame_matrix(*frag)
     print(f"\n{label}: per-frame matrix {matrix.shape}  "
           f"(T frames x {len(names)} descriptors)")
     for family in ("effort.flow", "effort.space", "effort.time", "effort.weight",
@@ -42,7 +50,7 @@ for label, frag in (("walk", walk), ("sway", sway)):
         print(f"  {family:<28} mean {col.mean():9.3f}   std {col.std():8.3f}")
 
 # Aggregation to the 110-dim vector every classifier consumes.
-vector = aggregate(frame_matrix(walk))
+vector = aggregate(frame_matrix(*walk))
 print(f"\naggregate vector: {vector.shape[0]} values "
       f"({len(names)} means then {len(names)} stds)")
 print("first five names:", ", ".join(FEATURE_NAMES_110[:5]))

@@ -29,8 +29,8 @@ rows, tiers = [], []
 for regime in (0, 2):
     for i in range(40):
         seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
-        for frag in slice_fragments(seq):
-            rows.append(fragment_features(frag))
+        for _, positions in slice_fragments(seq):
+            rows.append(fragment_features(positions, seq.fps))
             tiers.append(regime)
 X = np.asarray(rows)
 labels, mask = remap_task(tiers, get_task("binary"))

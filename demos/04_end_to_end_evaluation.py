@@ -31,8 +31,8 @@ def build_dataset(per_regime, blend, duration=5.0):
         for i in range(per_regime):
             seq = generate(RegimeSpec(regime, duration_s=duration,
                                       seed=regime * 10_000 + i, blend=blend))
-            for frag in slice_fragments(seq):
-                rows.append(fragment_features(frag))
+            for _, positions in slice_fragments(seq):
+                rows.append(fragment_features(positions, seq.fps))
                 tiers.append(regime)
     return np.asarray(rows), np.asarray(tiers)
 

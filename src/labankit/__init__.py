@@ -14,7 +14,6 @@ from .skeleton import (
     SMPL_JOINT_NAMES,
     VALID_TIERS,
     DatasetManifest,
-    Fragment,
     ManifestEntry,
     SkeletonError,
     SkeletonSequence,
@@ -24,7 +23,6 @@ from .skeleton import (
     save_manifest,
     save_sequence,
     slice_fragments,
-    with_tier,
 )
 from .descriptors import (
     DIRECTNESS_WINDOW,

@@ -10,6 +10,7 @@ bit-identical models.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,12 +36,12 @@ class TrainConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not 0 <= self.l2_lambda < math.inf:  # NaN fails too
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -120,23 +121,26 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 def _hessian(params: np.ndarray, X: np.ndarray, design: np.ndarray,
-             diagonal: np.ndarray) -> np.ndarray:
+             diagonal: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Exact Hessian over flattened (C, d+1) parameters, given the fit's fixed
-    design matrix [X, 1] and diagonal (L2 penalty plus Newton ridge)."""
+    design matrix [X, 1] and diagonal (L2 penalty plus Newton ridge).
+
+    out is the fit's (C(d+1), C(d+1)) buffer, overwritten and returned, so a
+    fit does not allocate and fault in a fresh Hessian every iteration.
+    """
     n, da = design.shape
     c = params.shape[0]
     probs = _softmax(X @ params[:, :-1].T + params[:, -1])
-    hess = np.empty((c, da, c, da))
+    blocks = out.reshape(c, da, c, da)  # a view of out
     for i in range(c):
         for j in range(i, c):
             w = probs[:, i] * ((1.0 if i == j else 0.0) - probs[:, j]) / n
             block = design.T @ (w[:, None] * design)
-            hess[i, :, j, :] = block
+            blocks[i, :, j, :] = block
             if j != i:
-                hess[j, :, i, :] = block
-    hess = hess.reshape(c * da, c * da)
-    hess[np.diag_indices_from(hess)] += diagonal
-    return hess
+                blocks[j, :, i, :] = block
+    out[np.diag_indices_from(out)] += diagonal
+    return out
 
 
 def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
@@ -148,12 +152,13 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     design = np.concatenate([Z, np.ones((n, 1))], axis=1)
     penalty = np.append(np.full(d, config.l2_lambda), 0.0)  # biases unpenalized
     diagonal = np.tile(penalty, class_count) + _NEWTON_RIDGE
+    hess = np.empty((diagonal.size, diagonal.size))
     loss, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):
         if np.abs(grad).max() <= config.grad_tol:
             break
-        hess = _hessian(params, Z, design, diagonal)
+        _hessian(params, Z, design, diagonal, hess)
         step = np.linalg.solve(hess, grad.reshape(-1)).reshape(params.shape)
         descent = float((grad * step).sum())
         scale = 1.0

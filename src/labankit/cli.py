@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,8 +27,7 @@ from .features_io import (read_features_csv, write_features_csv,
                           write_predictions_csv, write_ranking_csv)
 from .skeleton import (MIN_FRAGMENT_SECONDS, DatasetManifest, ManifestEntry,
                        balance_dataset, load_manifest, load_sequence,
-                       save_manifest, save_sequence, slice_fragments,
-                       with_tier)
+                       save_manifest, save_sequence, slice_fragments)
 from .stats import rank_features
 from .synth import N_REGIMES, RegimeSpec, generate
 
@@ -57,9 +57,10 @@ class _Option(NamedTuple):
 _FEATURES = _Option("features", str, _REQUIRED, "input feature CSV")
 _TASK = _Option("task", str, "four_way", "classification task", TASKS)
 _SOLVER = (
-    _Option("l2", float, 1.0, "L2 weight penalty"),
-    _Option("max_iters", int, 1000, "Newton iteration cap"),
-    _Option("grad_tol", float, 1e-6, "gradient max-norm stopping tolerance"),
+    _Option("l2", float, 1.0, "L2 weight penalty", bound=(">=", 0)),
+    _Option("max_iters", int, 1000, "Newton iteration cap", bound=(">=", 1)),
+    _Option("grad_tol", float, 1e-6, "gradient max-norm stopping tolerance",
+            bound=(">", 0)),
 )
 
 # Subcommand -> (help, options). Option order is the config echo key order.
@@ -96,7 +97,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _FEATURES,
         _Option("out", str, _REQUIRED, "output report JSON"),
         _TASK,
-        _Option("k", int, 5, "fold count"),
+        _Option("k", int, 5, "fold count", bound=(">=", 2)),
         *_SOLVER,
         _Option("seed", int, 0, "fold assignment seed"),
     )),
@@ -153,7 +154,8 @@ def _read_config(path: str, subcommand: str, options) -> dict:
 
 
 def _resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
-    """Defaults < --config echo values < flags; then check required flags and bounds."""
+    """Defaults < --config echo values < flags; then check required flags, that
+    float values are finite, and bounds."""
     options = _COMMANDS[subcommand][1]
     params = {o.key: None if o.default is _REQUIRED else o.default for o in options}
     if args.config is not None:
@@ -167,6 +169,8 @@ def _resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
         raise UsageError(f"{subcommand}: missing required option(s): "
                          + ", ".join(missing))
     for o in options:
+        if o.type is float and not math.isfinite(params[o.key]):
+            raise UsageError(f"{_flag(o.key)} must be finite, got {params[o.key]}")
         if o.bound and not _BOUNDS[o.bound[0]](params[o.key], o.bound[1]):
             raise UsageError(f"{_flag(o.key)} must be {o.bound[0]} {o.bound[1]}, "
                              f"got {params[o.key]}")
@@ -210,10 +214,11 @@ def cmd_synth(params: dict) -> int:
 def _extract_one(entry, length: float, stride: float):
     """(entry, fragment rows, None), or (entry, None, message) if the file fails."""
     try:
-        seq = with_tier(load_sequence(entry.path), entry.tier)
+        seq = load_sequence(entry.path)
         fragments = slice_fragments(seq, length_s=length, stride_s=stride)
-        return entry, [(entry.source_id, f.start_frame, f.tier, fragment_features(f))
-                       for f in fragments], None
+        return entry, [(entry.source_id, start, entry.tier,
+                        fragment_features(positions, seq.fps))
+                       for start, positions in fragments], None
     except (ValueError, OSError) as exc:
         return entry, None, str(exc)
 

@@ -1,7 +1,8 @@
 """Per-frame Laban Movement Analysis descriptors and fragment aggregation.
 
-Each fragment yields a (T x 55) matrix of per-frame descriptors in five
-families, in this fixed column order:
+A fragment is a (T, 24, 3) positions array sampled at fps. Each fragment
+yields a (T x 55) matrix of per-frame descriptors in five families, in
+this fixed column order:
 
   * Dispersion (12) -- limb reach and body extent,
   * Effort (4) -- Flow, Space, Time, Weight,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .skeleton import SMPL_JOINT_COUNT, SMPL_JOINT_NAMES, Fragment
+from .skeleton import SMPL_JOINT_COUNT, SMPL_JOINT_NAMES, _check_fps, _check_positions
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 
@@ -85,21 +86,25 @@ FEATURE_NAMES_110 = (tuple(f"{n}.mean" for n in FRAME_FEATURE_NAMES)
                      + tuple(f"{n}.std" for n in FRAME_FEATURE_NAMES))
 
 
-def differentiate(fragment: Fragment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def differentiate(positions: np.ndarray,
+                  fps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(velocity, acceleration, jerk) by frame differencing at 1/fps.
 
     Each array has the fragment's (T, 24, 3) shape, in m/s, m/s^2, m/s^3.
 
     Central differences at interior frames, one-sided at the ends; each
-    derivative order applies the same operator to the previous one.
+    derivative order applies the same operator to the previous one. Every
+    descriptor path starts here, so this is where bad input is stopped.
     """
-    if fragment.frame_count < 4:
+    positions = np.asarray(positions)
+    dt = 1.0 / _check_fps(fps, "fragment")
+    _check_positions(positions, "fragment")
+    if positions.shape[0] < 4:
         raise ValueError(
             f"fragment too short for jerk: need at least 4 frames, "
-            f"got {fragment.frame_count}"
+            f"got {positions.shape[0]}"
         )
-    dt = 1.0 / fragment.fps
-    velocity = np.gradient(fragment.positions, dt, axis=0)
+    velocity = np.gradient(positions, dt, axis=0)
     acceleration = np.gradient(velocity, dt, axis=0)
     jerk = np.gradient(acceleration, dt, axis=0)
     return velocity, acceleration, jerk
@@ -128,12 +133,12 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def frame_matrix(fragment: Fragment) -> np.ndarray:
+def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     """The (T x 55) descriptor matrix of a fragment, vectorized over frames;
     its columns are FRAME_FEATURE_NAMES."""
-    velocity, acceleration, jerk = differentiate(fragment)
-    pos = fragment.positions
-    n = fragment.frame_count
+    velocity, acceleration, jerk = differentiate(positions, fps)
+    pos = np.asarray(positions)
+    n = pos.shape[0]
     joints = list(TRACKED_JOINT_INDICES)
     values = np.empty((n, len(FRAME_FEATURE_NAMES)))
 
@@ -215,7 +220,7 @@ def aggregate(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)])
 
 
-def fragment_features(fragment: Fragment) -> np.ndarray:
+def fragment_features(positions: np.ndarray, fps: float) -> np.ndarray:
     """The 110-dim aggregate feature vector of one fragment, in
     FEATURE_NAMES_110 order."""
-    return aggregate(frame_matrix(fragment))
+    return aggregate(frame_matrix(positions, fps))

@@ -2,15 +2,16 @@
 
 The input unit is a 24-joint SMPL skeleton trajectory in world meters
 (gravity along -y, floor at y = 0), stored one sequence per JSON file.
-Fragments are contiguous slices of a sequence and are the unit that the
-descriptor and classification stages operate on.
+Fragments are fixed-length windows of a sequence, passed on as
+(start_frame, positions view) pairs; they are the unit that the descriptor
+and classification stages operate on, labeled by their sequence.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -104,51 +105,6 @@ class SkeletonSequence:
         return self.frame_count / self.fps
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """A contiguous >= 3 s slice of a parent sequence, the unit of classification.
-
-    positions is a view into the parent array covering frames
-    [start_frame, end_frame).
-    """
-
-    parent_id: str
-    fps: float
-    start_frame: int
-    end_frame: int
-    tier: int
-    positions: np.ndarray
-
-    def __post_init__(self):
-        context = f"fragment {self.parent_id!r}[{self.start_frame}:{self.end_frame}]"
-        if self.end_frame <= self.start_frame:
-            raise SkeletonError(f"{context}: end_frame must exceed start_frame")
-        object.__setattr__(self, "fps", _check_fps(self.fps, context))
-        n = self.end_frame - self.start_frame
-        if n / self.fps < MIN_FRAGMENT_SECONDS - _DURATION_TOL:
-            raise SkeletonError(
-                f"{context}: duration {n / self.fps:.3f} s is below the "
-                f"{MIN_FRAGMENT_SECONDS} s floor"
-            )
-        _check_positions(self.positions, context)
-        if self.positions.shape[0] != n:
-            raise SkeletonError(
-                f"{context}: positions cover {self.positions.shape[0]} frames, expected {n}"
-            )
-        tier = _validate_tier(self.tier, context)
-        if tier is None:
-            raise SkeletonError(f"{context}: fragments require a tier label")
-        object.__setattr__(self, "tier", tier)
-
-    @property
-    def frame_count(self) -> int:
-        return self.end_frame - self.start_frame
-
-    @property
-    def duration_s(self) -> float:
-        return self.frame_count / self.fps
-
-
 def load_sequence(path) -> SkeletonSequence:
     """Load and validate one skeleton JSON file.
 
@@ -230,8 +186,9 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
 
 
 def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
-                    stride_s: float = 5.0) -> list[Fragment]:
-    """Cut a sequence into fixed-length fragments ordered by start frame.
+                    stride_s: float = 5.0) -> list[tuple[int, np.ndarray]]:
+    """Cut a sequence into fixed-length (start_frame, positions) fragments
+    ordered by start frame; positions is a read-only view of seq.positions.
 
     Fragments are round(length_s * fps) frames at stride round(stride_s * fps);
     a trailing remainder shorter than one fragment is discarded. A sequence
@@ -243,26 +200,14 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
         )
     if stride_s <= 0:
         raise ValueError(f"stride must be positive, got {stride_s}")
-    if seq.tier is None:
-        raise ValueError(f"sequence {seq.source_id!r} has no tier; fragments require one")
 
     n_frames = int(round(length_s * seq.fps))
     # round() can land half a frame under the 3 s floor at fractional fps.
     min_frames = math.ceil(MIN_FRAGMENT_SECONDS * seq.fps - _DURATION_TOL)
     n_frames = max(n_frames, min_frames)
     stride = max(1, int(round(stride_s * seq.fps)))
-
-    fragments = []
-    for start in range(0, seq.frame_count - n_frames + 1, stride):
-        fragments.append(Fragment(
-            parent_id=seq.source_id,
-            fps=seq.fps,
-            start_frame=start,
-            end_frame=start + n_frames,
-            tier=seq.tier,
-            positions=seq.positions[start:start + n_frames],
-        ))
-    return fragments
+    return [(start, seq.positions[start:start + n_frames])
+            for start in range(0, seq.frame_count - n_frames + 1, stride)]
 
 
 @dataclass(frozen=True)
@@ -375,7 +320,3 @@ def balance_dataset(manifest: DatasetManifest, per_class: int, seed: int) -> Dat
         keep.extend(indices[int(c)] for c in chosen)
     return DatasetManifest(tuple(manifest.entries[i] for i in sorted(keep)))
 
-
-def with_tier(seq: SkeletonSequence, tier: int) -> SkeletonSequence:
-    """Return a copy of the sequence relabeled with the given tier."""
-    return replace(seq, tier=tier)

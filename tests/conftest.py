@@ -1,22 +1,7 @@
 import numpy as np
 import pytest
 
-from labankit import Fragment, SkeletonSequence
-
 JOINTS = 24
-
-
-def make_fragment(positions, fps=30.0, tier=0, parent="test"):
-    """Wrap a (T, 24, 3) array as a Fragment covering the whole range."""
-    positions = np.asarray(positions, dtype=np.float64)
-    return Fragment(
-        parent_id=parent,
-        fps=fps,
-        start_frame=0,
-        end_frame=positions.shape[0],
-        tier=tier,
-        positions=positions,
-    )
 
 
 def rest_positions(n_frames, joints=JOINTS):
@@ -42,4 +27,5 @@ def wiggle_positions(n_frames, fps=30.0, seed=0, joints=JOINTS):
 
 @pytest.fixture
 def wiggle_fragment():
-    return make_fragment(wiggle_positions(150), fps=30.0)
+    """A 150-frame fragment, sampled at 30 fps."""
+    return wiggle_positions(150)

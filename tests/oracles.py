@@ -2,7 +2,7 @@
 
 The per-frame scalar functions compute one descriptor family at a single
 frame, independently of the vectorized labankit.descriptors.frame_matrix.
-A `state` argument is the (velocity, acceleration, jerk) triple that
+A `positions` argument is a (T, 24, 3) fragment; a `state` argument is the (velocity, acceleration, jerk) triple that
 labankit.descriptors.differentiate returns.
 
 loss_and_gradient and hessian are the straightforward classifier
@@ -53,7 +53,7 @@ def directness(track: np.ndarray, t: int, w: int) -> float:
     return min(1.0, chord / path)
 
 
-def effort_frame(state, fragment, t: int,
+def effort_frame(state, positions, t: int,
                  w: int = DIRECTNESS_WINDOW,
                  tracked=TRACKED_JOINT_INDICES) -> np.ndarray:
     """Effort qualities (Flow, Space, Time, Weight) at frame t.
@@ -66,7 +66,7 @@ def effort_frame(state, fragment, t: int,
     joints = list(tracked)
     flow = float(np.linalg.norm(jerk[t, joints], axis=1).mean())
     space = float(np.mean([
-        directness(fragment.positions[:, j], t, w) for j in joints
+        directness(positions[:, j], t, w) for j in joints
     ]))
     time_ = float(np.linalg.norm(acceleration[t, joints], axis=1).mean())
     speed_sq = (velocity[t, joints] ** 2).sum(axis=1)
@@ -74,9 +74,9 @@ def effort_frame(state, fragment, t: int,
     return np.array([flow, space, time_, weight])
 
 
-def dispersion_frame(fragment, t: int) -> np.ndarray:
+def dispersion_frame(positions, t: int) -> np.ndarray:
     """Twelve body-extent measurements of the pose at frame t."""
-    pose = fragment.positions[t]
+    pose = positions[t]
     pelvis = pose[PELVIS]
     values = np.empty(12)
     for k, j in enumerate((HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R)):
@@ -109,13 +109,13 @@ def initiation_frame(state, t: int,
     return speeds / total
 
 
-def trajectory_frame(fragment, state, t: int) -> np.ndarray:
+def trajectory_frame(positions, state, t: int) -> np.ndarray:
     """Pelvis path increment, curvature, and net displacement at frame t.
 
     The path increment is 0 at the final frame. Curvature is
     ||v x a|| / ||v||^3, zero below EPS_SPEED and capped at CURVATURE_CAP.
     """
-    track = fragment.positions[:, PELVIS]
+    track = positions[:, PELVIS]
     n = track.shape[0]
     increment = float(np.linalg.norm(track[t + 1] - track[t])) if t + 1 < n else 0.0
     velocity, acceleration, _ = state

@@ -30,7 +30,7 @@ from labankit import (
 from labankit.cli import main as cli_main
 from labankit.features_io import read_features_csv
 
-from conftest import make_fragment, rest_positions, wiggle_positions
+from conftest import rest_positions, wiggle_positions
 from oracles import directness, effort_frame, trajectory_frame
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -60,14 +60,13 @@ def test_descriptor_correctness():
     positions = rest_positions(n)
     positions[:, 0, 0] = radius * np.cos(s / radius)
     positions[:, 0, 2] = radius * np.sin(s / radius)
-    frag = make_fragment(positions, fps=fps)
-    state = differentiate(frag)
-    kappa = np.mean([trajectory_frame(frag, state, t)[1] for t in range(3, n - 3)])
+    state = differentiate(positions, fps)
+    kappa = np.mean([trajectory_frame(positions, state, t)[1] for t in range(3, n - 3)])
     assert kappa == pytest.approx(1.0 / radius, rel=0.05)
 
     # rest fragment: Time, Weight, Flow all zero
-    rest = make_fragment(rest_positions(120))
-    flow, space, time_q, weight = effort_frame(differentiate(rest), rest, 60)
+    rest = rest_positions(120)
+    flow, space, time_q, weight = effort_frame(differentiate(rest, 30.0), rest, 60)
     assert flow == 0.0 and time_q == 0.0 and weight == 0.0 and space == 1.0
 
     elapsed = time.time() - start
@@ -80,9 +79,9 @@ def test_descriptor_correctness():
 
 def test_invariance_suite():
     positions = wiggle_positions(150, fps=30.0, seed=12)
-    base = frame_matrix(make_fragment(positions))
+    base = frame_matrix(positions, 30.0)
 
-    shifted = frame_matrix(make_fragment(positions + np.array([5.2, 0.0, -3.3])))
+    shifted = frame_matrix(positions + np.array([5.2, 0.0, -3.3]), 30.0)
     horizontal = np.abs(shifted - base).max()
     assert horizontal <= 1e-6
 
@@ -91,12 +90,12 @@ def test_invariance_suite():
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     pivot = np.array([center[0], 0.0, center[2]])
-    rotated = frame_matrix(make_fragment((positions - pivot) @ rot.T + pivot))
+    rotated = frame_matrix((positions - pivot) @ rot.T + pivot, 30.0)
     rotation = np.abs(rotated - base).max()
     assert rotation <= 1e-6
 
     offset = 0.61
-    lifted = frame_matrix(make_fragment(positions + np.array([0.0, offset, 0.0])))
+    lifted = frame_matrix(positions + np.array([0.0, offset, 0.0]), 30.0)
     height_col = FRAME_FEATURE_NAMES.index("dispersion.pelvis_height")
     others = [j for j in range(55) if j != height_col]
     assert np.abs(lifted[:, others] - base[:, others]).max() <= 1e-6
@@ -234,8 +233,8 @@ def test_ordinal_confusion_concentrates_on_adjacent_tiers():
     for regime in range(4):
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 7919 + i, blend=0.85))
-            for frag in slice_fragments(seq):
-                rows.append(fragment_features(frag))
+            for _, positions in slice_fragments(seq):
+                rows.append(fragment_features(positions, seq.fps))
                 tiers.append(regime)
     report = cross_validate(np.array(rows), np.array(tiers),
                             get_task("four_way"), k=5, seed=1)
@@ -257,8 +256,8 @@ def test_directness_family_ranks_in_top_ten():
     for regime in (0, 2):
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
-            for frag in slice_fragments(seq):
-                rows.append(fragment_features(frag))
+            for _, positions in slice_fragments(seq):
+                rows.append(fragment_features(positions, seq.fps))
                 tiers.append(regime)
     labels, mask = remap_task(tiers, get_task("binary"))
     ranking = rank_features(np.array(rows)[mask], labels, FEATURE_NAMES_110)

@@ -135,8 +135,8 @@ def test_newton_hessians_equal_the_rebuilding_reference_bit_for_bit(c, l2, monke
     real_hessian = classifier._hessian
     built = []
 
-    def checked(params, X, design, diagonal):
-        hess = real_hessian(params, X, design, diagonal)
+    def checked(params, X, design, diagonal, out):
+        hess = real_hessian(params, X, design, diagonal, out)
         built.append(np.array_equal(hess, oracles.hessian(params, X, l2)))
         return hess
 
@@ -229,6 +229,19 @@ def test_train_validates_inputs():
         train(X * np.nan, np.array([0, 1, 0, 1, 0, 1]))
     with pytest.raises(ValueError, match="at least"):
         train(np.ones((2, 2)), np.array([0, 2]))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"l2_lambda": math.nan}, "l2_lambda must be finite and >= 0"),
+    ({"l2_lambda": math.inf}, "l2_lambda must be finite and >= 0"),
+    ({"l2_lambda": -1.0}, "l2_lambda must be finite and >= 0"),
+    ({"grad_tol": math.nan}, "grad_tol must be finite and > 0"),
+    ({"grad_tol": math.inf}, "grad_tol must be finite and > 0"),
+    ({"grad_tol": 0.0}, "grad_tol must be finite and > 0"),
+])
+def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

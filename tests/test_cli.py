@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -436,22 +437,37 @@ def test_config_int_for_a_float_option_is_taken_as_float(tmp_path):
     assert isinstance(echo["params"]["duration"], float)
 
 
-@pytest.mark.parametrize("argv, flag", [
+@pytest.mark.parametrize("argv, message", [
     (["extract", "--workers", 0], "--workers"),
     (["extract", "--workers", -3], "--workers"),
     (["extract", "--length", 2], "--length"),
     (["extract", "--length", "nan"], "--length"),
     (["extract", "--stride", 0], "--stride"),
     (["synth", "--per-regime", -1], "--per-regime"),
+    (["extract", "--length", "inf"], "--length must be finite, got inf"),
+    (["extract", "--stride", "inf"], "--stride must be finite, got inf"),
+    (["train", "--grad-tol", "inf"], "--grad-tol must be finite, got inf"),
+    (["train", "--l2", "nan"], "--l2 must be finite, got nan"),
+    (["evaluate", "--grad-tol", "inf"], "--grad-tol must be finite, got inf"),
+    (["evaluate", "--grad-tol", "nan"], "--grad-tol must be finite, got nan"),
+    (["evaluate", "--l2", "inf"], "--l2 must be finite, got inf"),
+    (["evaluate", "--l2", "nan"], "--l2 must be finite, got nan"),
+    (["evaluate", "--l2", -0.5], "--l2 must be >= 0, got -0.5"),
+    (["evaluate", "--grad-tol", 0], "--grad-tol must be > 0, got 0.0"),
+    (["evaluate", "--max-iters", 0], "--max-iters must be >= 1, got 0"),
+    (["evaluate", "--k", 1], "--k must be >= 2, got 1"),
+    (["synth", "--fps", "inf"], "--fps must be finite, got inf"),
 ])
 def test_out_of_range_values_exit_2_before_any_output(small_dataset, tmp_path,
-                                                      capsys, argv, flag):
-    root, _ = small_dataset
+                                                      capsys, argv, message):
+    root, features = small_dataset
     out = tmp_path / "out"
     paths = {"extract": ["--manifest", root / "manifest.jsonl", "--out", out],
+             "train": ["--features", features, "--out", out],
+             "evaluate": ["--features", features, "--out", out],
              "synth": ["--out-dir", out]}
     assert run(*argv, *paths[argv[0]]) == 2
-    assert flag in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -467,13 +483,31 @@ def test_out_of_range_config_value_exits_2_naming_the_flag(small_dataset, tmp_pa
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("subcommand, key, value, message", [
+    ("evaluate", "grad_tol", math.nan, "--grad-tol must be finite, got nan"),
+    ("evaluate", "l2", math.inf, "--l2 must be finite, got inf"),
+    ("train", "grad_tol", -math.inf, "--grad-tol must be finite, got -inf"),
+    ("extract", "length", math.inf, "--length must be finite, got inf"),
+])
+def test_non_finite_config_value_exits_2_naming_the_flag(small_dataset, tmp_path, capsys,
+                                                         subcommand, key, value, message):
+    root, features = small_dataset
+    params = {"manifest": str(root / "manifest.jsonl"), "features": str(features),
+              "out": str(tmp_path / "out"), key: value}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": subcommand, "params": params}))
+    assert run(subcommand, "--config", config) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--duration", 2], "duration must be finite and >= 3 s"),
     (["--duration", "nan"], "duration must be"),
     (["--duration", "inf"], "duration must be"),
     (["--fps", 500], "fps must be in [10, 120]"),
-    (["--noise", "nan"], "noise amplitude must be finite and >= 0"),
-    (["--noise", "inf"], "noise amplitude must be finite and >= 0"),
+    (["--noise", "nan"], "--noise must be finite, got nan"),
+    (["--noise", "inf"], "--noise must be finite, got inf"),
 ], ids=["duration-2", "duration-nan", "duration-inf", "fps-500", "noise-nan",
         "noise-inf"])
 def test_synth_bad_spec_exits_2_and_creates_no_directory(tmp_path, capsys, argv,

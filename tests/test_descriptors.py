@@ -7,6 +7,7 @@ from labankit import (
     FEATURE_NAMES_110,
     FRAME_FEATURE_NAMES,
     TRACKED_JOINT_INDICES,
+    SkeletonError,
     aggregate,
     differentiate,
     fragment_features,
@@ -14,7 +15,7 @@ from labankit import (
     windowed_directness,
 )
 
-from conftest import make_fragment, rest_positions, wiggle_positions
+from conftest import rest_positions, wiggle_positions
 from oracles import (
     directness,
     dispersion_frame,
@@ -38,7 +39,7 @@ def test_differentiate_linear_motion():
     n, fps = 100, 30.0
     positions = rest_positions(n)
     positions[:, :, 0] += np.arange(n)[:, None]  # slope 1 m/frame along x
-    velocity, acceleration, jerk = differentiate(make_fragment(positions, fps=fps))
+    velocity, acceleration, jerk = differentiate(positions, fps)
     assert np.allclose(velocity[:, :, 0], 30.0, atol=1e-9)
     assert np.allclose(velocity[:, :, 1:], 0.0, atol=1e-9)
     assert np.allclose(acceleration, 0.0, atol=1e-6)
@@ -46,7 +47,7 @@ def test_differentiate_linear_motion():
 
 
 def test_differentiate_rest():
-    for arr in differentiate(make_fragment(rest_positions(100))):
+    for arr in differentiate(rest_positions(100), 30.0):
         assert np.all(arr == 0.0)
 
 
@@ -58,7 +59,7 @@ def test_differentiate_quadratic_against_analytic_second_derivative():
     t = np.arange(n)
     positions = rest_positions(n)
     positions[:, :, 0] += ((t * dt) ** 2)[:, None]
-    velocity, acceleration, _ = differentiate(make_fragment(positions, fps=fps))
+    velocity, acceleration, _ = differentiate(positions, fps)
     interior = slice(2, n - 2)
     assert np.allclose(acceleration[interior, :, 0], 2.0, atol=1e-9)
     # velocity oracle: dp/ds = 2 t dt^2 * fps = 2 t dt
@@ -68,9 +69,30 @@ def test_differentiate_quadratic_against_analytic_second_derivative():
 
 def test_differentiate_needs_four_frames():
     positions = rest_positions(90)[:3]
-    frag = make_fragment(positions, fps=1.0)  # 3 frames, 3 s at 1 fps
     with pytest.raises(ValueError, match="too short for jerk"):
-        differentiate(frag)
+        differentiate(positions, 1.0)  # 3 frames, 3 s at 1 fps
+
+
+def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
+    positions = wiggle_positions(150)
+    positions[37, 5, 1] = np.nan
+    with pytest.raises(SkeletonError, match="non-finite coordinate at frame 37, joint 5"):
+        fragment_features(positions, 30.0)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((150, 23, 3), "joint count 23 != 24"),
+    ((150, 24, 2), r"shape \(T, 24, 3\)"),
+    ((150, 72), r"shape \(T, 24, 3\)"),
+])
+def test_fragment_features_rejects_the_wrong_shape(shape, message):
+    with pytest.raises(SkeletonError, match=message):
+        fragment_features(np.zeros(shape), 30.0)
+
+
+def test_fragment_features_rejects_a_three_frame_fragment():
+    with pytest.raises(ValueError, match="need at least 4 frames, got 3"):
+        fragment_features(rest_positions(3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +138,9 @@ def test_windowed_directness_matches_scalar():
 # ---------------------------------------------------------------------------
 
 def test_effort_rest_frame():
-    frag = make_fragment(rest_positions(100))
-    state = differentiate(frag)
-    flow, space, time_, weight = effort_frame(state, frag, 50)
+    positions = rest_positions(100)
+    state = differentiate(positions, 30.0)
+    flow, space, time_, weight = effort_frame(state, positions, 50)
     assert flow == 0.0
     assert space == 1.0  # stationary joints count as Direct
     assert time_ == 0.0
@@ -130,9 +152,8 @@ def test_effort_weight_is_kinetic_energy_sum():
     positions = rest_positions(n)
     # right hand moves at 2 m/s, everything else at rest
     positions[:, HAND_R, 2] += np.arange(n) * (2.0 / fps)
-    frag = make_fragment(positions, fps=fps)
-    state = differentiate(frag)
-    _, _, _, weight = effort_frame(state, frag, 50)
+    state = differentiate(positions, fps)
+    _, _, _, weight = effort_frame(state, positions, 50)
     assert weight == pytest.approx(2.0, abs=1e-9)
 
 
@@ -144,11 +165,10 @@ def test_effort_time_matches_sinusoid_oracle():
     t = np.arange(n) / fps
     positions = rest_positions(n)
     positions[:, :, 0] += (0.5 * np.sin(2 * np.pi * t))[:, None]
-    frag = make_fragment(positions, fps=fps)
-    state = differentiate(frag)
+    state = differentiate(positions, fps)
     expected = (2 / np.pi) * 0.5 * (2 * np.pi) ** 2
     interior = range(15, int(fps * 4.0) + 15)  # 4 whole periods, ends excluded
-    observed = np.mean([effort_frame(state, frag, k)[2] for k in interior])
+    observed = np.mean([effort_frame(state, positions, k)[2] for k in interior])
     assert observed == pytest.approx(expected, rel=0.05)
 
 
@@ -157,16 +177,14 @@ def test_effort_time_matches_sinusoid_oracle():
 # ---------------------------------------------------------------------------
 
 def test_dispersion_coincident_pose_is_zero():
-    frag = make_fragment(np.zeros((100, 24, 3)))
-    assert np.allclose(dispersion_frame(frag, 10), 0.0)
+    assert np.allclose(dispersion_frame(np.zeros((100, 24, 3)), 10), 0.0)
 
 
 def test_dispersion_head_height_example():
     positions = np.zeros((100, 24, 3))
     positions[:, :, 1] = 1.0        # everything at pelvis height
     positions[:, HEAD, 1] = 1.7
-    frag = make_fragment(positions)
-    values = dispersion_frame(frag, 0)
+    values = dispersion_frame(positions, 0)
     assert values[0] == pytest.approx(0.7, abs=1e-12)
 
 
@@ -184,8 +202,7 @@ def hand_fixture_pose():
 
 def test_dispersion_fixture_matches_hand_computation():
     pose = hand_fixture_pose()
-    frag = make_fragment(np.repeat(pose[None], 100, axis=0))
-    values = dispersion_frame(frag, 42)
+    values = dispersion_frame(np.repeat(pose[None], 100, axis=0), 42)
 
     # D1-D5, D7, D10-D12: literal hand arithmetic.
     assert values[0] == pytest.approx(0.7, abs=1e-9)
@@ -218,34 +235,35 @@ def test_dispersion_fixture_matches_hand_computation():
 # ---------------------------------------------------------------------------
 
 def make_tracked_speeds_fragment(speeds, fps=30.0):
-    """Tracked joints move linearly along distinct axes at given speeds."""
+    """Tracked joints move linearly along distinct axes at given speeds;
+    returns the (positions, fps) pair."""
     n = 100
     positions = rest_positions(n)
     for k, j in enumerate(TRACKED_JOINT_INDICES):
         axis = k % 3
         positions[:, j, axis] += np.arange(n) * (speeds[k] / fps)
-    return make_fragment(positions, fps=fps)
+    return positions, fps
 
 
 def test_initiation_single_mover():
     speeds = [0.0, 0.0, 0.0, 1.5, 0.0, 0.0]  # right hand only
     frag = make_tracked_speeds_fragment(speeds)
-    scores = initiation_frame(differentiate(frag), 50)
+    scores = initiation_frame(differentiate(*frag), 50)
     assert scores[3] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.delete(scores, 3), 0.0, atol=1e-12)
 
 
 def test_initiation_uniform_at_rest_and_equal_speeds():
-    rest = make_fragment(rest_positions(100))
-    assert np.allclose(initiation_frame(differentiate(rest), 10), 1 / 6, atol=1e-15)
+    rest = differentiate(rest_positions(100), 30.0)
+    assert np.allclose(initiation_frame(rest, 10), 1 / 6, atol=1e-15)
     equal = make_tracked_speeds_fragment([1.0] * 6)
-    scores = initiation_frame(differentiate(equal), 50)
+    scores = initiation_frame(differentiate(*equal), 50)
     assert np.allclose(scores, 1 / 6, atol=1e-12)
 
 
 def test_initiation_normalization_arithmetic():
     frag = make_tracked_speeds_fragment([1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
-    scores = initiation_frame(differentiate(frag), 50)
+    scores = initiation_frame(differentiate(*frag), 50)
     assert np.allclose(scores, [1 / 6, 2 / 6, 3 / 6, 0, 0, 0], atol=1e-12)
     assert scores.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -258,10 +276,9 @@ def test_trajectory_straight_line_zero_curvature():
     n, fps = 100, 30.0
     positions = rest_positions(n)
     positions[:, PELVIS] += np.outer(np.arange(n) / fps, [1.0, 0.0, 0.5])
-    frag = make_fragment(positions, fps=fps)
-    state = differentiate(frag)
+    state = differentiate(positions, fps)
     for t in range(2, n - 2):
-        assert trajectory_frame(frag, state, t)[1] == pytest.approx(0.0, abs=1e-9)
+        assert trajectory_frame(positions, state, t)[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_trajectory_circle_curvature_matches_one_over_radius():
@@ -274,23 +291,21 @@ def test_trajectory_circle_curvature_matches_one_over_radius():
     positions = rest_positions(n)
     positions[:, PELVIS, 0] = radius * np.cos(theta)
     positions[:, PELVIS, 2] = radius * np.sin(theta)
-    frag = make_fragment(positions, fps=fps)
-    state = differentiate(frag)
-    kappas = [trajectory_frame(frag, state, t)[1] for t in range(3, n - 3)]
+    state = differentiate(positions, fps)
+    kappas = [trajectory_frame(positions, state, t)[1] for t in range(3, n - 3)]
     assert np.mean(kappas) == pytest.approx(1.0 / radius, rel=0.05)
 
 
 def test_trajectory_rest_and_final_increment():
-    frag = make_fragment(rest_positions(100))
-    state = differentiate(frag)
-    assert np.allclose(trajectory_frame(frag, state, 50), 0.0)
+    rest = rest_positions(100)
+    state = differentiate(rest, 30.0)
+    assert np.allclose(trajectory_frame(rest, state, 50), 0.0)
     moving = rest_positions(100)
     moving[:, PELVIS, 0] += np.arange(100) * 0.01
-    frag2 = make_fragment(moving)
-    state2 = differentiate(frag2)
-    assert trajectory_frame(frag2, state2, 99)[0] == 0.0
-    assert trajectory_frame(frag2, state2, 50)[0] == pytest.approx(0.01, abs=1e-12)
-    assert trajectory_frame(frag2, state2, 99)[2] == pytest.approx(0.99, abs=1e-12)
+    state2 = differentiate(moving, 30.0)
+    assert trajectory_frame(moving, state2, 99)[0] == 0.0
+    assert trajectory_frame(moving, state2, 50)[0] == pytest.approx(0.01, abs=1e-12)
+    assert trajectory_frame(moving, state2, 99)[2] == pytest.approx(0.99, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +313,14 @@ def test_trajectory_rest_and_final_increment():
 # ---------------------------------------------------------------------------
 
 def test_frame_matrix_has_55_stable_columns(wiggle_fragment):
-    matrix = frame_matrix(wiggle_fragment)
+    matrix = frame_matrix(wiggle_fragment, 30.0)
     assert matrix.shape == (150, 55)
     assert len(FRAME_FEATURE_NAMES) == 55
     assert len(set(FRAME_FEATURE_NAMES)) == 55
 
 
 def test_frame_matrix_rest_columns():
-    matrix = frame_matrix(make_fragment(rest_positions(100)))
+    matrix = frame_matrix(rest_positions(100), 30.0)
     for name in ("effort.flow", "effort.time", "effort.weight"):
         assert np.all(matrix[:, column(name)] == 0.0)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
@@ -316,24 +331,24 @@ def test_frame_matrix_rest_columns():
 def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
     # The vectorized matrix must equal the five per-frame family functions
     # applied independently at every frame.
-    frag = wiggle_fragment
-    state = differentiate(frag)
+    positions = wiggle_fragment
+    state = differentiate(positions, 30.0)
     velocity, acceleration, jerk = state
-    matrix = frame_matrix(frag)
-    for t in range(0, frag.frame_count, 13):
+    matrix = frame_matrix(positions, 30.0)
+    for t in range(0, positions.shape[0], 13):
         row = np.concatenate([
-            dispersion_frame(frag, t),
-            effort_frame(state, frag, t),
+            dispersion_frame(positions, t),
+            effort_frame(state, positions, t),
             np.concatenate([
                 [np.linalg.norm(velocity[t, j]),
                  np.linalg.norm(acceleration[t, j]),
                  np.linalg.norm(jerk[t, j]),
                  0.5 * np.linalg.norm(velocity[t, j]) ** 2,
-                 directness(frag.positions[:, j], t, 15)]
+                 directness(positions[:, j], t, 15)]
                 for j in TRACKED_JOINT_INDICES
             ]),
             initiation_frame(state, t),
-            trajectory_frame(frag, state, t),
+            trajectory_frame(positions, state, t),
         ])
         assert np.allclose(matrix[t], row, atol=1e-9), f"frame {t}"
 
@@ -341,10 +356,10 @@ def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
 @pytest.mark.parametrize("seed", range(6))
 def test_horizontal_extent_equals_full_norm_matrix_max_exactly(seed):
     rng = np.random.default_rng(seed)
-    frag = make_fragment(rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(120, 24, 3)))
-    xz = frag.positions[:, :, [0, 2]]
+    positions = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(120, 24, 3))
+    xz = positions[:, :, [0, 2]]
     full = np.linalg.norm(xz[:, :, None, :] - xz[:, None, :, :], axis=3)
-    extent = frame_matrix(frag)[:, column("dispersion.horizontal_extent")]
+    extent = frame_matrix(positions, 30.0)[:, column("dispersion.horizontal_extent")]
     assert np.array_equal(extent, full.max(axis=(1, 2)))
 
 
@@ -353,14 +368,14 @@ def test_horizontal_extent_of_coincident_xz_pose_is_exactly_zero():
     positions[:, :, 0] = 0.25
     positions[:, :, 2] = -1.5
     positions[:, :, 1] = np.linspace(0.0, 1.8, 24)
-    extent = frame_matrix(make_fragment(positions))[:, column("dispersion.horizontal_extent")]
+    extent = frame_matrix(positions, 30.0)[:, column("dispersion.horizontal_extent")]
     assert np.all(extent == 0.0)
 
 
 def test_aggregate_constant_columns_have_zero_std():
     assert np.all(aggregate(np.full((64, 55), 2.5))[55:] == 0.0)
     # A rest fragment is constant per column too, up to float summation dust.
-    vector = aggregate(frame_matrix(make_fragment(rest_positions(100))))
+    vector = aggregate(frame_matrix(rest_positions(100), 30.0))
     assert np.allclose(vector[55:], 0.0, atol=1e-12)
     assert vector.shape == (len(FEATURE_NAMES_110),) == (110,)
     assert FEATURE_NAMES_110[:55] == tuple(f"{n}.mean" for n in FRAME_FEATURE_NAMES)
@@ -394,17 +409,17 @@ def test_aggregate_matches_two_pass_oracle():
 # ---------------------------------------------------------------------------
 
 def test_horizontal_translation_invariance(wiggle_fragment):
-    base = frame_matrix(wiggle_fragment)
-    shifted = wiggle_fragment.positions + np.array([3.7, 0.0, -12.1])
-    moved = frame_matrix(make_fragment(shifted))
+    base = frame_matrix(wiggle_fragment, 30.0)
+    shifted = wiggle_fragment + np.array([3.7, 0.0, -12.1])
+    moved = frame_matrix(shifted, 30.0)
     assert np.abs(moved - base).max() <= 1e-6
 
 
 def test_vertical_translation_changes_only_pelvis_height(wiggle_fragment):
     offset = 0.83
-    base = frame_matrix(wiggle_fragment)
-    shifted = wiggle_fragment.positions + np.array([0.0, offset, 0.0])
-    moved = frame_matrix(make_fragment(shifted))
+    base = frame_matrix(wiggle_fragment, 30.0)
+    shifted = wiggle_fragment + np.array([0.0, offset, 0.0])
+    moved = frame_matrix(shifted, 30.0)
     height = column("dispersion.pelvis_height")
     others = [j for j in range(55) if j != height]
     assert np.abs(moved[:, others] - base[:, others]).max() <= 1e-6
@@ -412,31 +427,31 @@ def test_vertical_translation_changes_only_pelvis_height(wiggle_fragment):
 
 
 def test_rotation_about_vertical_axis_invariance(wiggle_fragment):
-    positions = wiggle_fragment.positions
-    base = frame_matrix(wiggle_fragment)
+    positions = wiggle_fragment
+    base = frame_matrix(positions, 30.0)
     center = positions[:, PELVIS].mean(axis=0)
     angle = 1.1
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     relative = positions - np.array([center[0], 0.0, center[2]])
     rotated = relative @ rot.T + np.array([center[0], 0.0, center[2]])
-    moved = frame_matrix(make_fragment(rotated))
+    moved = frame_matrix(rotated, 30.0)
     assert np.abs(moved - base).max() <= 1e-6
 
 
 def test_time_reversal_preserves_total_path(wiggle_fragment):
     inc = column("trajectory.path_increment")
-    forward = frame_matrix(wiggle_fragment)[:, inc].sum()
-    rev = make_fragment(wiggle_fragment.positions[::-1].copy())
-    backward = frame_matrix(rev)[:, inc].sum()
+    forward = frame_matrix(wiggle_fragment, 30.0)[:, inc].sum()
+    rev = wiggle_fragment[::-1].copy()
+    backward = frame_matrix(rev, 30.0)[:, inc].sum()
     assert forward == pytest.approx(backward, abs=1e-9)
 
 
 def test_frame_rate_consistency_of_speed_means():
     # Band-limited motion sampled at 30 and 60 fps: fragment-mean speeds
     # agree within 2%.
-    lo = fragment_features(make_fragment(wiggle_positions(150, fps=30.0, seed=4), fps=30.0))
-    hi = fragment_features(make_fragment(wiggle_positions(300, fps=60.0, seed=4), fps=60.0))
+    lo = fragment_features(wiggle_positions(150, fps=30.0, seed=4), 30.0)
+    hi = fragment_features(wiggle_positions(300, fps=60.0, seed=4), 60.0)
     names = list(FEATURE_NAMES_110)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
         idx = names.index(f"kin.{j}.speed.mean")
@@ -444,7 +459,7 @@ def test_frame_rate_consistency_of_speed_means():
 
 
 def test_directness_and_initiation_ranges(wiggle_fragment):
-    matrix = frame_matrix(wiggle_fragment)
+    matrix = frame_matrix(wiggle_fragment, 30.0)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
         col = matrix[:, column(f"kin.{j}.directness")]
         assert np.all((col > 0.0) & (col <= 1.0))

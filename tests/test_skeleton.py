@@ -5,12 +5,12 @@ import pytest
 
 from labankit import (
     DatasetManifest,
-    Fragment,
     ManifestEntry,
     RegimeSpec,
     SkeletonError,
     SkeletonSequence,
     balance_dataset,
+    frame_matrix,
     generate,
     load_manifest,
     load_sequence,
@@ -145,10 +145,10 @@ def test_save_writes_the_stdlib_dump_bytes_for_edge_floats(tmp_path):
                                  np.float64(59.94)])
 def test_sequence_and_fragment_accept_numeric_fps(fps):
     seq = SkeletonSequence("s", fps, rest_positions(200), tier=1)
-    frag = Fragment("s", fps, 0, 200, 1, rest_positions(200))
-    for obj in (seq, frag):
-        assert type(obj.fps) is float and obj.fps == float(fps)
-    assert frag.duration_s == 200 / float(fps)
+    assert type(seq.fps) is float and seq.fps == float(fps)
+    assert seq.duration_s == 200 / float(fps)
+    matrix = frame_matrix(rest_positions(200), fps)
+    assert np.array_equal(matrix, frame_matrix(rest_positions(200), float(fps)))
 
 
 @pytest.mark.parametrize("fps", [True, False, np.bool_(True), 0, 0.0, -30.0, np.int64(-1),
@@ -158,19 +158,19 @@ def test_sequence_and_fragment_reject_bad_fps(fps):
     with pytest.raises(SkeletonError, match="fps must be positive and finite"):
         SkeletonSequence("s", fps, rest_positions(200), tier=1)
     with pytest.raises(SkeletonError, match="fps must be positive and finite"):
-        Fragment("s", fps, 0, 200, 1, rest_positions(200))
+        frame_matrix(rest_positions(200), fps)
 
 
 def test_slice_exact_tiling():
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
     frags = slice_fragments(seq, length_s=5.0, stride_s=5.0)
-    assert [(f.start_frame, f.end_frame) for f in frags] == [(0, 150), (150, 300)]
+    assert [(start, start + len(view)) for start, view in frags] == [(0, 150), (150, 300)]
 
 
 def test_slice_overlapping_stride():
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
     frags = slice_fragments(seq, length_s=5.0, stride_s=2.5)
-    assert [f.start_frame for f in frags] == [0, 75, 150]
+    assert [start for start, _ in frags] == [0, 75, 150]
 
 
 def test_slice_too_short_sequence_gives_empty_list():
@@ -186,20 +186,32 @@ def test_slice_rejects_bad_parameters():
         slice_fragments(seq, length_s=5.0, stride_s=0.0)
 
 
-def test_slice_requires_tier():
-    seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=None)
-    with pytest.raises(ValueError, match="tier"):
-        slice_fragments(seq)
-
-
 def test_slice_concat_reproduces_parent_bits():
     rng = np.random.default_rng(5)
     seq = SkeletonSequence("s", 30.0, rng.normal(size=(300, 24, 3)), tier=1)
     frags = slice_fragments(seq, length_s=5.0, stride_s=5.0)
-    joined = np.concatenate([f.positions for f in frags], axis=0)
+    joined = np.concatenate([view for _, view in frags], axis=0)
     assert np.array_equal(joined, seq.positions)
-    for f in frags:
-        assert f.tier == 1 and f.parent_id == "s"
+
+
+@pytest.mark.parametrize("fps, frames, length_s, stride_s, starts, n", [
+    (30.1, 200, 3.0, 1.0, [0, 30, 60, 90], 91),  # round() lands under the 3 s floor
+    (29.97, 400, 5.0, 2.5, [0, 75, 150, 225], 150),
+    (60.0, 900, 4.0, 0.5, list(range(0, 661, 30)), 240),
+])
+def test_slice_gives_read_only_views_of_the_parent(fps, frames, length_s, stride_s,
+                                                   starts, n):
+    rng = np.random.default_rng(9)
+    seq = SkeletonSequence("s", fps, rng.normal(size=(frames, 24, 3)), tier=None)
+    frags = slice_fragments(seq, length_s=length_s, stride_s=stride_s)
+    assert [start for start, _ in frags] == starts
+    for start, view in frags:
+        assert view.shape == (n, 24, 3)
+        assert np.shares_memory(view, seq.positions)
+        assert np.array_equal(view, seq.positions[start:start + n])
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1.0
 
 
 def make_manifest(counts, prefix="e"):

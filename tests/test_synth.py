@@ -16,8 +16,8 @@ NAMES = list(FEATURE_NAMES_110)
 
 def regime_feature(regime, seed, name, **kwargs):
     seq = generate(RegimeSpec(regime, seed=seed, **kwargs))
-    fragment = slice_fragments(seq)[0]
-    return fragment_features(fragment)[NAMES.index(name)]
+    _, positions = slice_fragments(seq)[0]
+    return fragment_features(positions, seq.fps)[NAMES.index(name)]
 
 
 def regime_features(regime, seeds, name, **kwargs):
