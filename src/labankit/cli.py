@@ -109,7 +109,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
     "balance": ("seeded per-tier subsampling of a manifest", (
         _Option("manifest", str, _REQUIRED, "input manifest"),
         _Option("out", str, _REQUIRED, "output manifest"),
-        _Option("per_class", int, _REQUIRED, "entries to keep per tier"),
+        _Option("per_class", int, _REQUIRED, "entries to keep per tier",
+                bound=(">=", 1)),
         _Option("seed", int, 0, "subsampling seed"),
     )),
 }

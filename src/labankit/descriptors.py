@@ -135,32 +135,33 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
 
 def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     """The (T x 55) descriptor matrix of a fragment, vectorized over frames;
-    its columns are FRAME_FEATURE_NAMES."""
+    its columns are FRAME_FEATURE_NAMES, stacked family by family."""
     velocity, acceleration, jerk = differentiate(positions, fps)
     pos = np.asarray(positions)
     n = pos.shape[0]
     joints = list(TRACKED_JOINT_INDICES)
-    values = np.empty((n, len(FRAME_FEATURE_NAMES)))
 
-    # Dispersion (columns 0-11).
+    # Dispersion.
     pelvis = pos[:, PELVIS]
-    for k, j in enumerate((HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R)):
-        values[:, k] = np.linalg.norm(pos[:, j] - pelvis, axis=1)
-    centroid = pos.mean(axis=1)
-    to_centroid = np.linalg.norm(pos - centroid[:, None, :], axis=2)
-    values[:, 5] = to_centroid.mean(axis=1)
-    values[:, 6] = pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1)
+    reach = np.linalg.norm(pos[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
+                           - pelvis[:, None], axis=2)
+    to_centroid = np.linalg.norm(pos - pos.mean(axis=1)[:, None, :], axis=2)
     # Bit-identical to the max of the full 24x24 norm matrix: sqrt is monotone
     # and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
     # sqrt(dx*dx + dz*dz).
     x, z = pos[:, :, 0], pos[:, :, 2]
     dx = x[:, _PAIR_I] - x[:, _PAIR_J]
     dz = z[:, _PAIR_I] - z[:, _PAIR_J]
-    values[:, 7] = np.sqrt((dx * dx + dz * dz).max(axis=1))
-    values[:, 8] = to_centroid.std(axis=1)
-    values[:, 9] = np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1)
-    values[:, 10] = np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1)
-    values[:, 11] = pos[:, PELVIS, 1]
+    dispersion = (
+        reach,
+        to_centroid.mean(axis=1),
+        pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1),
+        np.sqrt((dx * dx + dz * dz).max(axis=1)),
+        to_centroid.std(axis=1),
+        np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1),
+        np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1),
+        pelvis[:, 1],
+    )
 
     # Tracked-joint kinematic magnitudes, shared by Effort and the
     # per-joint block.
@@ -170,45 +171,28 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     energies = 0.5 * speeds ** 2
     direct = np.stack([windowed_directness(pos[:, j], DIRECTNESS_WINDOW)
                        for j in joints], axis=1)
+    # Effort: Flow, Space, Time, Weight.
+    effort = (jerks.mean(axis=1), direct.mean(axis=1), accels.mean(axis=1),
+              energies.sum(axis=1))
+    kinematics = np.stack([speeds, accels, jerks, energies, direct], axis=2).reshape(n, -1)
 
-    # Effort (columns 12-15): Flow, Space, Time, Weight.
-    values[:, 12] = jerks.mean(axis=1)
-    values[:, 13] = direct.mean(axis=1)
-    values[:, 14] = accels.mean(axis=1)
-    values[:, 15] = energies.sum(axis=1)
-
-    # Per-joint kinematics (columns 16-45).
-    for k in range(len(joints)):
-        base = 16 + 5 * k
-        values[:, base] = speeds[:, k]
-        values[:, base + 1] = accels[:, k]
-        values[:, base + 2] = jerks[:, k]
-        values[:, base + 3] = energies[:, k]
-        values[:, base + 4] = direct[:, k]
-
-    # Initiation (columns 46-51).
+    # Initiation.
     total = speeds.sum(axis=1)
     resting = total < EPS_SPEED
-    safe_total = np.where(resting, 1.0, total)
-    shares = speeds / safe_total[:, None]
+    shares = speeds / np.where(resting, 1.0, total)[:, None]
     shares[resting] = 1.0 / len(joints)
-    values[:, 46:52] = shares
 
-    # Trajectory (columns 52-54), pelvis reference.
-    increments = np.zeros(n)
-    increments[:-1] = np.linalg.norm(np.diff(pelvis, axis=0), axis=1)
+    # Trajectory, pelvis reference; the last frame's increment is 0.
+    increments = np.linalg.norm(np.diff(pelvis, axis=0, append=pelvis[-1:]), axis=1)
     v = velocity[:, PELVIS]
-    a = acceleration[:, PELVIS]
     speed = np.linalg.norm(v, axis=1)
-    cross = np.linalg.norm(np.cross(v, a), axis=1)
+    cross = np.linalg.norm(np.cross(v, acceleration[:, PELVIS]), axis=1)
     curvature = np.zeros(n)
     moving = speed >= EPS_SPEED
     curvature[moving] = np.minimum(cross[moving] / speed[moving] ** 3, CURVATURE_CAP)
-    values[:, 52] = increments
-    values[:, 53] = curvature
-    values[:, 54] = np.linalg.norm(pelvis - pelvis[0], axis=1)
+    trajectory = (increments, curvature, np.linalg.norm(pelvis - pelvis[0], axis=1))
 
-    return values
+    return np.column_stack([*dispersion, *effort, kinematics, shares, *trajectory])
 
 
 def aggregate(matrix: np.ndarray) -> np.ndarray:

@@ -106,23 +106,21 @@ def confusion_matrix(y_true, y_pred, class_count: int) -> np.ndarray:
     return matrix
 
 
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, with 0 wherever den <= 0."""
+    den = np.asarray(den)
+    return np.where(den > 0, num / np.where(den > 0, den, 1), 0.0)
+
+
 def macro_f1(confusion: np.ndarray) -> float:
     """Unweighted mean of per-class F1; a class with P + R = 0 scores 0."""
     confusion = np.asarray(confusion, dtype=np.float64)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
         raise ValueError(f"confusion matrix must be square, got {confusion.shape}")
     tp = np.diag(confusion)
-    row_sums = confusion.sum(axis=1)
-    col_sums = confusion.sum(axis=0)
-    scores = []
-    for c in range(confusion.shape[0]):
-        precision = tp[c] / col_sums[c] if col_sums[c] > 0 else 0.0
-        recall = tp[c] / row_sums[c] if row_sums[c] > 0 else 0.0
-        if precision + recall > 0:
-            scores.append(2 * precision * recall / (precision + recall))
-        else:
-            scores.append(0.0)
-    return float(np.mean(scores))
+    precision = _ratio(tp, confusion.sum(axis=0))
+    recall = _ratio(tp, confusion.sum(axis=1))
+    return float(np.mean(_ratio(2 * precision * recall, precision + recall)))
 
 
 @dataclass(frozen=True)
@@ -186,9 +184,7 @@ def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
     c = task.class_count
     confusion = confusion_matrix(labels, predictions, c)
     row_sums = confusion.sum(axis=1)
-    safe = np.where(row_sums > 0, row_sums, 1)
-    row_normalized = confusion / safe[:, None]
-    recall = np.where(row_sums > 0, np.diag(confusion) / safe, 0.0)
+    recall = _ratio(np.diag(confusion), row_sums)
 
     return EvalReport(
         task=task.kind,
@@ -202,7 +198,7 @@ def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
         fold_accuracies=tuple(fold_accuracies),
         per_class_recall=tuple(float(r) for r in recall),
         confusion=confusion,
-        confusion_row_normalized=row_normalized,
+        confusion_row_normalized=_ratio(confusion, row_sums[:, None]),
         predictions=predictions,
         labels=labels,
         folds=folds,

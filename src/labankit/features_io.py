@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .skeleton import _validate_tier
+
 METADATA_COLUMNS = ("source_id", "start_frame", "tier")
 
 # Feature values are printed with 9 significant digits.
@@ -61,27 +63,29 @@ class FeatureTable:
         return self.values[:, order]
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_features_csv(path, feature_names, rows) -> None:
     """Write fragment rows as CSV.
 
     rows yields (source_id, start_frame, tier, vector) tuples; the vector
     order must match feature_names.
     """
-    feature_names = list(feature_names)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*METADATA_COLUMNS, *feature_names])
-        for source_id, start_frame, tier, vector in rows:
-            writer.writerow([
-                source_id, start_frame, tier,
-                *(_VALUE_FORMAT.format(v) for v in vector),
-            ])
+    _write_csv(path, [*METADATA_COLUMNS, *feature_names],
+               ([source_id, start_frame, tier, *map(_VALUE_FORMAT.format, vector)]
+                for source_id, start_frame, tier, vector in rows))
 
 
 def read_features_csv(path) -> FeatureTable:
     """Read a feature CSV; feature columns are everything non-metadata.
 
-    Every feature cell must parse as a finite float.
+    Every feature cell must parse as a finite float, and every tier must be
+    in VALID_TIERS.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -119,6 +123,7 @@ def read_features_csv(path) -> FeatureTable:
                 values.append([float(row[j]) for j, _ in feature_cols])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            _validate_tier(tiers[-1], f"{path}:{lineno}")
             finite = np.isfinite(values[-1])
             if not finite.all():
                 j = np.argmin(finite)
@@ -139,22 +144,16 @@ def read_features_csv(path) -> FeatureTable:
 def write_predictions_csv(path, table: FeatureTable, probs) -> None:
     """Write each table row's metadata, most probable class (exact ties go to
     the lower id) and class probabilities; probs is (len(table), C)."""
-    classes = np.argmax(probs, axis=1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*METADATA_COLUMNS, "predicted_class",
-                         *(f"prob_{c}" for c in range(probs.shape[1]))])
-        for i, row in enumerate(probs):
-            writer.writerow([
-                table.source_ids[i], table.start_frames[i], table.tiers[i],
-                int(classes[i]), *(_VALUE_FORMAT.format(p) for p in row),
-            ])
+    _write_csv(path, [*METADATA_COLUMNS, "predicted_class",
+                      *(f"prob_{c}" for c in range(probs.shape[1]))],
+               ([source_id, start, tier, int(c), *map(_VALUE_FORMAT.format, row)]
+                for source_id, start, tier, c, row in zip(
+                    table.source_ids, table.start_frames, table.tiers,
+                    np.argmax(probs, axis=1), probs)))
 
 
 def write_ranking_csv(path, ranking) -> None:
     """Write a (rank, feature, H) table, rank starting at 1."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "H"])
-        for rank, (name, h) in enumerate(ranking, start=1):
-            writer.writerow([rank, name, _VALUE_FORMAT.format(h)])
+    _write_csv(path, ["rank", "feature", "H"],
+               ([rank, name, _VALUE_FORMAT.format(h)]
+                for rank, (name, h) in enumerate(ranking, start=1)))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,18 @@ class SkeletonError(ValueError):
     """A skeleton file, sequence, or manifest violates the format contract."""
 
 
-def _validate_tier(tier, context: str):
-    if tier is None:
-        return None
+def _validate_tier(tier, context: str) -> int:
     if not isinstance(tier, (int, np.integer)) or isinstance(tier, bool):
         raise SkeletonError(f"{context}: tier must be an integer in {VALID_TIERS}, got {tier!r}")
     tier = int(tier)
     if tier not in VALID_TIERS:
         raise SkeletonError(f"{context}: tier {tier} not in {VALID_TIERS}")
     return tier
+
+
+def _check_str(value, what: str):
+    if not isinstance(value, str):
+        raise SkeletonError(f"{what} must be a string, got {value!r}")
 
 
 def _check_fps(fps, context: str) -> float:
@@ -77,7 +81,8 @@ class SkeletonSequence:
 
     positions has shape (T, 24, 3) in meters; fps is the sampling rate.
     tier, when present, is the ordinal class label in {0, 1, 2, 3}.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads: positions is
+    a read-only copy of the array passed in.
     """
 
     source_id: str
@@ -86,14 +91,16 @@ class SkeletonSequence:
     tier: int | None = None
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.float64)
+        _check_str(self.source_id, "sequence source_id")
+        positions = np.array(self.positions, dtype=np.float64)
         object.__setattr__(self, "positions", positions)
         context = f"sequence {self.source_id!r}"
         object.__setattr__(self, "fps", _check_fps(self.fps, context))
         _check_positions(positions, context)
         if positions.shape[0] < 2:
             raise SkeletonError(f"{context}: need at least 2 frames, got {positions.shape[0]}")
-        object.__setattr__(self, "tier", _validate_tier(self.tier, context))
+        if self.tier is not None:
+            object.__setattr__(self, "tier", _validate_tier(self.tier, context))
         positions.setflags(write=False)
 
     @property
@@ -141,7 +148,7 @@ def load_sequence(path) -> SkeletonSequence:
 
     try:
         return SkeletonSequence(
-            source_id=str(raw["source_id"]),
+            source_id=raw["source_id"],
             fps=raw["fps"],
             positions=positions,
             tier=raw.get("tier"),
@@ -212,9 +219,19 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One labeled skeleton file; path may be given as a str or PathLike."""
+
     path: Path
     source_id: str
     tier: int
+
+    def __post_init__(self):
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise SkeletonError(f"manifest entry path must be a string, got {self.path!r}")
+        object.__setattr__(self, "path", Path(self.path))
+        _check_str(self.source_id, "manifest entry source_id")
+        object.__setattr__(self, "tier", _validate_tier(
+            self.tier, f"manifest entry {self.source_id!r}"))
 
 
 @dataclass(frozen=True)
@@ -227,21 +244,12 @@ class DatasetManifest:
         object.__setattr__(self, "entries", tuple(self.entries))
         seen = set()
         for entry in self.entries:
-            _validate_tier(entry.tier, f"manifest entry {entry.source_id!r}")
-            if entry.tier is None:
-                raise SkeletonError(f"manifest entry {entry.source_id!r} has no tier")
             if entry.source_id in seen:
                 raise SkeletonError(f"duplicate source_id {entry.source_id!r} in manifest")
             seen.add(entry.source_id)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def tier_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for entry in self.entries:
-            counts[entry.tier] = counts.get(entry.tier, 0) + 1
-        return counts
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -266,17 +274,16 @@ def load_manifest(path) -> DatasetManifest:
             raise SkeletonError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "path" not in record or "tier" not in record:
             raise SkeletonError(f"{path}:{lineno}: expected keys 'path' and 'tier'")
-        entry_path = Path(record["path"])
-        if not entry_path.is_absolute():
-            entry_path = base / entry_path
-        tier = _validate_tier(record["tier"], f"{path}:{lineno}")
-        if tier is None:
-            raise SkeletonError(f"{path}:{lineno}: tier must not be null")
-        entries.append(ManifestEntry(
-            path=entry_path,
-            source_id=str(record.get("source_id", entry_path.stem)),
-            tier=tier,
-        ))
+        # The default id is the path stem; str() only lets a non-string
+        # path reach ManifestEntry, which rejects it.
+        try:
+            entry = ManifestEntry(
+                path=record["path"], tier=record["tier"],
+                source_id=record.get("source_id", Path(str(record["path"])).stem))
+        except SkeletonError as exc:
+            raise SkeletonError(f"{path}:{lineno}: {exc}") from None
+        # An absolute entry path replaces base.
+        entries.append(replace(entry, path=base / entry.path))
     return DatasetManifest(tuple(entries))
 
 
@@ -307,11 +314,12 @@ def balance_dataset(manifest: DatasetManifest, per_class: int, seed: int) -> Dat
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if not manifest.entries:
         raise SkeletonError("manifest has no entries")
+    by_tier: dict[int, list[int]] = {}
+    for i, entry in enumerate(manifest.entries):
+        by_tier.setdefault(entry.tier, []).append(i)
     rng = np.random.default_rng(seed)
-    counts = manifest.tier_counts()
     keep: list[int] = []
-    for tier in sorted(counts):
-        indices = [i for i, entry in enumerate(manifest.entries) if entry.tier == tier]
+    for tier, indices in sorted(by_tier.items()):
         if len(indices) < per_class:
             raise SkeletonError(
                 f"tier {tier} has {len(indices)} entries, fewer than per_class={per_class}"

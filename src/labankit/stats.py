@@ -49,20 +49,13 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average of their positions."""
+    """1-based ranks of finite values, with ties assigned the average of
+    their positions."""
     values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new_group = np.empty(len(values), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = ordered[1:] != ordered[:-1]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    group_rank = starts + (counts + 1) / 2.0
-    ranks = np.empty(len(values))
-    ranks[order] = group_rank[group]
-    return ranks
+    if not np.isfinite(values).all():  # np.unique would merge NaNs into one tie
+        raise ValueError("non-finite value in input")
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_synth_writes_sequences_and_manifest(small_dataset):
     root, _ = small_dataset
     manifest = load_manifest(root / "manifest.jsonl")
     assert len(manifest) == 24
-    assert manifest.tier_counts() == {0: 6, 1: 6, 2: 6, 3: 6}
+    assert Counter(e.tier for e in manifest.entries) == {0: 6, 1: 6, 2: 6, 3: 6}
     assert all(entry.path.exists() for entry in manifest.entries)
 
 
@@ -256,7 +257,7 @@ def test_balance_command(small_dataset, tmp_path):
     assert run("balance", "--manifest", root / "manifest.jsonl", "--out", out,
                "--per-class", 4, "--seed", 1) == 0
     manifest = load_manifest(out)
-    assert manifest.tier_counts() == {0: 4, 1: 4, 2: 4, 3: 4}
+    assert Counter(e.tier for e in manifest.entries) == {0: 4, 1: 4, 2: 4, 3: 4}
     assert all(e.path.exists() for e in manifest.entries)
 
 
@@ -457,6 +458,7 @@ def test_config_int_for_a_float_option_is_taken_as_float(tmp_path):
     (["evaluate", "--max-iters", 0], "--max-iters must be >= 1, got 0"),
     (["evaluate", "--k", 1], "--k must be >= 2, got 1"),
     (["synth", "--fps", "inf"], "--fps must be finite, got inf"),
+    (["balance", "--per-class", 0], "--per-class must be >= 1, got 0"),
 ])
 def test_out_of_range_values_exit_2_before_any_output(small_dataset, tmp_path,
                                                       capsys, argv, message):
@@ -465,7 +467,8 @@ def test_out_of_range_values_exit_2_before_any_output(small_dataset, tmp_path,
     paths = {"extract": ["--manifest", root / "manifest.jsonl", "--out", out],
              "train": ["--features", features, "--out", out],
              "evaluate": ["--features", features, "--out", out],
-             "synth": ["--out-dir", out]}
+             "synth": ["--out-dir", out],
+             "balance": ["--manifest", root / "manifest.jsonl", "--out", out]}
     assert run(*argv, *paths[argv[0]]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -559,3 +562,43 @@ def test_predict_with_a_broken_model_exits_2_naming_it(small_dataset, tmp_path,
     assert run("predict", "--model", model, "--features", features, "--out", out) == 2
     assert f"{model}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"path": 5}, "manifest entry path must be a string, got 5"),
+    ({"source_id": None}, "manifest entry source_id must be a string, got None"),
+    ({"tier": None}, "tier must be an integer in (0, 1, 2, 3), got None"),
+], ids=["int-path", "null-source-id", "null-tier"])
+def test_bad_manifest_entry_exits_2_naming_its_line(small_dataset, tmp_path, capsys,
+                                                    record, message):
+    root, _ = small_dataset
+    good = {"path": str(root / "r0_0000.json"), "tier": 0}
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(good) + "\n"
+                        + json.dumps({"path": str(root / "r1_0000.json"), "tier": 1,
+                                      **record}) + "\n")
+    assert run("extract", "--manifest", manifest, "--out", tmp_path / "f.csv") == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:2: " in err and message in err
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
+def test_feature_csv_tier_outside_0_3_exits_2_naming_its_line(small_dataset, tmp_path,
+                                                               capsys):
+    _, features = small_dataset
+    model = tmp_path / "model.json"
+    assert run("train", "--features", features, "--out", model) == 0
+    with open(features, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][rows[0].index("tier")] = "7"
+    broken = tmp_path / "tier7.csv"
+    with open(broken, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match="tier7.csv:4: tier 7 not in"):
+        read_features_csv(broken)
+    for command, extra in (("evaluate", []), ("train", []), ("rank-features", []),
+                           ("predict", ["--model", model])):
+        out = tmp_path / f"{command}.out"
+        assert run(command, *extra, "--features", broken, "--out", out) == 2
+        assert f"{broken}:4: tier 7 not in" in capsys.readouterr().err
+        assert not out.exists()

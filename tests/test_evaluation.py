@@ -153,6 +153,22 @@ def test_macro_f1_matches_hand_computation():
     assert macro_f1(m) == pytest.approx(expected, abs=1e-12)
 
 
+def test_macro_f1_equals_the_per_class_formula_bit_for_bit():
+    def per_class_f1(m):
+        m = m.astype(float)
+        scores = []
+        for c in range(m.shape[0]):
+            p = m[c, c] / m[:, c].sum() if m[:, c].sum() > 0 else 0.0
+            r = m[c, c] / m[c].sum() if m[c].sum() > 0 else 0.0
+            scores.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
+        return float(np.mean(scores))
+
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        m = rng.integers(0, 4, size=(4, 4)) * (rng.random((4, 4)) < 0.6)
+        assert macro_f1(m) == per_class_f1(m)
+
+
 # ---------------------------------------------------------------------------
 # cross_validate
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +232,7 @@ def test_balance_production_scale_counts():
     manifest = make_manifest({0: 2000, 1: 2000, 2: 2000, 3: 2000})
     balanced = balance_dataset(manifest, per_class=1075, seed=0)
     assert len(balanced) == 4300
-    assert balanced.tier_counts() == {0: 1075, 1: 1075, 2: 1075, 3: 1075}
+    assert Counter(e.tier for e in balanced.entries) == {0: 1075, 1: 1075, 2: 1075, 3: 1075}
 
 
 def test_balance_smallest_class_passes_through():
@@ -295,3 +297,37 @@ def test_sequence_positions_are_read_only():
     seq = SkeletonSequence("s", 30.0, rest_positions(4), tier=0)
     with pytest.raises(ValueError):
         seq.positions[0, 0, 0] = 1.0
+
+
+def test_sequence_copies_positions():
+    positions = rest_positions(4)
+    view = positions[:]
+    seq = SkeletonSequence("x", 30.0, positions)
+    positions[0, 0, 0] = 5.0  # the caller's array stays writable
+    view[0, 0, 1] = np.nan    # and a view of it cannot reach the sequence
+    assert not np.shares_memory(seq.positions, positions)
+    assert np.array_equal(seq.positions, rest_positions(4))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("path", 5, "path must be a string, got 5"),
+    ("path", None, "path must be a string, got None"),
+    ("source_id", None, "source_id must be a string, got None"),
+    ("source_id", 3, "source_id must be a string, got 3"),
+    ("tier", None, "tier must be an integer"),
+    ("tier", True, "tier must be an integer"),
+    ("tier", 7, "tier 7 not in"),
+])
+def test_manifest_entry_validates_itself(field, value, message):
+    fields = {"path": "/a.json", "source_id": "a", "tier": 0}
+    assert ManifestEntry(**fields).path == Path("/a.json")
+    with pytest.raises(SkeletonError, match=message):
+        ManifestEntry(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("source_id", [None, 5])
+def test_load_rejects_a_non_string_source_id(tmp_path, source_id):
+    path = write_skeleton(tmp_path / "s.json", rest_positions(2).tolist(),
+                          source_id=source_id)
+    with pytest.raises(SkeletonError, match=f"source_id must be a string, got {source_id}"):
+        load_sequence(path)

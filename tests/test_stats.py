@@ -199,6 +199,18 @@ def test_average_ranks_matches_brute_force():
         assert np.allclose(average_ranks(values), brute_force_ranks(values.tolist()))
 
 
+def test_average_ranks_are_exact_half_integers():
+    values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0, -0.5])
+    assert average_ranks(values).tolist() == [6.0, 2.5, 6.0, 4.0, 6.0, 2.5, 1.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_average_ranks_rejects_non_finite_values(bad):
+    # Two NaNs would otherwise merge into one tie group.
+    with pytest.raises(ValueError, match="non-finite"):
+        average_ranks(np.array([1.0, bad, 2.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # rank_features
 # ---------------------------------------------------------------------------
