@@ -33,6 +33,7 @@ from .descriptors import (
     TRACKED_JOINT_NAMES,
     aggregate,
     differentiate,
+    dispersion_matrix,
     fragment_features,
     frame_matrix,
     windowed_directness,

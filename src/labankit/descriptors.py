@@ -13,6 +13,9 @@ this fixed column order:
 
 The matrix is aggregated to a 110-dim vector (per-column mean, then
 per-column population standard deviation) with stable feature names.
+Dispersion depends on one frame alone, so dispersion_matrix rows computed
+once for a sequence's frames can be handed to each fragment that covers
+them; the motion families depend on the fragment's edges.
 
 All quantities are in meters and seconds. Distances and speeds are
 translation-invariant except the pelvis world height; everything is
@@ -111,37 +114,36 @@ def differentiate(positions: np.ndarray,
 
 
 def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
-    """Directness at every frame t of a (T, 3) track: the chord-to-path ratio
-    ||p(b) - p(a)|| / sum(||p(tau+1) - p(tau)||) over the clamped window
-    a = max(0, t - w), b = min(T - 1, t + w), via the cumulative path. A
-    window whose path is shorter than EPS_PATH counts as fully Direct (1.0).
+    """Directness at every frame t of a (T, ..., 3) track: the chord-to-path
+    ratio ||p(b) - p(a)|| / sum(||p(tau+1) - p(tau)||) over the clamped window
+    a = max(0, t - w), b = min(T - 1, t + w), via the cumulative path along
+    time and norms on the last axis; the result has shape (T, ...). A window
+    whose path is shorter than EPS_PATH counts as fully Direct (1.0).
     """
     if w < 1:
         raise ValueError(f"half-window must be >= 1, got {w}")
     track = np.asarray(track, dtype=np.float64)
     n = track.shape[0]
-    steps = np.linalg.norm(np.diff(track, axis=0), axis=1)
-    cumulative = np.concatenate([[0.0], np.cumsum(steps)])
+    steps = np.linalg.norm(np.diff(track, axis=0), axis=-1)
+    cumulative = np.concatenate([np.zeros((1, *steps.shape[1:])),
+                                 np.cumsum(steps, axis=0)])
     t = np.arange(n)
     a = np.maximum(0, t - w)
     b = np.minimum(n - 1, t + w)
     path = cumulative[b] - cumulative[a]
-    chord = np.linalg.norm(track[b] - track[a], axis=1)
+    chord = np.linalg.norm(track[b] - track[a], axis=-1)
     moving = path >= EPS_PATH
-    out = np.ones(n)
+    out = np.ones(path.shape)
     out[moving] = np.minimum(1.0, chord[moving] / path[moving])
     return out
 
 
-def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
-    """The (T x 55) descriptor matrix of a fragment, vectorized over frames;
-    its columns are FRAME_FEATURE_NAMES, stacked family by family."""
-    velocity, acceleration, jerk = differentiate(positions, fps)
+def dispersion_matrix(positions: np.ndarray) -> np.ndarray:
+    """The (T x 12) Dispersion block, columns named by the first 12
+    FRAME_FEATURE_NAMES. Each row depends on its own frame alone, so the
+    rows of a sequence's frames serve every fragment that covers them."""
     pos = np.asarray(positions)
-    n = pos.shape[0]
-    joints = list(TRACKED_JOINT_INDICES)
-
-    # Dispersion.
+    _check_positions(pos, "fragment")
     pelvis = pos[:, PELVIS]
     reach = np.linalg.norm(pos[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
                            - pelvis[:, None], axis=2)
@@ -152,7 +154,7 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     x, z = pos[:, :, 0], pos[:, :, 2]
     dx = x[:, _PAIR_I] - x[:, _PAIR_J]
     dz = z[:, _PAIR_I] - z[:, _PAIR_J]
-    dispersion = (
+    return np.column_stack([
         reach,
         to_centroid.mean(axis=1),
         pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1),
@@ -161,7 +163,27 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
         np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1),
         np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1),
         pelvis[:, 1],
-    )
+    ])
+
+
+def frame_matrix(positions: np.ndarray, fps: float, *,
+                 dispersion: np.ndarray | None = None) -> np.ndarray:
+    """The (T x 55) descriptor matrix of a fragment, vectorized over frames;
+    its columns are FRAME_FEATURE_NAMES, stacked family by family.
+
+    dispersion, when given, is the fragment's (T x 12) dispersion_matrix
+    block, computed elsewhere; it is checked for shape and finiteness.
+    """
+    velocity, acceleration, jerk = differentiate(positions, fps)
+    pos = np.asarray(positions)
+    n = pos.shape[0]
+    joints = list(TRACKED_JOINT_INDICES)
+    if dispersion is None:
+        dispersion = dispersion_matrix(pos)
+    elif (np.shape(dispersion) != (n, len(_DISPERSION_NAMES))
+          or not np.isfinite(dispersion).all()):
+        raise ValueError(f"dispersion must be a finite ({n}, {len(_DISPERSION_NAMES)}) "
+                         f"block, got shape {np.shape(dispersion)}")
 
     # Tracked-joint kinematic magnitudes, shared by Effort and the
     # per-joint block.
@@ -169,8 +191,7 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     accels = np.linalg.norm(acceleration[:, joints], axis=2)
     jerks = np.linalg.norm(jerk[:, joints], axis=2)
     energies = 0.5 * speeds ** 2
-    direct = np.stack([windowed_directness(pos[:, j], DIRECTNESS_WINDOW)
-                       for j in joints], axis=1)
+    direct = windowed_directness(pos[:, joints], DIRECTNESS_WINDOW)
     # Effort: Flow, Space, Time, Weight.
     effort = (jerks.mean(axis=1), direct.mean(axis=1), accels.mean(axis=1),
               energies.sum(axis=1))
@@ -183,6 +204,7 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     shares[resting] = 1.0 / len(joints)
 
     # Trajectory, pelvis reference; the last frame's increment is 0.
+    pelvis = pos[:, PELVIS]
     increments = np.linalg.norm(np.diff(pelvis, axis=0, append=pelvis[-1:]), axis=1)
     v = velocity[:, PELVIS]
     speed = np.linalg.norm(v, axis=1)
@@ -192,7 +214,7 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     curvature[moving] = np.minimum(cross[moving] / speed[moving] ** 3, CURVATURE_CAP)
     trajectory = (increments, curvature, np.linalg.norm(pelvis - pelvis[0], axis=1))
 
-    return np.column_stack([*dispersion, *effort, kinematics, shares, *trajectory])
+    return np.column_stack([dispersion, *effort, kinematics, shares, *trajectory])
 
 
 def aggregate(matrix: np.ndarray) -> np.ndarray:
@@ -204,7 +226,8 @@ def aggregate(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)])
 
 
-def fragment_features(positions: np.ndarray, fps: float) -> np.ndarray:
+def fragment_features(positions: np.ndarray, fps: float, *,
+                      dispersion: np.ndarray | None = None) -> np.ndarray:
     """The 110-dim aggregate feature vector of one fragment, in
-    FEATURE_NAMES_110 order."""
-    return aggregate(frame_matrix(positions, fps))
+    FEATURE_NAMES_110 order; dispersion is passed on to frame_matrix."""
+    return aggregate(frame_matrix(positions, fps, dispersion=dispersion))

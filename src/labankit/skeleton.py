@@ -136,15 +136,19 @@ def load_sequence(path) -> SkeletonSequence:
     if not isinstance(frames, list) or not frames:
         raise SkeletonError(f"{path}: 'frames' must be a non-empty list")
 
-    # Fast path: a well-formed file converts directly to a (T, 24, 3) array.
-    # Only walk the structure to locate the offending frame/joint on failure.
+    # Fast path: a well-formed file converts directly to a (T, 24, 3) array of
+    # integers or floats; the dtype is inferred, so a string or bool coordinate
+    # is not parsed or cast into a number. Only walk the structure to locate
+    # the offending frame/joint on failure.
     try:
-        positions = np.asarray(frames, dtype=np.float64)
+        positions = np.asarray(frames)
     except (TypeError, ValueError):
         positions = None
-    if positions is None or positions.ndim != 3 or positions.shape[1:] != (SMPL_JOINT_COUNT, 3):
+    if (positions is None or positions.dtype.kind not in "iuf" or positions.ndim != 3
+            or positions.shape[1:] != (SMPL_JOINT_COUNT, 3)):
         _locate_frame_error(path, frames)
-        raise SkeletonError(f"{path}: frames do not form a (T, {SMPL_JOINT_COUNT}, 3) array")
+        raise SkeletonError(
+            f"{path}: frames do not form a (T, {SMPL_JOINT_COUNT}, 3) array of numbers")
 
     try:
         return SkeletonSequence(
@@ -171,9 +175,15 @@ def _locate_frame_error(path: Path, frames: list):
                     f"{path}: frame {t}, joint {j}: expected 3 coordinates"
                 )
             for value in joint:
-                if not isinstance(value, (int, float)):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise SkeletonError(
                         f"{path}: frame {t}, joint {j}: non-numeric coordinate {value!r}"
+                    )
+                # Only an integer beyond 64 bits makes the inferred dtype object.
+                if isinstance(value, int) and not -2**63 <= value < 2**64:
+                    raise SkeletonError(
+                        f"{path}: frame {t}, joint {j}: integer coordinate {value} "
+                        f"does not fit in 64 bits"
                     )
 
 

@@ -126,6 +126,63 @@ def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     assert "corrupt.json" in capsys.readouterr().err
 
 
+def _tier_case(tmp_path, file_tier, manifest_tier):
+    from labankit import RegimeSpec, SkeletonSequence, generate, save_sequence
+    seq = generate(RegimeSpec(2, duration_s=5.0, seed=3), source_id="clip")
+    save_sequence(SkeletonSequence("clip", seq.fps, seq.positions, file_tier),
+                  tmp_path / "clip.json")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"path": "clip.json", "tier": manifest_tier}) + "\n")
+    return manifest, tmp_path / "features.csv"
+
+
+def test_extract_fails_a_file_whose_tier_differs_from_the_manifest(tmp_path, capsys):
+    manifest, out = _tier_case(tmp_path, file_tier=2, manifest_tier=0)
+    assert run("extract", "--manifest", manifest, "--out", out) == 1
+    assert len(read_features_csv(out)) == 0
+    log = (out.parent / (out.name + ".errors.log")).read_text()
+    assert log == f"{tmp_path / 'clip.json'}\tfile tier 2 differs from manifest tier 0\n"
+    assert "file tier 2 differs from manifest tier 0" in capsys.readouterr().err
+
+
+def test_extract_labels_a_file_without_a_tier_with_the_manifest_tier(tmp_path):
+    manifest, out = _tier_case(tmp_path, file_tier=None, manifest_tier=1)
+    assert run("extract", "--manifest", manifest, "--out", out) == 0
+    assert read_features_csv(out).tiers.tolist() == [1]
+    assert not (out.parent / (out.name + ".errors.log")).exists()
+
+
+def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, monkeypatch):
+    # Two 8 s files cut into 5 s fragments every 1 s: 4 fragments and 240
+    # covered frames each. frame_matrix computes the rows itself only when
+    # no block is passed, which extract never does.
+    import labankit.cli
+    import labankit.descriptors
+    from labankit import RegimeSpec, dispersion_matrix, generate, save_sequence
+
+    def not_called(positions):
+        raise AssertionError("frame_matrix computed its own dispersion rows")
+
+    computed = []
+
+    def counting(positions):
+        computed.append(len(positions))
+        return dispersion_matrix(positions)
+
+    for i in range(2):
+        save_sequence(generate(RegimeSpec(i, duration_s=8.0, seed=i), source_id=f"s{i}"),
+                      tmp_path / f"s{i}.json")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps({"path": f"s{i}.json", "tier": i}) + "\n"
+                                for i in range(2)))
+    out = tmp_path / "features.csv"
+    monkeypatch.setattr(labankit.descriptors, "dispersion_matrix", not_called)
+    monkeypatch.setattr(labankit.cli, "dispersion_matrix", counting)
+    assert run("extract", "--manifest", manifest, "--out", out, "--stride", 1) == 0
+    assert len(read_features_csv(out)) == 8
+    assert computed == [150, 90, 150, 90]
+
+
 def test_extract_workers_bit_identical(small_dataset, tmp_path):
     root, _ = small_dataset
     one = tmp_path / "w1.csv"

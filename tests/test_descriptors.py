@@ -8,12 +8,16 @@ from labankit import (
     FRAME_FEATURE_NAMES,
     TRACKED_JOINT_INDICES,
     SkeletonError,
+    SkeletonSequence,
     aggregate,
     differentiate,
+    dispersion_matrix,
     fragment_features,
     frame_matrix,
+    slice_fragments,
     windowed_directness,
 )
+from labankit import cli
 
 from conftest import rest_positions, wiggle_positions
 from oracles import (
@@ -131,6 +135,17 @@ def test_windowed_directness_matches_scalar():
     scalar = np.array([directness(track, t, 15) for t in range(80)])
     assert np.allclose(profile, scalar, atol=1e-9)
     assert np.all((profile > 0) & (profile <= 1.0))
+
+
+def test_windowed_directness_of_stacked_tracks_equals_one_call_per_track():
+    positions = wiggle_positions(150, seed=5)
+    joints = list(TRACKED_JOINT_INDICES)
+    # Stationary joints take the EPS_PATH rule inside the batched call too.
+    positions[:, HEAD] = positions[0, HEAD]
+    stacked = windowed_directness(positions[:, joints], 15)
+    assert stacked.shape == (150, 6)
+    assert np.array_equal(stacked, np.stack(
+        [windowed_directness(positions[:, j], 15) for j in joints], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +483,98 @@ def test_directness_and_initiation_ranges(wiggle_fragment):
     assert np.allclose(init.sum(axis=1), 1.0, atol=1e-9)
     for name in ("effort.weight", "trajectory.path_increment"):
         assert np.all(matrix[:, column(name)] >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Dispersion rows computed once per sequence frame (the extract path)
+# ---------------------------------------------------------------------------
+
+def test_dispersion_matrix_is_the_first_twelve_frame_matrix_columns(wiggle_fragment):
+    assert np.array_equal(dispersion_matrix(wiggle_fragment),
+                          frame_matrix(wiggle_fragment, 30.0)[:, :12])
+    assert FRAME_FEATURE_NAMES[11] == "dispersion.pelvis_height"
+
+
+# (fps, seconds, length_s, stride_s)
+_SEQUENCE_CUTS = {
+    "stride-0.5s": (30.0, 8.0, 5.0, 0.5),
+    "stride-1s": (30.0, 8.0, 5.0, 1.0),
+    "stride-longer-than-fragment": (30.0, 20.0, 4.0, 7.0),
+    "fps-29.97": (29.97, 9.0, 5.0, 1.0),
+    "length-not-a-stride-multiple": (30.0, 12.3, 5.0, 1.5),
+    "shorter-than-one-fragment": (30.0, 4.0, 5.0, 1.0),
+}
+
+
+def _cut(fps, seconds, length_s, stride_s):
+    frames = round(seconds * fps)
+    seq = SkeletonSequence("w", fps, wiggle_positions(frames, fps=fps, seed=2))
+    return seq, slice_fragments(seq, length_s=length_s, stride_s=stride_s)
+
+
+def _record_dispersion_calls(monkeypatch, base):
+    """Patch cli's dispersion_matrix to record the frames of each call."""
+    calls = []
+
+    def recording(positions):
+        first = (positions.ctypes.data - base.ctypes.data) // base.strides[0]
+        calls.append(range(first, first + len(positions)))
+        return dispersion_matrix(positions)
+
+    monkeypatch.setattr(cli, "dispersion_matrix", recording)
+    return calls
+
+
+@pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
+def test_sequence_dispersion_rows_give_the_per_fragment_features(cut):
+    seq, fragments = _cut(*cut)
+    rows = cli._sequence_dispersion(seq.positions, fragments)
+    for start, view in fragments:
+        assert np.array_equal(
+            fragment_features(view, seq.fps, dispersion=rows[start:start + len(view)]),
+            fragment_features(view, seq.fps))
+
+
+@pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
+def test_sequence_dispersion_computes_each_covered_frame_once(cut, monkeypatch):
+    seq, fragments = _cut(*cut)
+    calls = _record_dispersion_calls(monkeypatch, seq.positions)
+    rows = cli._sequence_dispersion(seq.positions, fragments)
+    covered = np.zeros(seq.frame_count, dtype=int)
+    for start, view in fragments:
+        covered[start:start + len(view)] = 1
+    computed = np.zeros(seq.frame_count, dtype=int)
+    for frames in calls:
+        assert 0 < len(frames) <= len(fragments[0][1])
+        computed[frames.start:frames.stop] += 1
+    assert np.array_equal(computed, covered)
+    assert np.isnan(rows[covered == 0]).all()
+    if not fragments:
+        assert calls == []
+
+
+def test_overlapping_fragments_share_few_dispersion_pieces(monkeypatch):
+    # 8 s at 30 fps, 5 s fragments every 0.5 s: 240 covered frames, 2 pieces.
+    seq, fragments = _cut(*_SEQUENCE_CUTS["stride-0.5s"])
+    calls = _record_dispersion_calls(monkeypatch, seq.positions)
+    cli._sequence_dispersion(seq.positions, fragments)
+    assert len(fragments) == 7
+    assert calls == [range(0, 150), range(150, 240)]
+
+
+@pytest.mark.parametrize("block, message", [
+    (np.zeros((149, 12)), r"finite \(150, 12\) block, got shape \(149, 12\)"),
+    (np.zeros((150, 11)), r"finite \(150, 12\) block, got shape \(150, 11\)"),
+    (np.zeros(12), r"finite \(150, 12\) block, got shape \(12,\)"),
+], ids=["short", "narrow", "flat"])
+def test_a_dispersion_block_of_the_wrong_shape_raises(wiggle_fragment, block, message):
+    with pytest.raises(ValueError, match=message):
+        fragment_features(wiggle_fragment, 30.0, dispersion=block)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_dispersion_block_raises(wiggle_fragment, bad):
+    block = dispersion_matrix(wiggle_fragment)
+    block[7, 3] = bad
+    with pytest.raises(ValueError, match=r"finite \(150, 12\) block, got shape \(150, 12\)"):
+        frame_matrix(wiggle_fragment, 30.0, dispersion=block)

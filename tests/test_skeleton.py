@@ -85,6 +85,39 @@ def test_load_rejects_short_joint(tmp_path):
         load_sequence(write_skeleton(tmp_path / "arity.json", frames))
 
 
+@pytest.mark.parametrize("value", ["1.0", None, [1.0], {"x": 1.0}],
+                         ids=["string", "null", "list", "object"])
+def test_load_rejects_a_non_numeric_coordinate_by_location(tmp_path, value):
+    frames = rest_positions(6).tolist()
+    frames[4][9][2] = value
+    with pytest.raises(SkeletonError, match="frame 4, joint 9: non-numeric coordinate"):
+        load_sequence(write_skeleton(tmp_path / "text.json", frames))
+
+
+def test_load_rejects_all_bool_frames(tmp_path):
+    frames = [[[True, False, True]] * 24] * 3
+    with pytest.raises(SkeletonError, match="frame 0, joint 0: non-numeric coordinate True"):
+        load_sequence(write_skeleton(tmp_path / "bools.json", frames))
+
+
+@pytest.mark.parametrize("value", [2**64, -2**63 - 1, 10**400],
+                         ids=["2**64", "-2**63-1", "10**400"])
+def test_load_rejects_an_integer_beyond_64_bits_by_location(tmp_path, value):
+    frames = rest_positions(3).tolist()
+    frames[1][2][0] = value
+    with pytest.raises(SkeletonError, match="frame 1, joint 2: integer coordinate .* 64 bits"):
+        load_sequence(write_skeleton(tmp_path / "huge.json", frames))
+
+
+def test_load_accepts_integer_coordinates_as_float64(tmp_path):
+    frames = np.round(rest_positions(3) * 100).astype(int).tolist()
+    frames[2][5][1] = 2**63  # still an unsigned 64-bit integer
+    seq = load_sequence(write_skeleton(tmp_path / "ints.json", frames))
+    assert seq.positions.dtype == np.float64
+    assert seq.positions[2, 5, 1] == float(2**63)
+    assert np.array_equal(seq.positions[0], np.round(rest_positions(1)[0] * 100))
+
+
 def test_load_accepts_scientific_notation(tmp_path):
     joint = "[1.5e-1, 2e0, -3.25E-2]"
     frame = "[" + ", ".join([joint] * 24) + "]"
