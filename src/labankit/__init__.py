@@ -1,7 +1,7 @@
 """Laban Movement Analysis descriptors and ordinal motion classification
 for SMPL skeleton trajectories.
 
-Pipeline: skeleton JSON files -> fragments -> per-frame LMA descriptor
+Pipeline: skeleton files -> fragments -> per-frame LMA descriptor
 matrices -> 110-dim aggregate vectors -> Kruskal-Wallis feature ranking
 and cross-validated multinomial logistic regression over four ordinal
 tiers (with three-way and binary remappings).

@@ -28,8 +28,8 @@ from .descriptors import (_DISPERSION_NAMES, FEATURE_NAMES_110, FEATURE_SCHEMA_V
 from .evaluation import TASKS, cross_validate, get_task, remap_task, render_confusion
 from .features_io import (read_features_csv, write_features_csv,
                           write_predictions_csv, write_ranking_csv)
-from .skeleton import (MIN_FRAGMENT_SECONDS, DatasetManifest, ManifestEntry,
-                       balance_dataset, load_manifest, load_sequence,
+from .skeleton import (MIN_FRAGMENT_SECONDS, SKELETON_SUFFIX, DatasetManifest,
+                       ManifestEntry, balance_dataset, load_manifest, load_sequence,
                        save_manifest, save_sequence, slice_fragments)
 from .stats import rank_features
 from .synth import N_REGIMES, RegimeSpec, generate
@@ -204,7 +204,7 @@ def cmd_synth(params: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for source_id, spec in specs.items():
-        file_path = out_dir / f"{source_id}.json"
+        file_path = out_dir / f"{source_id}{SKELETON_SUFFIX}"
         save_sequence(generate(spec, source_id=source_id), file_path)
         entries.append(ManifestEntry(path=file_path, source_id=source_id,
                                      tier=spec.regime))

@@ -1,7 +1,8 @@
 """Skeleton sequences, fragment slicing, and dataset manifests.
 
 The input unit is a 24-joint SMPL skeleton trajectory in world meters
-(gravity along -y, floor at y = 0), stored one sequence per JSON file.
+(gravity along -y, floor at y = 0), stored one sequence per file: skeleton
+JSON, the interchange format, or the binary container (SKELETON_SUFFIX).
 Fragments are fixed-length windows of a sequence, passed on as
 (start_frame, positions view) pairs; they are the unit that the descriptor
 and classification stages operate on, labeled by their sequence.
@@ -33,6 +34,12 @@ VALID_TIERS = (0, 1, 2, 3)
 MIN_FRAGMENT_SECONDS = 3.0
 
 _DURATION_TOL = 1e-9
+
+# A path with this suffix holds the binary container: one JSON header line
+# ({"format_version", "source_id", "fps", "tier", "shape"}), then the
+# positions as C-order little-endian float64. Any other suffix is JSON.
+SKELETON_SUFFIX = ".skel"
+SKELETON_FORMAT_VERSION = 1
 
 
 class SkeletonError(ValueError):
@@ -112,19 +119,29 @@ class SkeletonSequence:
         return self.frame_count / self.fps
 
 
-def load_sequence(path) -> SkeletonSequence:
-    """Load and validate one skeleton JSON file.
+def _sequence_from(path: Path, source_id, fps, positions, tier) -> SkeletonSequence:
+    try:
+        return SkeletonSequence(source_id=source_id, fps=fps, positions=positions, tier=tier)
+    except SkeletonError as exc:
+        raise SkeletonError(f"{path}: {exc}") from exc
 
-    Expected layout: {"source_id": str, "fps": number, "tier": int|null,
+
+def load_sequence(path) -> SkeletonSequence:
+    """Load and validate one skeleton file, in the container if the path ends
+    in SKELETON_SUFFIX and as skeleton JSON otherwise.
+
+    JSON layout: {"source_id": str, "fps": number, "tier": int|null,
     "frames": [[[x, y, z] * 24], ...]} with coordinates in meters.
     """
     path = Path(path)
+    if path.suffix == SKELETON_SUFFIX:
+        return _load_container(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SkeletonError(f"{path}: invalid JSON: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SkeletonError(f"{path}: {exc}") from exc
 
     if not isinstance(raw, dict):
@@ -144,21 +161,51 @@ def load_sequence(path) -> SkeletonSequence:
         positions = np.asarray(frames)
     except (TypeError, ValueError):
         positions = None
+    # Inference promotes a bool mixed with numbers to a number, so a file
+    # whose text holds a JSON true or false is walked to locate it.
+    if "true" in text or "false" in text:
+        _locate_frame_error(path, frames)
     if (positions is None or positions.dtype.kind not in "iuf" or positions.ndim != 3
             or positions.shape[1:] != (SMPL_JOINT_COUNT, 3)):
         _locate_frame_error(path, frames)
         raise SkeletonError(
             f"{path}: frames do not form a (T, {SMPL_JOINT_COUNT}, 3) array of numbers")
 
+    return _sequence_from(path, raw["source_id"], raw["fps"], positions, raw.get("tier"))
+
+
+def _load_container(path: Path) -> SkeletonSequence:
     try:
-        return SkeletonSequence(
-            source_id=raw["source_id"],
-            fps=raw["fps"],
-            positions=positions,
-            tier=raw.get("tier"),
-        )
-    except SkeletonError as exc:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            body = fh.read()
+    except OSError as exc:
         raise SkeletonError(f"{path}: {exc}") from exc
+    try:
+        header = json.loads(header_line)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise SkeletonError(f"{path}: invalid header line: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SkeletonError(f"{path}: header line must be a JSON object")
+    version = header.get("format_version")
+    if version != SKELETON_FORMAT_VERSION:
+        raise SkeletonError(f"{path}: unsupported skeleton format version {version!r} "
+                            f"(expected {SKELETON_FORMAT_VERSION})")
+    for key in ("source_id", "fps", "tier", "shape"):
+        if key not in header:
+            raise SkeletonError(f"{path}: missing required header key {key!r}")
+    shape = header["shape"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(n) is int and n >= 0 for n in shape)
+            and shape[1:] == [SMPL_JOINT_COUNT, 3]):
+        raise SkeletonError(f"{path}: shape must be [T, {SMPL_JOINT_COUNT}, 3] with "
+                            f"T a non-negative integer, got {shape!r}")
+    if len(body) != 8 * math.prod(shape):
+        raise SkeletonError(f"{path}: body has {len(body)} bytes, expected "
+                            f"{8 * math.prod(shape)} for shape {shape}")
+    positions = np.frombuffer(body, "<f8").reshape(shape)
+    return _sequence_from(path, header["source_id"], header["fps"], positions,
+                          header["tier"])
 
 
 def _locate_frame_error(path: Path, frames: list):
@@ -188,8 +235,16 @@ def _locate_frame_error(path: Path, frames: list):
 
 
 def save_sequence(seq: SkeletonSequence, path) -> None:
-    """Write a sequence as skeleton JSON; load_sequence round-trips it bit-exactly."""
+    """Write a sequence in the container if the path ends in SKELETON_SUFFIX
+    and as skeleton JSON otherwise; load_sequence round-trips both bit-exactly."""
     path = Path(path)
+    if path.suffix == SKELETON_SUFFIX:
+        header = {"format_version": SKELETON_FORMAT_VERSION, "source_id": seq.source_id,
+                  "fps": seq.fps, "tier": seq.tier, "shape": list(seq.positions.shape)}
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            fh.write(seq.positions.astype("<f8", copy=False).tobytes())
+        return
     payload = {
         "source_id": seq.source_id,
         "fps": seq.fps,

@@ -275,9 +275,10 @@ def test_determinism_of_reruns_and_workers(tmp_path):
                    "--seed", 7) == 0
     manifest = data / "manifest.jsonl"
     synth_echo = data / ("manifest.jsonl.config.json")
-    file_bytes = {p.name: p.read_bytes() for p in sorted(data.glob("*.json"))}
+    file_bytes = {p.name: p.read_bytes() for p in sorted(data.iterdir())}
+    assert len(file_bytes) == 4 * 3 + 2  # the skeletons, the manifest and its echo
     assert run_cli("synth", "--config", synth_echo) == 0
-    assert {p.name: p.read_bytes() for p in sorted(data.glob("*.json"))} == file_bytes
+    assert {p.name: p.read_bytes() for p in sorted(data.iterdir())} == file_bytes
 
     features = tmp_path / "features.csv"
     assert run_cli("extract", "--manifest", manifest, "--out", features) == 0

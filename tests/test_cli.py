@@ -27,12 +27,19 @@ def small_dataset(tmp_path_factory):
     return root, features
 
 
+def skeleton_path(root, source_id):
+    """The path that synth's manifest in root lists for source_id."""
+    entries = load_manifest(root / "manifest.jsonl").entries
+    return next(entry.path for entry in entries if entry.source_id == source_id)
+
+
 def test_synth_writes_sequences_and_manifest(small_dataset):
     root, _ = small_dataset
     manifest = load_manifest(root / "manifest.jsonl")
     assert len(manifest) == 24
     assert Counter(e.tier for e in manifest.entries) == {0: 6, 1: 6, 2: 6, 3: 6}
     assert all(entry.path.exists() for entry in manifest.entries)
+    assert {entry.path.suffix for entry in manifest.entries} == {".skel"}
 
 
 def test_extract_row_count_and_schema(small_dataset):
@@ -112,9 +119,9 @@ def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{broken")
-    lines = [json.dumps({"path": str(root / "r0_0000.json"), "tier": 0}),
+    lines = [json.dumps({"path": str(skeleton_path(root, "r0_0000")), "tier": 0}),
              json.dumps({"path": str(corrupt), "tier": 1}),
-             json.dumps({"path": str(root / "r2_0000.json"), "tier": 2})]
+             json.dumps({"path": str(skeleton_path(root, "r2_0000")), "tier": 2})]
     manifest = tmp_path / "mixed.jsonl"
     manifest.write_text("\n".join(lines) + "\n")
     out = tmp_path / "features.csv"
@@ -126,13 +133,13 @@ def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     assert "corrupt.json" in capsys.readouterr().err
 
 
-def _tier_case(tmp_path, file_tier, manifest_tier):
+def _tier_case(tmp_path, file_tier, manifest_tier, suffix=".json"):
     from labankit import RegimeSpec, SkeletonSequence, generate, save_sequence
     seq = generate(RegimeSpec(2, duration_s=5.0, seed=3), source_id="clip")
     save_sequence(SkeletonSequence("clip", seq.fps, seq.positions, file_tier),
-                  tmp_path / "clip.json")
+                  tmp_path / f"clip{suffix}")
     manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text(json.dumps({"path": "clip.json", "tier": manifest_tier}) + "\n")
+    manifest.write_text(json.dumps({"path": f"clip{suffix}", "tier": manifest_tier}) + "\n")
     return manifest, tmp_path / "features.csv"
 
 
@@ -143,6 +150,34 @@ def test_extract_fails_a_file_whose_tier_differs_from_the_manifest(tmp_path, cap
     log = (out.parent / (out.name + ".errors.log")).read_text()
     assert log == f"{tmp_path / 'clip.json'}\tfile tier 2 differs from manifest tier 0\n"
     assert "file tier 2 differs from manifest tier 0" in capsys.readouterr().err
+
+
+def test_extract_fails_a_container_whose_tier_differs_from_the_manifest(tmp_path):
+    manifest, out = _tier_case(tmp_path, file_tier=2, manifest_tier=0, suffix=".skel")
+    assert run("extract", "--manifest", manifest, "--out", out) == 1
+    assert len(read_features_csv(out)) == 0
+    log = (out.parent / (out.name + ".errors.log")).read_text()
+    assert log == f"{tmp_path / 'clip.skel'}\tfile tier 2 differs from manifest tier 0\n"
+
+
+@pytest.mark.parametrize("fps", [30.0, 29.97])
+def test_extract_writes_the_same_features_from_json_and_container_files(tmp_path, fps):
+    from labankit import RegimeSpec, generate, save_sequence
+    outputs = []
+    for suffix in (".json", ".skel"):
+        lines = []
+        for regime in range(4):
+            seq = generate(RegimeSpec(regime, duration_s=8.0, fps=fps, blend=0.6,
+                                      seed=regime), source_id=f"s{regime}")
+            save_sequence(seq, tmp_path / f"s{regime}{suffix}")
+            lines.append(json.dumps({"path": f"s{regime}{suffix}", "tier": regime}))
+        manifest = tmp_path / f"manifest_{suffix[1:]}.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"features_{suffix[1:]}.csv"
+        assert run("extract", "--manifest", manifest, "--out", out, "--stride", 1) == 0
+        outputs.append(out.read_bytes())
+    assert len(read_features_csv(out)) == 4 * 4
+    assert outputs[0] == outputs[1]
 
 
 def test_extract_labels_a_file_without_a_tier_with_the_manifest_tier(tmp_path):
@@ -629,11 +664,10 @@ def test_predict_with_a_broken_model_exits_2_naming_it(small_dataset, tmp_path,
 def test_bad_manifest_entry_exits_2_naming_its_line(small_dataset, tmp_path, capsys,
                                                     record, message):
     root, _ = small_dataset
-    good = {"path": str(root / "r0_0000.json"), "tier": 0}
+    good = {"path": str(skeleton_path(root, "r0_0000")), "tier": 0}
     manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text(json.dumps(good) + "\n"
-                        + json.dumps({"path": str(root / "r1_0000.json"), "tier": 1,
-                                      **record}) + "\n")
+    bad = {"path": str(skeleton_path(root, "r1_0000")), "tier": 1, **record}
+    manifest.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     assert run("extract", "--manifest", manifest, "--out", tmp_path / "f.csv") == 2
     err = capsys.readouterr().err
     assert f"{manifest}:2: " in err and message in err

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +79,13 @@ def test_load_rejects_bad_fps_and_parse_failures(tmp_path):
         load_sequence(partial)
 
 
+def test_load_rejects_a_file_that_is_not_utf8_naming_it(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"source_id": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(SkeletonError, match=f"^{re.escape(str(path))}: .*codec can't decode"):
+        load_sequence(path)
+
+
 def test_load_rejects_short_joint(tmp_path):
     frames = rest_positions(3).tolist()
     frames[2][7] = [1.0, 2.0]
@@ -85,13 +93,21 @@ def test_load_rejects_short_joint(tmp_path):
         load_sequence(write_skeleton(tmp_path / "arity.json", frames))
 
 
-@pytest.mark.parametrize("value", ["1.0", None, [1.0], {"x": 1.0}],
-                         ids=["string", "null", "list", "object"])
+@pytest.mark.parametrize("value", ["1.0", None, [1.0], {"x": 1.0}, True, False],
+                         ids=["string", "null", "list", "object", "true", "false"])
 def test_load_rejects_a_non_numeric_coordinate_by_location(tmp_path, value):
     frames = rest_positions(6).tolist()
     frames[4][9][2] = value
     with pytest.raises(SkeletonError, match="frame 4, joint 9: non-numeric coordinate"):
         load_sequence(write_skeleton(tmp_path / "text.json", frames))
+
+
+def test_load_accepts_true_and_false_outside_the_frames(tmp_path):
+    path = write_skeleton(tmp_path / "tf.json", rest_positions(3).tolist(),
+                          source_id="true_false")
+    seq = load_sequence(path)
+    assert seq.source_id == "true_false"
+    assert np.array_equal(seq.positions, rest_positions(3))
 
 
 def test_load_rejects_all_bool_frames(tmp_path):
@@ -174,6 +190,94 @@ def test_save_writes_the_stdlib_dump_bytes_for_edge_floats(tmp_path):
     assert written == _stdlib_dump_bytes(seq, tmp_path / "ref.json")
     assert b"[-0.0,5e-324,1e+17]" in written and b"2.0,-7.0]" in written
     assert np.array_equal(load_sequence(tmp_path / "fast.json").positions, positions)
+
+
+@pytest.mark.parametrize("tier", [None, 2])
+def test_container_round_trip_is_bit_exact_and_repeatable(tmp_path, tier):
+    positions = rest_positions(3)
+    positions[0, 0] = (-0.0, 5e-324, 1e17)
+    positions[1, 5] = (1 / 3, 2.0, -7.0)
+    seq = SkeletonSequence("edge \u00e9\"quoted\"\nline", 29.97, positions, tier=tier)
+    first, second = tmp_path / "a.skel", tmp_path / "b.skel"
+    save_sequence(seq, first)
+    save_sequence(seq, second)
+    assert first.read_bytes() == second.read_bytes()
+    header = first.read_bytes()[:-8 * positions.size]
+    assert header.endswith(b"\n") and header.count(b"\n") == 1
+    loaded = load_sequence(first)
+    assert (loaded.source_id, loaded.fps, loaded.tier) == (seq.source_id, 29.97, tier)
+    assert np.array_equal(loaded.positions.view(np.int64), positions.view(np.int64))
+
+
+GOLDEN_CONTAINER = Path(__file__).parent / "data" / "sequence_golden_v1.skel"
+
+
+def golden_container_sequence():
+    positions = np.arange(4 * 24 * 3, dtype=np.float64).reshape(4, 24, 3) / 7 - 20
+    positions[0, 0] = (-0.0, 5e-324, 1e17)
+    return SkeletonSequence("golden", 29.97, positions, tier=3)
+
+
+def test_container_bytes_match_the_golden_file(tmp_path):
+    """Pins the container format. Regenerate the fixture only together with a
+    SKELETON_FORMAT_VERSION bump: PYTHONPATH=src python tests/test_skeleton.py"""
+    seq = golden_container_sequence()
+    save_sequence(seq, tmp_path / "golden.skel")
+    golden = GOLDEN_CONTAINER.read_bytes()
+    assert (tmp_path / "golden.skel").read_bytes() == golden
+    header, body = golden.split(b"\n", 1)
+    assert header == (b'{"format_version": 1, "source_id": "golden", "fps": 29.97, '
+                      b'"tier": 3, "shape": [4, 24, 3]}')
+    assert body == seq.positions.astype("<f8").tobytes()
+    loaded = load_sequence(GOLDEN_CONTAINER)
+    assert (loaded.source_id, loaded.fps, loaded.tier) == ("golden", 29.97, 3)
+    assert np.array_equal(loaded.positions.view(np.int64), seq.positions.view(np.int64))
+
+
+_MISSING = object()
+_BODY = rest_positions(3).astype("<f8").tobytes()
+_NAN_POSITIONS = rest_positions(3)
+_NAN_POSITIONS[1, 4, 2] = np.nan
+_NAN_BODY = _NAN_POSITIONS.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("header, body, message", [
+    ({}, _BODY[:-8], "body has 1720 bytes, expected 1728 for shape [3, 24, 3]"),
+    ({}, _BODY + b"\0", "body has 1729 bytes, expected 1728"),
+    ({"shape": [3, 23, 3]}, _BODY, "shape must be [T, 24, 3]"),
+    ({"shape": [3, 24]}, _BODY, "shape must be [T, 24, 3]"),
+    ({"shape": [-1, 24, 3]}, b"", "shape must be [T, 24, 3]"),
+    ({"shape": [3.0, 24, 3]}, _BODY, "shape must be [T, 24, 3]"),
+    ({"shape": [True, 24, 3]}, _BODY[:576], "shape must be [T, 24, 3]"),
+    ({"shape": "3x24x3"}, _BODY, "shape must be [T, 24, 3]"),
+    (b"not json", _BODY, "invalid header line"),
+    (b"\xff\xfe", _BODY, "invalid header line"),
+    (b"[3, 24, 3]", _BODY, "header line must be a JSON object"),
+    ({"format_version": 2}, _BODY, "unsupported skeleton format version 2"),
+    ({"format_version": _MISSING}, _BODY, "unsupported skeleton format version None"),
+    ({"fps": _MISSING}, _BODY, "missing required header key 'fps'"),
+    ({"tier": _MISSING}, _BODY, "missing required header key 'tier'"),
+    ({"shape": _MISSING}, _BODY, "missing required header key 'shape'"),
+    ({}, _NAN_BODY, "non-finite coordinate at frame 1, joint 4"),
+    ({"fps": True}, _BODY, "fps must be positive and finite, got True"),
+    ({"source_id": 5}, _BODY, "source_id must be a string, got 5"),
+    ({"tier": 7}, _BODY, "tier 7 not in"),
+    ({"shape": [1, 24, 3]}, _BODY[:576], "need at least 2 frames, got 1"),
+], ids=["truncated", "trailing", "joints", "rank", "negative", "float", "bool",
+        "string", "not-json", "not-utf8", "not-object", "version", "no-version",
+        "no-fps", "no-tier", "no-shape", "nan", "bool-fps", "int-source-id", "tier",
+        "one-frame"])
+def test_load_rejects_a_bad_container_naming_the_path(tmp_path, header, body, message):
+    if isinstance(header, dict):
+        fields = {"format_version": 1, "source_id": "clip", "fps": 30.0, "tier": 0,
+                  "shape": [3, 24, 3], **header}
+        header = json.dumps({k: v for k, v in fields.items() if v is not _MISSING}).encode()
+    path = tmp_path / "bad.skel"
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(SkeletonError) as err:
+        load_sequence(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("fps", [30, 29.97, np.int64(30), np.int32(25), np.float32(30),
@@ -364,3 +468,7 @@ def test_load_rejects_a_non_string_source_id(tmp_path, source_id):
                           source_id=source_id)
     with pytest.raises(SkeletonError, match=f"source_id must be a string, got {source_id}"):
         load_sequence(path)
+
+
+if __name__ == "__main__":
+    save_sequence(golden_container_sequence(), GOLDEN_CONTAINER)
