@@ -25,7 +25,7 @@ from .skeleton import (
     slice_fragments,
 )
 from .descriptors import (
-    DIRECTNESS_WINDOW,
+    DIRECTNESS_HALF_WINDOW_S,
     FEATURE_NAMES_110,
     FEATURE_SCHEMA_VERSION,
     FRAME_FEATURE_NAMES,

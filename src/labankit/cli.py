@@ -19,12 +19,9 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .classifier import TrainConfig, load_model, predict_proba, save_model, train
-from .descriptors import (_DISPERSION_NAMES, FEATURE_NAMES_110, FEATURE_SCHEMA_VERSION,
-                          dispersion_matrix, fragment_features)
+from .descriptors import FEATURE_NAMES_110, FEATURE_SCHEMA_VERSION, fragment_features
 from .evaluation import TASKS, cross_validate, get_task, remap_task, render_confusion
 from .features_io import (read_features_csv, write_features_csv,
                           write_predictions_csv, write_ranking_csv)
@@ -215,46 +212,23 @@ def cmd_synth(params: dict) -> int:
     return 0
 
 
-def _sequence_dispersion(positions: np.ndarray, fragments) -> np.ndarray:
-    """The dispersion_matrix rows of one sequence's frames, indexed by frame,
-    for (start, view) fragments ordered by start.
-
-    Every frame that some fragment covers is computed exactly once; the
-    rows of uncovered frames (stride gaps, the trailing remainder) are NaN.
-    Each run of overlapping or touching fragments is computed in pieces of
-    at most one fragment length, so no call holds more than one fragment's
-    temporaries.
-    """
-    rows = np.full((len(positions), len(_DISPERSION_NAMES)), np.nan)
-    runs: list[list[int]] = []
-    for start, view in fragments:
-        if runs and start <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], start + len(view))
-        else:
-            runs.append([start, start + len(view)])
-    piece = min((len(view) for _, view in fragments), default=0)
-    for first, end in runs:
-        for lo in range(first, end, piece):
-            hi = min(lo + piece, end)
-            rows[lo:hi] = dispersion_matrix(positions[lo:hi])
-    return rows
-
-
 def _extract_one(entry, length: float, stride: float):
-    """(entry, fragment rows, None), or (entry, None, message) if the file fails."""
+    """(entry, fragment rows, None), or (entry, None, message) if the file
+    fails; the message does not repeat the file's path."""
     try:
         seq = load_sequence(entry.path)
         if seq.tier is not None and seq.tier != entry.tier:
             raise ValueError(f"file tier {seq.tier} differs from manifest "
                              f"tier {entry.tier}")
         fragments = slice_fragments(seq, length_s=length, stride_s=stride)
-        rows = _sequence_dispersion(seq.positions, fragments)
-        return entry, [(entry.source_id, start, entry.tier,
-                        fragment_features(view, seq.fps,
-                                          dispersion=rows[start:start + len(view)]))
-                       for start, view in fragments], None
+        if not fragments:
+            return entry, [], None
+        starts = [start for start, _ in fragments]
+        vectors = fragment_features(seq.positions, seq.fps, starts, len(fragments[0][1]))
+        return entry, [(entry.source_id, start, entry.tier, vector)
+                       for start, vector in zip(starts, vectors)], None
     except (ValueError, OSError) as exc:
-        return entry, None, str(exc)
+        return entry, None, str(exc).removeprefix(f"{entry.path}: ")
 
 
 def cmd_extract(params: dict) -> int:

@@ -1,8 +1,8 @@
 """Per-frame Laban Movement Analysis descriptors and fragment aggregation.
 
-A fragment is a (T, 24, 3) positions array sampled at fps. Each fragment
-yields a (T x 55) matrix of per-frame descriptors in five families, in
-this fixed column order:
+A sequence is a (T, 24, 3) positions array sampled at fps. It yields a
+(T x 55) matrix of per-frame descriptors in five families, in this fixed
+column order:
 
   * Dispersion (12) -- limb reach and body extent,
   * Effort (4) -- Flow, Space, Time, Weight,
@@ -11,11 +11,12 @@ this fixed column order:
   * Initiation (6) -- each tracked joint's share of total speed,
   * Trajectory (3) -- pelvis path increment, curvature, net displacement.
 
-The matrix is aggregated to a 110-dim vector (per-column mean, then
-per-column population standard deviation) with stable feature names.
-Dispersion depends on one frame alone, so dispersion_matrix rows computed
-once for a sequence's frames can be handed to each fragment that covers
-them; the motion families depend on the fragment's edges.
+A fragment, a run of a sequence's frames, aggregates its rows of the
+sequence's matrix to a 110-dim vector (per-column mean, then per-column
+population standard deviation) with stable feature names. Kinematics at
+a fragment's edges use the sequence's neighbouring frames; only net
+displacement, measured from the fragment's first frame, is recomputed
+per fragment.
 
 All quantities are in meters and seconds. Distances and speeds are
 translation-invariant except the pelvis world height; everything is
@@ -33,9 +34,11 @@ PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 # Tracked joints: root plus end effectors, which dominate expressive motion.
 TRACKED_JOINT_INDICES = (PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R)
 TRACKED_JOINT_NAMES = tuple(SMPL_JOINT_NAMES[j] for j in TRACKED_JOINT_INDICES)
+_TRACKED_PELVIS = TRACKED_JOINT_INDICES.index(PELVIS)
 
-# Half-window (frames) for windowed Directness: 0.5 s at 30 fps.
-DIRECTNESS_WINDOW = 15
+# Half-window of windowed Directness in seconds; frame_matrix rounds it to
+# max(1, round(DIRECTNESS_HALF_WINDOW_S * fps)) frames.
+DIRECTNESS_HALF_WINDOW_S = 0.5
 
 # The unordered joint pairs i < j that the horizontal extent compares.
 _PAIR_I, _PAIR_J = np.triu_indices(SMPL_JOINT_COUNT, 1)
@@ -47,8 +50,9 @@ EPS_SPEED = 1e-8
 # Curvature cap guards the ||v x a|| / ||v||^3 near-rest singularity.
 CURVATURE_CAP = 100.0
 
-# Bump when the descriptor enumeration or its order changes.
-FEATURE_SCHEMA_VERSION = 1
+# Bump when the descriptor enumeration, its order or what a descriptor
+# means changes.
+FEATURE_SCHEMA_VERSION = 2
 
 _DISPERSION_NAMES = (
     "dispersion.head_pelvis",
@@ -84,32 +88,38 @@ FRAME_FEATURE_NAMES = (
     + tuple(f"initiation.{joint}" for joint in TRACKED_JOINT_NAMES)
     + _TRAJECTORY_NAMES
 )
+_NET_DISPLACEMENT = FRAME_FEATURE_NAMES.index("trajectory.net_displacement")
+
 # The 110 aggregate names: every frame feature's mean, then its std.
 FEATURE_NAMES_110 = (tuple(f"{n}.mean" for n in FRAME_FEATURE_NAMES)
                      + tuple(f"{n}.std" for n in FRAME_FEATURE_NAMES))
 
 
-def differentiate(positions: np.ndarray,
+def differentiate(track: np.ndarray,
                   fps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(velocity, acceleration, jerk) by frame differencing at 1/fps.
+    """(velocity, acceleration, jerk) of a (T, ..., 3) track by frame
+    differencing at 1/fps.
 
-    Each array has the fragment's (T, 24, 3) shape, in m/s, m/s^2, m/s^3.
-
-    Central differences at interior frames, one-sided at the ends; each
-    derivative order applies the same operator to the previous one. Every
-    descriptor path starts here, so this is where bad input is stopped.
+    Each array has the track's shape, in m/s, m/s^2, m/s^3. Central
+    differences at interior frames and second-order one-sided differences
+    at the two ends; each derivative order applies the same operator to the
+    previous one.
     """
-    positions = np.asarray(positions)
+    track = np.asarray(track)
     dt = 1.0 / _check_fps(fps, "fragment")
-    _check_positions(positions, "fragment")
-    if positions.shape[0] < 4:
+    if track.ndim < 2 or track.shape[-1] != 3 or not np.isfinite(track).all():
+        raise ValueError(f"expected a finite (T, ..., 3) track, got shape {track.shape}")
+    if track.shape[0] < 4:
         raise ValueError(
-            f"fragment too short for jerk: need at least 4 frames, "
-            f"got {positions.shape[0]}"
+            f"sequence too short for jerk: need at least 4 frames, "
+            f"got {track.shape[0]}"
         )
-    velocity = np.gradient(positions, dt, axis=0)
-    acceleration = np.gradient(velocity, dt, axis=0)
-    jerk = np.gradient(acceleration, dt, axis=0)
+    # Each order is taken of its input minus the first frame: the end
+    # weights of edge_order=2 do not sum to exactly 0 in floating point, and
+    # a still joint must differentiate to exact zeros.
+    velocity = np.gradient(track - track[0], dt, axis=0, edge_order=2)
+    acceleration = np.gradient(velocity - velocity[0], dt, axis=0, edge_order=2)
+    jerk = np.gradient(acceleration - acceleration[0], dt, axis=0, edge_order=2)
     return velocity, acceleration, jerk
 
 
@@ -140,8 +150,7 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
 
 def dispersion_matrix(positions: np.ndarray) -> np.ndarray:
     """The (T x 12) Dispersion block, columns named by the first 12
-    FRAME_FEATURE_NAMES. Each row depends on its own frame alone, so the
-    rows of a sequence's frames serve every fragment that covers them."""
+    FRAME_FEATURE_NAMES. Each row depends on its own frame alone."""
     pos = np.asarray(positions)
     _check_positions(pos, "fragment")
     pelvis = pos[:, PELVIS]
@@ -150,15 +159,20 @@ def dispersion_matrix(positions: np.ndarray) -> np.ndarray:
     to_centroid = np.linalg.norm(pos - pos.mean(axis=1)[:, None, :], axis=2)
     # Bit-identical to the max of the full 24x24 norm matrix: sqrt is monotone
     # and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
-    # sqrt(dx*dx + dz*dz).
+    # sqrt(dx*dx + dz*dz). In place, so that few (T, 276) arrays are alive.
     x, z = pos[:, :, 0], pos[:, :, 2]
-    dx = x[:, _PAIR_I] - x[:, _PAIR_J]
-    dz = z[:, _PAIR_I] - z[:, _PAIR_J]
+    dx = x[:, _PAIR_I]
+    dx -= x[:, _PAIR_J]
+    dx *= dx
+    dz = z[:, _PAIR_I]
+    dz -= z[:, _PAIR_J]
+    dz *= dz
+    dx += dz
     return np.column_stack([
         reach,
         to_centroid.mean(axis=1),
         pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1),
-        np.sqrt((dx * dx + dz * dz).max(axis=1)),
+        np.sqrt(dx.max(axis=1)),
         to_centroid.std(axis=1),
         np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1),
         np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1),
@@ -166,32 +180,44 @@ def dispersion_matrix(positions: np.ndarray) -> np.ndarray:
     ])
 
 
+def _net_displacement(pelvis: np.ndarray) -> np.ndarray:
+    """Each frame's pelvis distance from the first frame."""
+    return np.linalg.norm(pelvis - pelvis[0], axis=1)
+
+
 def frame_matrix(positions: np.ndarray, fps: float, *,
-                 dispersion: np.ndarray | None = None) -> np.ndarray:
-    """The (T x 55) descriptor matrix of a fragment, vectorized over frames;
+                 piece: int | None = None) -> np.ndarray:
+    """The (T x 55) descriptor matrix of a sequence, vectorized over frames;
     its columns are FRAME_FEATURE_NAMES, stacked family by family.
 
-    dispersion, when given, is the fragment's (T x 12) dispersion_matrix
-    block, computed elsewhere; it is checked for shape and finiteness.
+    Kinematics and Directness windows see the whole sequence and are cut
+    short only at its two ends; net displacement is measured from frame 0.
+    The Dispersion block is computed at most piece frames at a time (all
+    at once by default), which bounds its (frames, 276) joint-pair
+    temporaries without changing any value.
     """
-    velocity, acceleration, jerk = differentiate(positions, fps)
     pos = np.asarray(positions)
+    _check_positions(pos, "fragment")
     n = pos.shape[0]
+    step = n if piece is None else piece
+    if step < 1:
+        raise ValueError(f"piece must be >= 1 frame, got {step}")
+    dispersion = np.concatenate([dispersion_matrix(pos[lo:lo + step])
+                                 for lo in range(0, n, step)])
     joints = list(TRACKED_JOINT_INDICES)
-    if dispersion is None:
-        dispersion = dispersion_matrix(pos)
-    elif (np.shape(dispersion) != (n, len(_DISPERSION_NAMES))
-          or not np.isfinite(dispersion).all()):
-        raise ValueError(f"dispersion must be a finite ({n}, {len(_DISPERSION_NAMES)}) "
-                         f"block, got shape {np.shape(dispersion)}")
+    # Only the tracked joints' kinematics are used, so only they are
+    # differentiated.
+    velocity, acceleration, jerk = differentiate(pos[:, joints], fps)
+    fps = float(fps)  # checked by differentiate
 
     # Tracked-joint kinematic magnitudes, shared by Effort and the
     # per-joint block.
-    speeds = np.linalg.norm(velocity[:, joints], axis=2)
-    accels = np.linalg.norm(acceleration[:, joints], axis=2)
-    jerks = np.linalg.norm(jerk[:, joints], axis=2)
+    speeds = np.linalg.norm(velocity, axis=2)
+    accels = np.linalg.norm(acceleration, axis=2)
+    jerks = np.linalg.norm(jerk, axis=2)
     energies = 0.5 * speeds ** 2
-    direct = windowed_directness(pos[:, joints], DIRECTNESS_WINDOW)
+    direct = windowed_directness(pos[:, joints],
+                                 max(1, round(DIRECTNESS_HALF_WINDOW_S * fps)))
     # Effort: Flow, Space, Time, Weight.
     effort = (jerks.mean(axis=1), direct.mean(axis=1), accels.mean(axis=1),
               energies.sum(axis=1))
@@ -203,16 +229,18 @@ def frame_matrix(positions: np.ndarray, fps: float, *,
     shares = speeds / np.where(resting, 1.0, total)[:, None]
     shares[resting] = 1.0 / len(joints)
 
-    # Trajectory, pelvis reference; the last frame's increment is 0.
+    # Trajectory, pelvis reference. The path increment is the step to the
+    # next frame in m/s; the last frame repeats the step that reached it.
     pelvis = pos[:, PELVIS]
-    increments = np.linalg.norm(np.diff(pelvis, axis=0, append=pelvis[-1:]), axis=1)
-    v = velocity[:, PELVIS]
-    speed = np.linalg.norm(v, axis=1)
-    cross = np.linalg.norm(np.cross(v, acceleration[:, PELVIS]), axis=1)
+    steps = np.linalg.norm(np.diff(pelvis, axis=0), axis=1) * fps
+    increments = np.append(steps, steps[-1])
+    v = velocity[:, _TRACKED_PELVIS]
+    speed = speeds[:, _TRACKED_PELVIS]
+    cross = np.linalg.norm(np.cross(v, acceleration[:, _TRACKED_PELVIS]), axis=1)
     curvature = np.zeros(n)
     moving = speed >= EPS_SPEED
     curvature[moving] = np.minimum(cross[moving] / speed[moving] ** 3, CURVATURE_CAP)
-    trajectory = (increments, curvature, np.linalg.norm(pelvis - pelvis[0], axis=1))
+    trajectory = (increments, curvature, _net_displacement(pelvis))
 
     return np.column_stack([dispersion, *effort, kinematics, shares, *trajectory])
 
@@ -226,8 +254,31 @@ def aggregate(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)])
 
 
-def fragment_features(positions: np.ndarray, fps: float, *,
-                      dispersion: np.ndarray | None = None) -> np.ndarray:
-    """The 110-dim aggregate feature vector of one fragment, in
-    FEATURE_NAMES_110 order; dispersion is passed on to frame_matrix."""
-    return aggregate(frame_matrix(positions, fps, dispersion=dispersion))
+def fragment_features(positions: np.ndarray, fps: float,
+                      starts=None, length: int | None = None) -> np.ndarray:
+    """Aggregate feature vectors in FEATURE_NAMES_110 order.
+
+    positions is a whole (T, 24, 3) sequence. Without starts and length it
+    is one fragment and the result is its (110,) vector. With them, the
+    result is the (len(starts), 110) array of the fragments
+    positions[s:s + length]: the sequence's frame_matrix is computed once,
+    its Dispersion block at most length frames at a time, and each
+    fragment aggregates its rows with net displacement measured from its
+    own first frame.
+    """
+    if (starts is None) != (length is None):
+        raise ValueError("starts and length must be given together")
+    pos = np.asarray(positions)
+    rows = frame_matrix(pos, fps, piece=length)
+    whole = starts is None
+    if whole:
+        starts, length = (0,), len(rows)
+    out = np.empty((len(starts), len(FEATURE_NAMES_110)))
+    for i, start in enumerate(starts):
+        if not 0 <= start <= len(rows) - length:
+            raise ValueError(f"fragment at frame {start} of {length} frames does not "
+                             f"fit in a sequence of {len(rows)} frames")
+        block = rows[start:start + length].copy()
+        block[:, _NET_DISPLACEMENT] = _net_displacement(pos[start:start + length, PELVIS])
+        out[i] = aggregate(block)
+    return out[0] if whole else out

@@ -141,7 +141,9 @@ def load_sequence(path) -> SkeletonSequence:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SkeletonError(f"{path}: invalid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise SkeletonError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
         raise SkeletonError(f"{path}: {exc}") from exc
 
     if not isinstance(raw, dict):
@@ -180,7 +182,7 @@ def _load_container(path: Path) -> SkeletonSequence:
             header_line = fh.readline()
             body = fh.read()
     except OSError as exc:
-        raise SkeletonError(f"{path}: {exc}") from exc
+        raise SkeletonError(f"{path}: {exc.strerror or exc}") from exc
     try:
         header = json.loads(header_line)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError

@@ -2,7 +2,7 @@
 
 The per-frame scalar functions compute one descriptor family at a single
 frame, independently of the vectorized labankit.descriptors.frame_matrix.
-A `positions` argument is a (T, 24, 3) fragment; a `state` argument is the (velocity, acceleration, jerk) triple that
+A `positions` argument is a (T, 24, 3) sequence; a `state` argument is the (velocity, acceleration, jerk) triple that
 labankit.descriptors.differentiate returns.
 
 loss_and_gradient and hessian are the straightforward classifier
@@ -17,7 +17,7 @@ from labankit.classifier import _NEWTON_RIDGE
 
 from labankit.descriptors import (
     CURVATURE_CAP,
-    DIRECTNESS_WINDOW,
+    DIRECTNESS_HALF_WINDOW_S,
     EPS_PATH,
     EPS_SPEED,
     FOOT_L,
@@ -28,6 +28,12 @@ from labankit.descriptors import (
     PELVIS,
     TRACKED_JOINT_INDICES,
 )
+
+
+def half_window(fps: float) -> int:
+    """Directness half-window in frames: DIRECTNESS_HALF_WINDOW_S at fps,
+    rounded, and never below one frame."""
+    return max(1, round(DIRECTNESS_HALF_WINDOW_S * fps))
 
 
 def directness(track: np.ndarray, t: int, w: int) -> float:
@@ -53,20 +59,19 @@ def directness(track: np.ndarray, t: int, w: int) -> float:
     return min(1.0, chord / path)
 
 
-def effort_frame(state, positions, t: int,
-                 w: int = DIRECTNESS_WINDOW,
+def effort_frame(state, positions, t: int, fps: float,
                  tracked=TRACKED_JOINT_INDICES) -> np.ndarray:
     """Effort qualities (Flow, Space, Time, Weight) at frame t.
 
     Weight is total kinetic energy of the tracked joints under unit
     masses; Time and Flow are mean acceleration and jerk magnitudes;
-    Space is mean windowed Directness.
+    Space is mean Directness over the half_window(fps) window.
     """
     velocity, acceleration, jerk = state
     joints = list(tracked)
     flow = float(np.linalg.norm(jerk[t, joints], axis=1).mean())
     space = float(np.mean([
-        directness(positions[:, j], t, w) for j in joints
+        directness(positions[:, j], t, half_window(fps)) for j in joints
     ]))
     time_ = float(np.linalg.norm(acceleration[t, joints], axis=1).mean())
     speed_sq = (velocity[t, joints] ** 2).sum(axis=1)
@@ -109,15 +114,17 @@ def initiation_frame(state, t: int,
     return speeds / total
 
 
-def trajectory_frame(positions, state, t: int) -> np.ndarray:
+def trajectory_frame(positions, state, t: int, fps: float) -> np.ndarray:
     """Pelvis path increment, curvature, and net displacement at frame t.
 
-    The path increment is 0 at the final frame. Curvature is
+    The path increment is the distance to the next frame times fps (m/s);
+    the final frame takes the step from the frame before it. Curvature is
     ||v x a|| / ||v||^3, zero below EPS_SPEED and capped at CURVATURE_CAP.
     """
     track = positions[:, PELVIS]
     n = track.shape[0]
-    increment = float(np.linalg.norm(track[t + 1] - track[t])) if t + 1 < n else 0.0
+    step = (t, t + 1) if t + 1 < n else (t - 1, t)
+    increment = float(np.linalg.norm(track[step[1]] - track[step[0]])) * fps
     velocity, acceleration, _ = state
     v = velocity[t, PELVIS]
     a = acceleration[t, PELVIS]

@@ -119,8 +119,10 @@ def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{broken")
+    missing = tmp_path / "missing.skel"
     lines = [json.dumps({"path": str(skeleton_path(root, "r0_0000")), "tier": 0}),
              json.dumps({"path": str(corrupt), "tier": 1}),
+             json.dumps({"path": str(missing), "tier": 1}),
              json.dumps({"path": str(skeleton_path(root, "r2_0000")), "tier": 2})]
     manifest = tmp_path / "mixed.jsonl"
     manifest.write_text("\n".join(lines) + "\n")
@@ -129,8 +131,12 @@ def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     table = read_features_csv(out)
     assert len(table) == 2  # the two valid files still produce rows
     log = (out.parent / (out.name + ".errors.log")).read_text()
-    assert "corrupt.json" in log
-    assert "corrupt.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # Each failing file is named exactly once, on stderr and in the log.
+    for path in (corrupt, missing):
+        assert log.count(path.name) == 1 and err.count(path.name) == 1
+    assert f"error: {missing}: No such file or directory\n" in err
+    assert f"{missing}\tNo such file or directory\n" in log
 
 
 def _tier_case(tmp_path, file_tier, manifest_tier, suffix=".json"):
@@ -188,15 +194,11 @@ def test_extract_labels_a_file_without_a_tier_with_the_manifest_tier(tmp_path):
 
 
 def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, monkeypatch):
-    # Two 8 s files cut into 5 s fragments every 1 s: 4 fragments and 240
-    # covered frames each. frame_matrix computes the rows itself only when
-    # no block is passed, which extract never does.
-    import labankit.cli
+    # Two 8 s files cut into 5 s fragments every 1 s: 4 fragments each.
+    # Each file's 240 frames are described once, the Dispersion block in
+    # pieces of at most one fragment length.
     import labankit.descriptors
     from labankit import RegimeSpec, dispersion_matrix, generate, save_sequence
-
-    def not_called(positions):
-        raise AssertionError("frame_matrix computed its own dispersion rows")
 
     computed = []
 
@@ -211,11 +213,35 @@ def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, mon
     manifest.write_text("".join(json.dumps({"path": f"s{i}.json", "tier": i}) + "\n"
                                 for i in range(2)))
     out = tmp_path / "features.csv"
-    monkeypatch.setattr(labankit.descriptors, "dispersion_matrix", not_called)
-    monkeypatch.setattr(labankit.cli, "dispersion_matrix", counting)
+    monkeypatch.setattr(labankit.descriptors, "dispersion_matrix", counting)
     assert run("extract", "--manifest", manifest, "--out", out, "--stride", 1) == 0
     assert len(read_features_csv(out)) == 8
     assert computed == [150, 90, 150, 90]
+
+
+def test_extract_writes_each_fragment_the_aggregate_of_its_sequence_rows(tmp_path):
+    # 9 s at 60 fps cut every 0.5 s: each written vector aggregates the
+    # sequence's frame_matrix rows over its fragment, with net displacement
+    # measured from the fragment's first frame.
+    from labankit import (FRAME_FEATURE_NAMES, RegimeSpec, aggregate, frame_matrix,
+                          generate, save_sequence)
+    seq = generate(RegimeSpec(2, duration_s=9.0, fps=60.0, blend=0.6, seed=5),
+                   source_id="clip")
+    save_sequence(seq, tmp_path / "clip.skel")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"path": "clip.skel", "tier": 2}) + "\n")
+    out = tmp_path / "features.csv"
+    assert run("extract", "--manifest", manifest, "--out", out, "--stride", 0.5) == 0
+    table = read_features_csv(out)
+    assert table.start_frames.tolist() == list(range(0, 241, 30))
+    rows = frame_matrix(seq.positions, seq.fps)
+    net = FRAME_FEATURE_NAMES.index("trajectory.net_displacement")
+    for start, written in zip(table.start_frames, table.values):
+        block = rows[start:start + 300].copy()
+        pelvis = seq.positions[start:start + 300, 0]
+        block[:, net] = np.linalg.norm(pelvis - pelvis[0], axis=1)
+        expected = [float(f"{value:.9g}") for value in aggregate(block)]
+        assert np.array_equal(written, expected)  # as written, to 9 digits
 
 
 def test_extract_workers_bit_identical(small_dataset, tmp_path):

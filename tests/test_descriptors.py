@@ -17,13 +17,14 @@ from labankit import (
     slice_fragments,
     windowed_directness,
 )
-from labankit import cli
+from labankit import descriptors
 
 from conftest import rest_positions, wiggle_positions
 from oracles import (
     directness,
     dispersion_frame,
     effort_frame,
+    half_window,
     initiation_frame,
     trajectory_frame,
 )
@@ -75,6 +76,22 @@ def test_differentiate_needs_four_frames():
     positions = rest_positions(90)[:3]
     with pytest.raises(ValueError, match="too short for jerk"):
         differentiate(positions, 1.0)  # 3 frames, 3 s at 1 fps
+
+
+def test_differentiate_of_tracked_joints_equals_their_rows_of_the_skeleton():
+    positions = wiggle_positions(120, seed=3)
+    joints = list(TRACKED_JOINT_INDICES)
+    for part, whole in zip(differentiate(positions[:, joints], 30.0),
+                           differentiate(positions, 30.0)):
+        assert np.array_equal(part, whole[:, joints])
+
+
+@pytest.mark.parametrize("track", [np.zeros((10, 6, 2)), np.zeros(10),
+                                   np.full((10, 6, 3), np.nan)],
+                         ids=["two-coordinates", "flat", "nan"])
+def test_differentiate_rejects_a_track_that_is_not_finite_t_by_3(track):
+    with pytest.raises(ValueError, match=r"expected a finite \(T, \.\.\., 3\) track"):
+        differentiate(track, 30.0)
 
 
 def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
@@ -155,7 +172,7 @@ def test_windowed_directness_of_stacked_tracks_equals_one_call_per_track():
 def test_effort_rest_frame():
     positions = rest_positions(100)
     state = differentiate(positions, 30.0)
-    flow, space, time_, weight = effort_frame(state, positions, 50)
+    flow, space, time_, weight = effort_frame(state, positions, 50, 30.0)
     assert flow == 0.0
     assert space == 1.0  # stationary joints count as Direct
     assert time_ == 0.0
@@ -168,7 +185,7 @@ def test_effort_weight_is_kinetic_energy_sum():
     # right hand moves at 2 m/s, everything else at rest
     positions[:, HAND_R, 2] += np.arange(n) * (2.0 / fps)
     state = differentiate(positions, fps)
-    _, _, _, weight = effort_frame(state, positions, 50)
+    _, _, _, weight = effort_frame(state, positions, 50, fps)
     assert weight == pytest.approx(2.0, abs=1e-9)
 
 
@@ -183,7 +200,7 @@ def test_effort_time_matches_sinusoid_oracle():
     state = differentiate(positions, fps)
     expected = (2 / np.pi) * 0.5 * (2 * np.pi) ** 2
     interior = range(15, int(fps * 4.0) + 15)  # 4 whole periods, ends excluded
-    observed = np.mean([effort_frame(state, positions, k)[2] for k in interior])
+    observed = np.mean([effort_frame(state, positions, k, fps)[2] for k in interior])
     assert observed == pytest.approx(expected, rel=0.05)
 
 
@@ -293,7 +310,7 @@ def test_trajectory_straight_line_zero_curvature():
     positions[:, PELVIS] += np.outer(np.arange(n) / fps, [1.0, 0.0, 0.5])
     state = differentiate(positions, fps)
     for t in range(2, n - 2):
-        assert trajectory_frame(positions, state, t)[1] == pytest.approx(0.0, abs=1e-9)
+        assert trajectory_frame(positions, state, t, fps)[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_trajectory_circle_curvature_matches_one_over_radius():
@@ -307,20 +324,21 @@ def test_trajectory_circle_curvature_matches_one_over_radius():
     positions[:, PELVIS, 0] = radius * np.cos(theta)
     positions[:, PELVIS, 2] = radius * np.sin(theta)
     state = differentiate(positions, fps)
-    kappas = [trajectory_frame(positions, state, t)[1] for t in range(3, n - 3)]
+    kappas = [trajectory_frame(positions, state, t, fps)[1] for t in range(3, n - 3)]
     assert np.mean(kappas) == pytest.approx(1.0 / radius, rel=0.05)
 
 
 def test_trajectory_rest_and_final_increment():
     rest = rest_positions(100)
     state = differentiate(rest, 30.0)
-    assert np.allclose(trajectory_frame(rest, state, 50), 0.0)
+    assert np.allclose(trajectory_frame(rest, state, 50, 30.0), 0.0)
     moving = rest_positions(100)
     moving[:, PELVIS, 0] += np.arange(100) * 0.01
     state2 = differentiate(moving, 30.0)
-    assert trajectory_frame(moving, state2, 99)[0] == 0.0
-    assert trajectory_frame(moving, state2, 50)[0] == pytest.approx(0.01, abs=1e-12)
-    assert trajectory_frame(moving, state2, 99)[2] == pytest.approx(0.99, abs=1e-12)
+    # 0.01 m per frame at 30 fps is 0.3 m/s, at the final frame too.
+    assert trajectory_frame(moving, state2, 99, 30.0)[0] == pytest.approx(0.3, abs=1e-12)
+    assert trajectory_frame(moving, state2, 50, 30.0)[0] == pytest.approx(0.3, abs=1e-12)
+    assert trajectory_frame(moving, state2, 99, 30.0)[2] == pytest.approx(0.99, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +371,17 @@ def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
     for t in range(0, positions.shape[0], 13):
         row = np.concatenate([
             dispersion_frame(positions, t),
-            effort_frame(state, positions, t),
+            effort_frame(state, positions, t, 30.0),
             np.concatenate([
                 [np.linalg.norm(velocity[t, j]),
                  np.linalg.norm(acceleration[t, j]),
                  np.linalg.norm(jerk[t, j]),
                  0.5 * np.linalg.norm(velocity[t, j]) ** 2,
-                 directness(positions[:, j], t, 15)]
+                 directness(positions[:, j], t, half_window(30.0))]
                 for j in TRACKED_JOINT_INDICES
             ]),
             initiation_frame(state, t),
-            trajectory_frame(positions, state, t),
+            trajectory_frame(positions, state, t, 30.0),
         ])
         assert np.allclose(matrix[t], row, atol=1e-9), f"frame {t}"
 
@@ -455,10 +473,12 @@ def test_rotation_about_vertical_axis_invariance(wiggle_fragment):
 
 
 def test_time_reversal_preserves_total_path(wiggle_fragment):
+    # Total path in meters: the forward steps (m/s) of every frame but the
+    # last, which repeats the step before it, over fps.
     inc = column("trajectory.path_increment")
-    forward = frame_matrix(wiggle_fragment, 30.0)[:, inc].sum()
+    forward = frame_matrix(wiggle_fragment, 30.0)[:-1, inc].sum() / 30.0
     rev = wiggle_fragment[::-1].copy()
-    backward = frame_matrix(rev, 30.0)[:, inc].sum()
+    backward = frame_matrix(rev, 30.0)[:-1, inc].sum() / 30.0
     assert forward == pytest.approx(backward, abs=1e-9)
 
 
@@ -486,7 +506,8 @@ def test_directness_and_initiation_ranges(wiggle_fragment):
 
 
 # ---------------------------------------------------------------------------
-# Dispersion rows computed once per sequence frame (the extract path)
+# The extract path: one frame_matrix per sequence, whose rows every
+# fragment aggregates
 # ---------------------------------------------------------------------------
 
 def test_dispersion_matrix_is_the_first_twelve_frame_matrix_columns(wiggle_fragment):
@@ -494,6 +515,8 @@ def test_dispersion_matrix_is_the_first_twelve_frame_matrix_columns(wiggle_fragm
                           frame_matrix(wiggle_fragment, 30.0)[:, :12])
     assert FRAME_FEATURE_NAMES[11] == "dispersion.pelvis_height"
 
+
+NET = column("trajectory.net_displacement")
 
 # (fps, seconds, length_s, stride_s)
 _SEQUENCE_CUTS = {
@@ -512,8 +535,14 @@ def _cut(fps, seconds, length_s, stride_s):
     return seq, slice_fragments(seq, length_s=length_s, stride_s=stride_s)
 
 
+def _extract_vectors(seq, fragments):
+    """The fragment vectors as extract computes them: one call per sequence."""
+    return fragment_features(seq.positions, seq.fps, [start for start, _ in fragments],
+                             len(fragments[0][1]))
+
+
 def _record_dispersion_calls(monkeypatch, base):
-    """Patch cli's dispersion_matrix to record the frames of each call."""
+    """Patch descriptors' dispersion_matrix to record the frames of each call."""
     calls = []
 
     def recording(positions):
@@ -521,60 +550,94 @@ def _record_dispersion_calls(monkeypatch, base):
         calls.append(range(first, first + len(positions)))
         return dispersion_matrix(positions)
 
-    monkeypatch.setattr(cli, "dispersion_matrix", recording)
+    monkeypatch.setattr(descriptors, "dispersion_matrix", recording)
     return calls
 
 
 @pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
 def test_sequence_dispersion_rows_give_the_per_fragment_features(cut):
+    # Each vector aggregates the sequence's rows over its fragment, with net
+    # displacement measured from the fragment's first frame. Dispersion rows
+    # depend on their own frame alone, so that half of the vector is also
+    # what the bare fragment gives.
     seq, fragments = _cut(*cut)
-    rows = cli._sequence_dispersion(seq.positions, fragments)
-    for start, view in fragments:
-        assert np.array_equal(
-            fragment_features(view, seq.fps, dispersion=rows[start:start + len(view)]),
-            fragment_features(view, seq.fps))
+    if not fragments:
+        assert fragment_features(seq.positions, seq.fps, [], 150).shape == (0, 110)
+        return
+    rows = frame_matrix(seq.positions, seq.fps)
+    dispersion = [k for k, name in enumerate(FEATURE_NAMES_110)
+                  if name.startswith("dispersion.")]
+    for (start, view), vector in zip(fragments, _extract_vectors(seq, fragments)):
+        block = rows[start:start + len(view)].copy()
+        block[:, NET] = np.linalg.norm(view[:, PELVIS] - view[0, PELVIS], axis=1)
+        assert np.array_equal(vector, aggregate(block))
+        assert np.array_equal(vector[dispersion],
+                              fragment_features(view, seq.fps)[dispersion])
 
 
 @pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
 def test_sequence_dispersion_computes_each_covered_frame_once(cut, monkeypatch):
     seq, fragments = _cut(*cut)
     calls = _record_dispersion_calls(monkeypatch, seq.positions)
-    rows = cli._sequence_dispersion(seq.positions, fragments)
-    covered = np.zeros(seq.frame_count, dtype=int)
-    for start, view in fragments:
-        covered[start:start + len(view)] = 1
+    if not fragments:
+        return
+    _extract_vectors(seq, fragments)
     computed = np.zeros(seq.frame_count, dtype=int)
     for frames in calls:
         assert 0 < len(frames) <= len(fragments[0][1])
         computed[frames.start:frames.stop] += 1
-    assert np.array_equal(computed, covered)
-    assert np.isnan(rows[covered == 0]).all()
-    if not fragments:
-        assert calls == []
+    # Every frame, covered by a fragment or not, is computed exactly once.
+    assert np.all(computed == 1)
 
 
 def test_overlapping_fragments_share_few_dispersion_pieces(monkeypatch):
-    # 8 s at 30 fps, 5 s fragments every 0.5 s: 240 covered frames, 2 pieces.
+    # 8 s at 30 fps, 5 s fragments every 0.5 s: 240 frames, 2 pieces.
     seq, fragments = _cut(*_SEQUENCE_CUTS["stride-0.5s"])
     calls = _record_dispersion_calls(monkeypatch, seq.positions)
-    cli._sequence_dispersion(seq.positions, fragments)
+    _extract_vectors(seq, fragments)
     assert len(fragments) == 7
     assert calls == [range(0, 150), range(150, 240)]
 
 
-@pytest.mark.parametrize("block, message", [
-    (np.zeros((149, 12)), r"finite \(150, 12\) block, got shape \(149, 12\)"),
-    (np.zeros((150, 11)), r"finite \(150, 12\) block, got shape \(150, 11\)"),
-    (np.zeros(12), r"finite \(150, 12\) block, got shape \(12,\)"),
-], ids=["short", "narrow", "flat"])
-def test_a_dispersion_block_of_the_wrong_shape_raises(wiggle_fragment, block, message):
+@pytest.mark.parametrize("cut", ["stride-0.5s", "fps-29.97", "length-not-a-stride-multiple"])
+def test_overlapping_fragments_agree_on_every_shared_frame(cut, monkeypatch):
+    # The per-frame rows that each fragment aggregates: on a frame that two
+    # fragments share, all columns but net displacement are the same bits,
+    # and net displacement is measured from each fragment's first frame.
+    seq, fragments = _cut(*_SEQUENCE_CUTS[cut])
+    blocks = []
+
+    def recording(matrix):
+        blocks.append(matrix.copy())
+        return aggregate(matrix)
+
+    monkeypatch.setattr(descriptors, "aggregate", recording)
+    vectors = _extract_vectors(seq, fragments)
+    assert len(blocks) == len(fragments) > 2
+    others = [k for k in range(55) if k != NET]
+    length = len(fragments[0][1])
+    for (start, view), block, vector in zip(fragments, blocks, vectors):
+        assert np.array_equal(vector, aggregate(block))
+        assert np.array_equal(block[:, NET],
+                              np.linalg.norm(view[:, PELVIS] - view[0, PELVIS], axis=1))
+    shared_frames = 0
+    for i, (start_i, _) in enumerate(fragments):
+        for j in range(i + 1, len(fragments)):
+            offset = fragments[j][0] - start_i
+            if offset >= length:
+                break
+            assert np.array_equal(blocks[i][offset:, others], blocks[j][:length - offset, others])
+            shared_frames += length - offset
+    assert shared_frames > 0
+
+
+@pytest.mark.parametrize("starts, length, message", [
+    ([0], None, "starts and length must be given together"),
+    (None, 150, "starts and length must be given together"),
+    ([-1], 150, "fragment at frame -1 of 150 frames does not fit in a sequence of 240"),
+    ([0, 91], 150, "fragment at frame 91 of 150 frames does not fit in a sequence of 240"),
+    ([0], 0, "piece must be >= 1 frame, got 0"),
+])
+def test_fragment_features_rejects_fragments_outside_the_sequence(starts, length, message):
     with pytest.raises(ValueError, match=message):
-        fragment_features(wiggle_fragment, 30.0, dispersion=block)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_a_non_finite_dispersion_block_raises(wiggle_fragment, bad):
-    block = dispersion_matrix(wiggle_fragment)
-    block[7, 3] = bad
-    with pytest.raises(ValueError, match=r"finite \(150, 12\) block, got shape \(150, 12\)"):
-        frame_matrix(wiggle_fragment, 30.0, dispersion=block)
+        fragment_features(wiggle_positions(240), 30.0, starts, length)
