@@ -33,7 +33,6 @@ from .descriptors import (
     TRACKED_JOINT_NAMES,
     aggregate,
     differentiate,
-    dispersion_matrix,
     fragment_features,
     frame_matrix,
     windowed_directness,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .skeleton import SMPL_JOINT_COUNT, SMPL_JOINT_NAMES, _check_fps, _check_positions
+from .skeleton import SMPL_JOINT_NAMES, _check_fps, _check_positions
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 
@@ -39,9 +39,6 @@ _TRACKED_PELVIS = TRACKED_JOINT_INDICES.index(PELVIS)
 # Half-window of windowed Directness in seconds; frame_matrix rounds it to
 # max(1, round(DIRECTNESS_HALF_WINDOW_S * fps)) frames.
 DIRECTNESS_HALF_WINDOW_S = 0.5
-
-# The unordered joint pairs i < j that the horizontal extent compares.
-_PAIR_I, _PAIR_J = np.triu_indices(SMPL_JOINT_COUNT, 1)
 
 # Path shorter than this counts as stationary; stationary joints are Direct.
 EPS_PATH = 1e-6
@@ -148,36 +145,26 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def dispersion_matrix(positions: np.ndarray) -> np.ndarray:
-    """The (T x 12) Dispersion block, columns named by the first 12
-    FRAME_FEATURE_NAMES. Each row depends on its own frame alone."""
-    pos = np.asarray(positions)
-    _check_positions(pos, "fragment")
-    pelvis = pos[:, PELVIS]
-    reach = np.linalg.norm(pos[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
-                           - pelvis[:, None], axis=2)
-    to_centroid = np.linalg.norm(pos - pos.mean(axis=1)[:, None, :], axis=2)
-    # Bit-identical to the max of the full 24x24 norm matrix: sqrt is monotone
-    # and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
-    # sqrt(dx*dx + dz*dz). In place, so that few (T, 276) arrays are alive.
-    x, z = pos[:, :, 0], pos[:, :, 2]
-    dx = x[:, _PAIR_I]
-    dx -= x[:, _PAIR_J]
-    dx *= dx
-    dz = z[:, _PAIR_I]
-    dz -= z[:, _PAIR_J]
-    dz *= dz
-    dx += dz
-    return np.column_stack([
-        reach,
-        to_centroid.mean(axis=1),
-        pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1),
-        np.sqrt(dx.max(axis=1)),
-        to_centroid.std(axis=1),
-        np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1),
-        np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1),
-        pelvis[:, 1],
-    ])
+def _horizontal_extent(pos: np.ndarray) -> np.ndarray:
+    """Each frame's widest xz distance between two of its joints.
+
+    Joint j is compared with joint j - k for every offset k, so each of the
+    unordered pairs is visited once without building a (T, pairs) array.
+    Bit-identical to the max of the full 24x24 norm matrix: sqrt is monotone
+    and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
+    sqrt(dx*dx + dz*dz).
+    """
+    x = np.ascontiguousarray(pos[:, :, 0].T)
+    z = np.ascontiguousarray(pos[:, :, 2].T)
+    widest = np.zeros(pos.shape[0])
+    for k in range(1, pos.shape[1]):
+        d = x[k:] - x[:-k]
+        d *= d
+        dz = z[k:] - z[:-k]
+        dz *= dz
+        d += dz
+        np.maximum(widest, d.max(axis=0), out=widest)
+    return np.sqrt(widest)
 
 
 def _net_displacement(pelvis: np.ndarray) -> np.ndarray:
@@ -185,25 +172,32 @@ def _net_displacement(pelvis: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pelvis - pelvis[0], axis=1)
 
 
-def frame_matrix(positions: np.ndarray, fps: float, *,
-                 piece: int | None = None) -> np.ndarray:
+def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     """The (T x 55) descriptor matrix of a sequence, vectorized over frames;
     its columns are FRAME_FEATURE_NAMES, stacked family by family.
 
-    Kinematics and Directness windows see the whole sequence and are cut
-    short only at its two ends; net displacement is measured from frame 0.
-    The Dispersion block is computed at most piece frames at a time (all
-    at once by default), which bounds its (frames, 276) joint-pair
-    temporaries without changing any value.
+    Dispersion rows depend on their own frame alone. Kinematics and
+    Directness windows see the whole sequence and are cut short only at its
+    two ends; net displacement is measured from frame 0.
     """
     pos = np.asarray(positions)
     _check_positions(pos, "fragment")
     n = pos.shape[0]
-    step = n if piece is None else piece
-    if step < 1:
-        raise ValueError(f"piece must be >= 1 frame, got {step}")
-    dispersion = np.concatenate([dispersion_matrix(pos[lo:lo + step])
-                                 for lo in range(0, n, step)])
+    pelvis = pos[:, PELVIS]
+
+    # Dispersion: limb reach, centroid spread, extents, hand and foot
+    # spans, pelvis height.
+    reach = np.linalg.norm(pos[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
+                           - pelvis[:, None], axis=2)
+    to_centroid = np.linalg.norm(pos - pos.mean(axis=1)[:, None, :], axis=2)
+    dispersion = (reach, to_centroid.mean(axis=1),
+                  pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1),
+                  _horizontal_extent(pos), to_centroid.std(axis=1),
+                  np.linalg.norm(pos[:, HAND_L] - pos[:, HAND_R], axis=1),
+                  np.linalg.norm(pos[:, FOOT_L] - pos[:, FOOT_R], axis=1),
+                  pelvis[:, 1])
+    del to_centroid  # (T, 24): not kept alive through the other families
+
     joints = list(TRACKED_JOINT_INDICES)
     # Only the tracked joints' kinematics are used, so only they are
     # differentiated.
@@ -231,7 +225,6 @@ def frame_matrix(positions: np.ndarray, fps: float, *,
 
     # Trajectory, pelvis reference. The path increment is the step to the
     # next frame in m/s; the last frame repeats the step that reached it.
-    pelvis = pos[:, PELVIS]
     steps = np.linalg.norm(np.diff(pelvis, axis=0), axis=1) * fps
     increments = np.append(steps, steps[-1])
     v = velocity[:, _TRACKED_PELVIS]
@@ -242,7 +235,7 @@ def frame_matrix(positions: np.ndarray, fps: float, *,
     curvature[moving] = np.minimum(cross[moving] / speed[moving] ** 3, CURVATURE_CAP)
     trajectory = (increments, curvature, _net_displacement(pelvis))
 
-    return np.column_stack([dispersion, *effort, kinematics, shares, *trajectory])
+    return np.column_stack([*dispersion, *effort, kinematics, shares, *trajectory])
 
 
 def aggregate(matrix: np.ndarray) -> np.ndarray:
@@ -262,14 +255,15 @@ def fragment_features(positions: np.ndarray, fps: float,
     is one fragment and the result is its (110,) vector. With them, the
     result is the (len(starts), 110) array of the fragments
     positions[s:s + length]: the sequence's frame_matrix is computed once,
-    its Dispersion block at most length frames at a time, and each
-    fragment aggregates its rows with net displacement measured from its
-    own first frame.
+    and each fragment aggregates its rows with net displacement measured
+    from its own first frame.
     """
     if (starts is None) != (length is None):
         raise ValueError("starts and length must be given together")
+    if length is not None and length < 1:
+        raise ValueError(f"length must be >= 1 frame, got {length}")
     pos = np.asarray(positions)
-    rows = frame_matrix(pos, fps, piece=length)
+    rows = frame_matrix(pos, fps)
     whole = starts is None
     if whole:
         starts, length = (0,), len(rows)

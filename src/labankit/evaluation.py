@@ -14,14 +14,17 @@ from .skeleton import VALID_TIERS
 class TaskSpec:
     """Maps the four ordinal tiers onto a classification task's labels.
 
-    mapping sends each tier to a class id, or to None for tiers the task
-    drops entirely.
+    mapping sends each of the VALID_TIERS to a class id, or to None for
+    tiers the task drops entirely.
     """
 
     kind: str
     mapping: dict[int, int | None]
 
     def __post_init__(self):
+        if set(self.mapping) != set(VALID_TIERS):
+            raise ValueError(f"task {self.kind!r}: mapping must cover exactly the tiers "
+                             f"{VALID_TIERS}, got {list(self.mapping)}")
         kept = sorted({v for v in self.mapping.values() if v is not None})
         if not kept or kept != list(range(len(kept))):
             raise ValueError(
@@ -60,7 +63,8 @@ def remap_task(tiers, task: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     tiers = np.asarray(tiers)
     for t in np.unique(tiers):
-        if int(t) not in VALID_TIERS:
+        # Compared by value, so that 1.5 is not truncated to tier 1.
+        if t not in VALID_TIERS:
             raise ValueError(f"unknown tier value {t}")
     mapped = np.array([
         -1 if task.mapping[int(t)] is None else task.mapping[int(t)]

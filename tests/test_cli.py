@@ -194,17 +194,17 @@ def test_extract_labels_a_file_without_a_tier_with_the_manifest_tier(tmp_path):
 
 
 def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, monkeypatch):
-    # Two 8 s files cut into 5 s fragments every 1 s: 4 fragments each.
-    # Each file's 240 frames are described once, the Dispersion block in
-    # pieces of at most one fragment length.
+    # Two 8 s files cut into 5 s fragments every 1 s: 4 fragments each,
+    # from one frame_matrix of each file's 240 frames, Dispersion block and
+    # all.
     import labankit.descriptors
-    from labankit import RegimeSpec, dispersion_matrix, generate, save_sequence
+    from labankit import RegimeSpec, frame_matrix, generate, save_sequence
 
     computed = []
 
-    def counting(positions):
+    def counting(positions, fps):
         computed.append(len(positions))
-        return dispersion_matrix(positions)
+        return frame_matrix(positions, fps)
 
     for i in range(2):
         save_sequence(generate(RegimeSpec(i, duration_s=8.0, seed=i), source_id=f"s{i}"),
@@ -213,10 +213,10 @@ def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, mon
     manifest.write_text("".join(json.dumps({"path": f"s{i}.json", "tier": i}) + "\n"
                                 for i in range(2)))
     out = tmp_path / "features.csv"
-    monkeypatch.setattr(labankit.descriptors, "dispersion_matrix", counting)
+    monkeypatch.setattr(labankit.descriptors, "frame_matrix", counting)
     assert run("extract", "--manifest", manifest, "--out", out, "--stride", 1) == 0
     assert len(read_features_csv(out)) == 8
-    assert computed == [150, 90, 150, 90]
+    assert computed == [240, 240]
 
 
 def test_extract_writes_each_fragment_the_aggregate_of_its_sequence_rows(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from labankit import (
     SkeletonSequence,
     aggregate,
     differentiate,
-    dispersion_matrix,
     fragment_features,
     frame_matrix,
     slice_fragments,
@@ -384,6 +384,8 @@ def test_frame_matrix_composes_per_frame_operations(wiggle_fragment):
             trajectory_frame(positions, state, t, 30.0),
         ])
         assert np.allclose(matrix[t], row, atol=1e-9), f"frame {t}"
+    # dispersion_frame's twelve values are the first twelve columns.
+    assert FRAME_FEATURE_NAMES[11] == "dispersion.pelvis_height"
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -510,12 +512,6 @@ def test_directness_and_initiation_ranges(wiggle_fragment):
 # fragment aggregates
 # ---------------------------------------------------------------------------
 
-def test_dispersion_matrix_is_the_first_twelve_frame_matrix_columns(wiggle_fragment):
-    assert np.array_equal(dispersion_matrix(wiggle_fragment),
-                          frame_matrix(wiggle_fragment, 30.0)[:, :12])
-    assert FRAME_FEATURE_NAMES[11] == "dispersion.pelvis_height"
-
-
 NET = column("trajectory.net_displacement")
 
 # (fps, seconds, length_s, stride_s)
@@ -541,16 +537,15 @@ def _extract_vectors(seq, fragments):
                              len(fragments[0][1]))
 
 
-def _record_dispersion_calls(monkeypatch, base):
-    """Patch descriptors' dispersion_matrix to record the frames of each call."""
+def _record_frame_matrix_calls(monkeypatch):
+    """Patch descriptors' frame_matrix to record the frame count of each call."""
     calls = []
 
-    def recording(positions):
-        first = (positions.ctypes.data - base.ctypes.data) // base.strides[0]
-        calls.append(range(first, first + len(positions)))
-        return dispersion_matrix(positions)
+    def recording(positions, fps):
+        calls.append(len(positions))
+        return frame_matrix(positions, fps)
 
-    monkeypatch.setattr(descriptors, "dispersion_matrix", recording)
+    monkeypatch.setattr(descriptors, "frame_matrix", recording)
     return calls
 
 
@@ -577,26 +572,34 @@ def test_sequence_dispersion_rows_give_the_per_fragment_features(cut):
 
 @pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
 def test_sequence_dispersion_computes_each_covered_frame_once(cut, monkeypatch):
+    # However the fragments overlap or leave frames uncovered, the
+    # sequence's matrix, Dispersion block and all, is computed in one call
+    # over all of its frames.
+    fps, _, length_s, _ = cut
     seq, fragments = _cut(*cut)
-    calls = _record_dispersion_calls(monkeypatch, seq.positions)
-    if not fragments:
-        return
-    _extract_vectors(seq, fragments)
-    computed = np.zeros(seq.frame_count, dtype=int)
-    for frames in calls:
-        assert 0 < len(frames) <= len(fragments[0][1])
-        computed[frames.start:frames.stop] += 1
-    # Every frame, covered by a fragment or not, is computed exactly once.
-    assert np.all(computed == 1)
+    calls = _record_frame_matrix_calls(monkeypatch)
+    starts = [start for start, _ in fragments]
+    fragment_features(seq.positions, fps, starts, round(length_s * fps))
+    assert calls == [seq.frame_count]
 
 
-def test_overlapping_fragments_share_few_dispersion_pieces(monkeypatch):
-    # 8 s at 30 fps, 5 s fragments every 0.5 s: 240 frames, 2 pieces.
-    seq, fragments = _cut(*_SEQUENCE_CUTS["stride-0.5s"])
-    calls = _record_dispersion_calls(monkeypatch, seq.positions)
-    _extract_vectors(seq, fragments)
-    assert len(fragments) == 7
-    assert calls == [range(0, 150), range(150, 240)]
+@pytest.mark.parametrize("call", ["frame_matrix", "fragment_features"])
+def test_descriptor_memory_stays_within_four_positions_arrays(call):
+    # 5 min at 30 fps: the traced peak may not scale with the 276 joint
+    # pairs of the horizontal extent or with the fragment count.
+    positions = wiggle_positions(9000)
+    run = {
+        "frame_matrix": lambda: frame_matrix(positions, 30.0),
+        "fragment_features": lambda: fragment_features(positions, 30.0,
+                                                       range(0, 8851, 15), 150),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * positions.nbytes
 
 
 @pytest.mark.parametrize("cut", ["stride-0.5s", "fps-29.97", "length-not-a-stride-multiple"])
@@ -636,7 +639,8 @@ def test_overlapping_fragments_agree_on_every_shared_frame(cut, monkeypatch):
     (None, 150, "starts and length must be given together"),
     ([-1], 150, "fragment at frame -1 of 150 frames does not fit in a sequence of 240"),
     ([0, 91], 150, "fragment at frame 91 of 150 frames does not fit in a sequence of 240"),
-    ([0], 0, "piece must be >= 1 frame, got 0"),
+    ([0], 0, "length must be >= 1 frame, got 0"),
+    ([0], -5, "length must be >= 1 frame, got -5"),
 ])
 def test_fragment_features_rejects_fragments_outside_the_sequence(starts, length, message):
     with pytest.raises(ValueError, match=message):

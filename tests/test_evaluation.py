@@ -50,6 +50,10 @@ def test_remap_four_way_identity():
 def test_remap_rejects_unknown_tier():
     with pytest.raises(ValueError, match="unknown tier"):
         remap_task([0, 5], TASKS["binary"])
+    with pytest.raises(ValueError, match="unknown tier value 1.5"):
+        remap_task([0, 1.5, 2.9, 3], TASKS["four_way"])
+    labels, _ = remap_task(np.array([0.0, 2.0, 3.0]), TASKS["four_way"])
+    assert labels.tolist() == [0, 2, 3]
     with pytest.raises(ValueError, match="unknown task"):
         get_task("five_way")
 
@@ -57,6 +61,8 @@ def test_remap_rejects_unknown_tier():
 def test_task_spec_requires_contiguous_classes():
     with pytest.raises(ValueError, match="contiguous"):
         TaskSpec("broken", {0: 0, 1: 2, 2: 2, 3: 2})
+    with pytest.raises(ValueError, match=r"cover exactly the tiers \(0, 1, 2, 3\), got \[0, 1\]"):
+        TaskSpec("pair", {0: 0, 1: 1})
 
 
 # ---------------------------------------------------------------------------
