@@ -5,6 +5,15 @@ weights (biases unpenalized). Training runs damped Newton iterations with
 backtracking line search from a zero start; the objective is convex, so
 the optimum is independent of initialization and identical inputs yield
 bit-identical models.
+
+Newton runs in the row space of the standardized training rows. L2-penalized
+weights never leave that span (the representer theorem), and Newton's method
+is affine-invariant, so fitting the weights in an orthonormal basis V of the
+span and mapping them back as W_r @ V.T gives the same iterates as the full
+space. With fewer rows than features, the Hessian then has side
+C * (rank + 1) instead of C * (features + 1). The objective is flat along
+"add one constant to every bias", so the fitted biases are centred to sum
+to zero and the saved model does not depend on the solver's path.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ MODEL_FORMAT_VERSION = 1
 # Tiny ridge keeps the Newton solve well-posed along the softmax shift
 # direction (adding a constant to every bias leaves the objective flat).
 _NEWTON_RIDGE = 1e-10
+# Eigenvalues of Z.T @ Z at or below d * eps * the largest are rounding
+# noise of a direction the rows do not span.
+_ROW_SPACE_RTOL = np.finfo(np.float64).eps
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 
@@ -121,50 +133,69 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 def _hessian(params: np.ndarray, X: np.ndarray, design: np.ndarray,
-             diagonal: np.ndarray, out: np.ndarray) -> np.ndarray:
+             diagonal: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Exact Hessian over flattened (C, d+1) parameters, given the fit's fixed
     design matrix [X, 1] and diagonal (L2 penalty plus Newton ridge).
 
-    out is the fit's (C(d+1), C(d+1)) buffer, overwritten and returned, so a
-    fit does not allocate and fault in a fresh Hessian every iteration.
+    out is the fit's pair of buffers: the (C(d+1), C(d+1)) Hessian, which is
+    overwritten and returned, and the (N, d+1) weighted design of one block.
+    A fit allocates them once instead of faulting in fresh pages every
+    iteration.
     """
+    hess, weighted = out
     n, da = design.shape
     c = params.shape[0]
     probs = _softmax(X @ params[:, :-1].T + params[:, -1])
-    blocks = out.reshape(c, da, c, da)  # a view of out
+    blocks = hess.reshape(c, da, c, da)  # a view of hess
     for i in range(c):
         for j in range(i, c):
             w = probs[:, i] * ((1.0 if i == j else 0.0) - probs[:, j]) / n
-            block = design.T @ (w[:, None] * design)
+            block = design.T @ np.multiply(w[:, None], design, out=weighted)
             blocks[i, :, j, :] = block
             if j != i:
                 blocks[j, :, i, :] = block
-    out[np.diag_indices_from(out)] += diagonal
-    return out
+    hess.flat[::hess.shape[0] + 1] += diagonal
+    return hess
 
 
 def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
                      config: TrainConfig,
                      init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
-    """Damped Newton descent on the convex objective; returns (params, loss history)."""
-    n, d = Z.shape
-    params = np.zeros((class_count, d + 1)) if init is None else init.astype(np.float64)
-    design = np.concatenate([Z, np.ones((n, 1))], axis=1)
-    penalty = np.append(np.full(d, config.l2_lambda), 0.0)  # biases unpenalized
+    """Damped Newton descent on the convex objective; returns the (C, d+1)
+    params with centred biases, and the loss history.
+
+    The weights are fitted in the row space of Z (see the module docstring),
+    onto which init, if given, is projected. The stopping test is on the
+    full-space gradient.
+    """
+    evals, evecs = np.linalg.eigh(Z.T @ Z)
+    V = evecs[:, evals > Z.shape[1] * _ROW_SPACE_RTOL * evals.max(initial=0.0)]
+    ZV = Z @ V
+    n, r = ZV.shape
+
+    def full_space(p):  # (C, r + 1) -> (C, d + 1)
+        return np.concatenate([p[:, :-1] @ V.T, p[:, -1:]], axis=1)
+
+    if init is None:
+        params = np.zeros((class_count, r + 1))
+    else:
+        params = np.concatenate([init[:, :-1] @ V, init[:, -1:]], axis=1)
+    design = np.concatenate([ZV, np.ones((n, 1))], axis=1)
+    penalty = np.append(np.full(r, config.l2_lambda), 0.0)  # biases unpenalized
     diagonal = np.tile(penalty, class_count) + _NEWTON_RIDGE
-    hess = np.empty((diagonal.size, diagonal.size))
-    loss, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
+    buffers = (np.empty((diagonal.size, diagonal.size)), np.empty_like(design))
+    loss, grad = loss_and_gradient(params, ZV, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):
-        if np.abs(grad).max() <= config.grad_tol:
+        if np.abs(full_space(grad)).max() <= config.grad_tol:
             break
-        _hessian(params, Z, design, diagonal, hess)
+        hess = _hessian(params, ZV, design, diagonal, buffers)
         step = np.linalg.solve(hess, grad.reshape(-1)).reshape(params.shape)
         descent = float((grad * step).sum())
         scale = 1.0
         for _ in range(_MAX_BACKTRACKS):
             candidate = params - scale * step
-            cand_loss, cand_grad = loss_and_gradient(candidate, Z, y, config.l2_lambda)
+            cand_loss, cand_grad = loss_and_gradient(candidate, ZV, y, config.l2_lambda)
             if cand_loss <= loss - _ARMIJO_C1 * scale * descent:
                 break
             scale *= 0.5
@@ -173,6 +204,8 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
             break
         params, loss, grad = candidate, cand_loss, cand_grad
         history.append(loss)
+    params = full_space(params)
+    params[:, -1] -= params[:, -1].mean()
     return params, history
 
 

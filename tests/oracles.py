@@ -9,11 +9,16 @@ loss_and_gradient and hessian are the straightforward classifier
 objective: two separate softmax exponentials, and a Hessian that rebuilds
 its design matrix and penalty on every call. The library computes the
 same operations once each, so it must agree with them bit for bit.
+
+newton_minimize is the full-space Newton solver: the same damped Newton
+with Armijo backtracking, run on all C * (d + 1) parameters with the
+rebuilding hessian above and no centring of the biases. The library runs
+it in the row space of the training rows, which must give the same model.
 """
 
 import numpy as np
 
-from labankit.classifier import _NEWTON_RIDGE
+from labankit.classifier import _ARMIJO_C1, _MAX_BACKTRACKS, _NEWTON_RIDGE
 
 from labankit.descriptors import (
     CURVATURE_CAP,
@@ -202,3 +207,31 @@ def hessian(params: np.ndarray, X: np.ndarray, l2_lambda: float) -> np.ndarray:
     penalty = np.tile(np.concatenate([np.full(d, l2_lambda), [0.0]]), c)
     hess[np.diag_indices_from(hess)] += penalty + _NEWTON_RIDGE
     return hess
+
+
+def newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
+                    config, init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+    """Damped Newton descent on the convex objective; returns (params, loss history)."""
+    n, d = Z.shape
+    params = np.zeros((class_count, d + 1)) if init is None else init.astype(np.float64)
+    loss, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
+    history = [loss]
+    for _ in range(config.max_iters):
+        if np.abs(grad).max() <= config.grad_tol:
+            break
+        hess = hessian(params, Z, config.l2_lambda)
+        step = np.linalg.solve(hess, grad.reshape(-1)).reshape(params.shape)
+        descent = float((grad * step).sum())
+        scale = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            candidate = params - scale * step
+            cand_loss, cand_grad = loss_and_gradient(candidate, Z, y, config.l2_lambda)
+            if cand_loss <= loss - _ARMIJO_C1 * scale * descent:
+                break
+            scale *= 0.5
+        else:
+            # Numerically flat: no step length improves the objective.
+            break
+        params, loss, grad = candidate, cand_loss, cand_grad
+        history.append(loss)
+    return params, history

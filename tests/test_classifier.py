@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,21 @@ def test_monotone_descent():
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+def test_biases_are_centred_whatever_the_bias_start():
+    # The objective is flat along "add c to every bias"; the saved biases
+    # must not depend on where the solver started along it.
+    rng = np.random.default_rng(8)
+    X, y = blobs(rng, per_class=20, c=3)
+    Z = (X - X.mean(0)) / X.std(0)
+    config = TrainConfig(l2_lambda=0.1)
+    zero, _ = _newton_minimize(Z, y, 3, config)
+    init = np.zeros_like(zero)
+    init[:, -1] = 5.0
+    shifted, _ = _newton_minimize(Z, y, 3, config, init=init)
+    assert np.abs(shifted[:, -1] - zero[:, -1]).max() <= 1e-12
+    assert abs(zero[:, -1].sum()) <= 1e-12
+
+
 def test_training_is_bit_deterministic():
     rng = np.random.default_rng(7)
     X, y = blobs(rng)
@@ -242,6 +258,90 @@ def test_train_validates_inputs():
 def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# row-space Newton
+# ---------------------------------------------------------------------------
+
+SHAPES = ("wide", "tall", "duplicated", "constant", "all_constant")
+
+
+def shaped_problem(kind, c, rng):
+    """Rows with class-dependent means and unequal class priors: wide
+    (30 x 110), tall (300 x 8), or 60 x 6 with one column duplicated, two
+    columns constant, or every column constant (exactly representable
+    constants, so standardizing gives exact zeros)."""
+    n, d = {"wide": (30, 110), "tall": (300, 8)}.get(kind, (60, 6))
+    y = np.minimum(np.arange(n) % (c + 1), c - 1)
+    X = rng.normal(size=(n, d)) + rng.normal(size=(c, d))[y]
+    if kind == "duplicated":
+        X[:, 3] = X[:, 1]
+    elif kind == "constant":
+        X[:, [0, 4]] = 2.5
+    elif kind == "all_constant":
+        X[:] = np.arange(d) - 1.5
+    return X, y
+
+
+def record_hessian_sides(monkeypatch):
+    sides = []
+    real_hessian = classifier._hessian
+
+    def recorded(params, X, design, diagonal, out):
+        hess = real_hessian(params, X, design, diagonal, out)
+        sides.append(hess.shape[0])
+        return hess
+
+    monkeypatch.setattr(classifier, "_hessian", recorded)
+    return sides
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+@pytest.mark.parametrize("c, l2", EXACTNESS_CASES)
+def test_row_space_newton_predicts_like_the_full_space_reference(kind, c, l2):
+    rng = np.random.default_rng(300 + 10 * c + int(100 * l2))
+    X, y = shaped_problem(kind, c, rng)
+    config = TrainConfig(l2_lambda=l2)
+    model = train(X, y, config)
+    params, _ = oracles.newton_minimize(model.standardizer.transform(X), y, c, config)
+    reference = replace(model, weights=params[:, :-1], biases=params[:, -1])
+    # Compared on the training rows: off their span, at l2 = 0, the
+    # reference's weights carry drift of the Newton ridge's scale.
+    ours, theirs = predict_proba(model, X), predict_proba(reference, X)
+    assert np.abs(ours - theirs).max() <= 1e-12
+    assert np.array_equal(ours.argmax(axis=1), theirs.argmax(axis=1))
+
+
+def test_wide_fit_builds_hessians_of_the_row_space(monkeypatch):
+    rng = np.random.default_rng(12)
+    X, y = shaped_problem("wide", 4, rng)
+    sides = record_hessian_sides(monkeypatch)
+    model = train(X, y, TrainConfig(l2_lambda=0.1))
+    rank = np.linalg.matrix_rank(model.standardizer.transform(X))
+    assert rank <= X.shape[0] - 1 < X.shape[1]
+    assert sides and set(sides) == {4 * (rank + 1)}
+
+
+def test_all_constant_columns_fit_rank_zero_and_predict_the_priors(monkeypatch):
+    rng = np.random.default_rng(13)
+    X, y = shaped_problem("all_constant", 3, rng)
+    sides = record_hessian_sides(monkeypatch)
+    model = train(X, y)
+    assert sides and set(sides) == {3}
+    priors = np.bincount(y) / y.size
+    assert np.allclose(predict_proba(model, X), priors, rtol=0, atol=1e-9)
+
+
+def test_converged_fit_meets_grad_tol_on_the_full_space_gradient():
+    rng = np.random.default_rng(14)
+    X, y = shaped_problem("wide", 3, rng)
+    Z = (X - X.mean(0)) / X.std(0)
+    config = TrainConfig(l2_lambda=0.01)
+    params, history = _newton_minimize(Z, y, 3, config)
+    assert len(history) - 1 < config.max_iters
+    _, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
+    assert np.abs(grad).max() <= config.grad_tol
 
 
 # ---------------------------------------------------------------------------
