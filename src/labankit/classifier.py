@@ -10,10 +10,17 @@ Newton runs in the row space of the standardized training rows. L2-penalized
 weights never leave that span (the representer theorem), and Newton's method
 is affine-invariant, so fitting the weights in an orthonormal basis V of the
 span and mapping them back as W_r @ V.T gives the same iterates as the full
-space. With fewer rows than features, the Hessian then has side
-C * (rank + 1) instead of C * (features + 1). The objective is flat along
-"add one constant to every bias", so the fitted biases are centred to sum
-to zero and the saved model does not depend on the solver's path.
+space. With fewer rows than features, the weights then have rank columns
+instead of features columns.
+
+Newton also runs on the sum-to-zero class subspace: with one L2 penalty for
+every class, the optimal weights sum to zero over the classes, and the
+biases can (adding one constant to every bias changes nothing). The
+parameters are P @ theta, with P an orthonormal (C, C - 1) Helmert basis of
+{v : sum(v) = 0}. The gradient and the Hessian leave that subspace
+invariant, so Newton gives the same iterates as on all C classes, with a
+Hessian of side (C - 1) * (rank + 1). The fitted biases sum to zero by
+construction, so the saved model does not depend on the solver's path.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from .stats import Standardizer, fit_standardizer
 
 MODEL_FORMAT_VERSION = 1
 
-# Tiny ridge keeps the Newton solve well-posed along the softmax shift
-# direction (adding a constant to every bias leaves the objective flat).
+# Tiny ridge keeps the Newton solve well posed where the data curvature
+# vanishes (a saturated fit): the biases are never penalized, and at
+# l2_lambda = 0 neither are the weights.
 _NEWTON_RIDGE = 1e-10
 # Eigenvalues of Z.T @ Z at or below d * eps * the largest are rounding
 # noise of a direction the rows do not span.
@@ -132,28 +140,41 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return float(loss), np.concatenate([grad_w, grad_b[:, None]], axis=1)
 
 
-def _hessian(params: np.ndarray, X: np.ndarray, design: np.ndarray,
-             diagonal: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Exact Hessian over flattened (C, d+1) parameters, given the fit's fixed
-    design matrix [X, 1] and diagonal (L2 penalty plus Newton ridge).
+def _sum_zero_basis(class_count: int) -> np.ndarray:
+    """Orthonormal Helmert columns (C, C-1) spanning {v : sum(v) = 0}."""
+    basis = np.zeros((class_count, class_count - 1))
+    for k in range(1, class_count):
+        unit = 1.0 / math.sqrt(k * (k + 1))
+        basis[:k, k - 1] = unit
+        basis[k, k - 1] = -k * unit
+    return basis
 
-    out is the fit's pair of buffers: the (C(d+1), C(d+1)) Hessian, which is
-    overwritten and returned, and the (N, d+1) weighted design of one block.
-    A fit allocates them once instead of faulting in fresh pages every
-    iteration.
+
+def _hessian(params: np.ndarray, basis: np.ndarray, X: np.ndarray,
+             design: np.ndarray, diagonal: np.ndarray,
+             out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Exact Hessian over the flattened (C-1, d+1) coordinates theta of
+    params = basis @ theta, given the fit's fixed design matrix [X, 1] and
+    diagonal (L2 penalty plus Newton ridge). Block (a, b) weighs the design
+    rows by (p @ (P[:, a] * P[:, b]) - q[:, a] * q[:, b]) / N, q = p @ P.
+
+    out is the fit's pair of buffers: the Hessian, which is overwritten and
+    returned, and the (N, d+1) weighted design of one block. A fit allocates
+    them once instead of faulting in fresh pages every iteration.
     """
     hess, weighted = out
     n, da = design.shape
-    c = params.shape[0]
+    k = basis.shape[1]
     probs = _softmax(X @ params[:, :-1].T + params[:, -1])
-    blocks = hess.reshape(c, da, c, da)  # a view of hess
-    for i in range(c):
-        for j in range(i, c):
-            w = probs[:, i] * ((1.0 if i == j else 0.0) - probs[:, j]) / n
+    q = probs @ basis
+    blocks = hess.reshape(k, da, k, da)  # a view of hess
+    for a in range(k):
+        for b in range(a, k):
+            w = (probs @ (basis[:, a] * basis[:, b]) - q[:, a] * q[:, b]) / n
             block = design.T @ np.multiply(w[:, None], design, out=weighted)
-            blocks[i, :, j, :] = block
-            if j != i:
-                blocks[j, :, i, :] = block
+            blocks[a, :, b, :] = block
+            if b != a:
+                blocks[b, :, a, :] = block
     hess.flat[::hess.shape[0] + 1] += diagonal
     return hess
 
@@ -162,51 +183,54 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
                      config: TrainConfig,
                      init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Damped Newton descent on the convex objective; returns the (C, d+1)
-    params with centred biases, and the loss history.
+    params, whose weights and biases sum to zero over the classes, and the
+    loss history.
 
-    The weights are fitted in the row space of Z (see the module docstring),
-    onto which init, if given, is projected. The stopping test is on the
-    full-space gradient.
+    The parameters are fitted in the row space of Z and on the sum-to-zero
+    class subspace (see the module docstring); init, if given, is projected
+    onto both. The stopping test is on the full-space gradient.
     """
     evals, evecs = np.linalg.eigh(Z.T @ Z)
     V = evecs[:, evals > Z.shape[1] * _ROW_SPACE_RTOL * evals.max(initial=0.0)]
     ZV = Z @ V
     n, r = ZV.shape
+    basis = _sum_zero_basis(class_count)
 
-    def full_space(p):  # (C, r + 1) -> (C, d + 1)
+    def full_space(p):  # (k, r + 1) -> (k, d + 1)
         return np.concatenate([p[:, :-1] @ V.T, p[:, -1:]], axis=1)
 
     if init is None:
-        params = np.zeros((class_count, r + 1))
+        theta = np.zeros((class_count - 1, r + 1))
     else:
-        params = np.concatenate([init[:, :-1] @ V, init[:, -1:]], axis=1)
+        theta = basis.T @ np.concatenate([init[:, :-1] @ V, init[:, -1:]], axis=1)
     design = np.concatenate([ZV, np.ones((n, 1))], axis=1)
     penalty = np.append(np.full(r, config.l2_lambda), 0.0)  # biases unpenalized
-    diagonal = np.tile(penalty, class_count) + _NEWTON_RIDGE
+    diagonal = np.tile(penalty, class_count - 1) + _NEWTON_RIDGE
     buffers = (np.empty((diagonal.size, diagonal.size)), np.empty_like(design))
+    params = basis @ theta
     loss, grad = loss_and_gradient(params, ZV, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):
         if np.abs(full_space(grad)).max() <= config.grad_tol:
             break
-        hess = _hessian(params, ZV, design, diagonal, buffers)
-        step = np.linalg.solve(hess, grad.reshape(-1)).reshape(params.shape)
-        descent = float((grad * step).sum())
+        hess = _hessian(params, basis, ZV, design, diagonal, buffers)
+        reduced = basis.T @ grad
+        step = np.linalg.solve(hess, reduced.reshape(-1)).reshape(theta.shape)
+        descent = float((reduced * step).sum())
         scale = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            candidate = params - scale * step
-            cand_loss, cand_grad = loss_and_gradient(candidate, ZV, y, config.l2_lambda)
+            candidate = theta - scale * step
+            cand_params = basis @ candidate
+            cand_loss, cand_grad = loss_and_gradient(cand_params, ZV, y, config.l2_lambda)
             if cand_loss <= loss - _ARMIJO_C1 * scale * descent:
                 break
             scale *= 0.5
         else:
             # Numerically flat: no step length improves the objective.
             break
-        params, loss, grad = candidate, cand_loss, cand_grad
+        theta, params, loss, grad = candidate, cand_params, cand_loss, cand_grad
         history.append(loss)
-    params = full_space(params)
-    params[:, -1] -= params[:, -1].mean()
-    return params, history
+    return basis @ full_space(theta), history
 
 
 def train(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,

@@ -85,7 +85,8 @@ def read_features_csv(path) -> FeatureTable:
     """Read a feature CSV; feature columns are everything non-metadata.
 
     Every feature cell must parse as a finite float, and every tier must be
-    in VALID_TIERS.
+    in VALID_TIERS. Cell counts, parsing and tiers are checked row by row;
+    finiteness once, after every row has parsed.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -109,6 +110,7 @@ def read_features_csv(path) -> FeatureTable:
         start_frames: list[int] = []
         tiers: list[int] = []
         values: list[list[float]] = []
+        linenos: list[int] = []  # file line of each row; blank lines are skipped
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -124,14 +126,15 @@ def read_features_csv(path) -> FeatureTable:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             _validate_tier(tiers[-1], f"{path}:{lineno}")
-            finite = np.isfinite(values[-1])
-            if not finite.all():
-                j = np.argmin(finite)
-                raise ValueError(f"{path}:{lineno}: non-finite value {values[-1][j]} "
-                                 f"in column {feature_cols[j][1]!r}")
+            linenos.append(lineno)
 
     matrix = np.asarray(values, dtype=np.float64) if values \
         else np.empty((0, len(feature_cols)))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]  # the first bad cell in file order
+        raise ValueError(f"{path}:{linenos[i]}: non-finite value {matrix[i, j]} "
+                         f"in column {feature_cols[j][1]!r}")
     return FeatureTable(
         names=tuple(name for _, name in feature_cols),
         values=matrix,

@@ -6,14 +6,18 @@ A `positions` argument is a (T, 24, 3) sequence; a `state` argument is the (velo
 labankit.descriptors.differentiate returns.
 
 loss_and_gradient and hessian are the straightforward classifier
-objective: two separate softmax exponentials, and a Hessian that rebuilds
-its design matrix and penalty on every call. The library computes the
-same operations once each, so it must agree with them bit for bit.
+objective: two separate softmax exponentials, and a Hessian over all
+C * (d + 1) parameters that rebuilds its design matrix and penalty on
+every call. reduced_hessian rebuilds, the same way, the Hessian over the
+(C - 1) * (d + 1) coordinates of a given sum-to-zero class basis. The
+library computes the same operations once each, so it must agree with
+them bit for bit.
 
 newton_minimize is the full-space Newton solver: the same damped Newton
 with Armijo backtracking, run on all C * (d + 1) parameters with the
 rebuilding hessian above and no centring of the biases. The library runs
-it in the row space of the training rows, which must give the same model.
+it in the row space of the training rows and on the sum-to-zero class
+subspace, which must give the same model in as many iterations.
 """
 
 import numpy as np
@@ -205,6 +209,31 @@ def hessian(params: np.ndarray, X: np.ndarray, l2_lambda: float) -> np.ndarray:
                 hess[j, :, i, :] = block
     hess = hess.reshape(c * da, c * da)
     penalty = np.tile(np.concatenate([np.full(d, l2_lambda), [0.0]]), c)
+    hess[np.diag_indices_from(hess)] += penalty + _NEWTON_RIDGE
+    return hess
+
+
+def reduced_hessian(params: np.ndarray, basis: np.ndarray, X: np.ndarray,
+                    l2_lambda: float) -> np.ndarray:
+    """Exact Hessian over flattened (C-1, d+1) coordinates theta of the
+    (C, d+1) params = basis @ theta, basis being (C, C-1) orthonormal with
+    columns that sum to zero."""
+    n, d = X.shape
+    k = basis.shape[1]
+    da = d + 1
+    design = np.concatenate([X, np.ones((n, 1))], axis=1)
+    probs = _softmax(X @ params[:, :-1].T + params[:, -1])
+    q = probs @ basis
+    hess = np.empty((k, da, k, da))
+    for a in range(k):
+        for b in range(a, k):
+            w = (probs @ (basis[:, a] * basis[:, b]) - q[:, a] * q[:, b]) / n
+            block = design.T @ (w[:, None] * design)
+            hess[a, :, b, :] = block
+            if b != a:
+                hess[b, :, a, :] = block
+    hess = hess.reshape(k * da, k * da)
+    penalty = np.tile(np.concatenate([np.full(d, l2_lambda), [0.0]]), k)
     hess[np.diag_indices_from(hess)] += penalty + _NEWTON_RIDGE
     return hess
 

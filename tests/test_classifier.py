@@ -129,21 +129,35 @@ def test_loss_and_gradient_equal_the_reference_with_logits_above_700():
 @pytest.mark.parametrize("c, l2", EXACTNESS_CASES)
 def test_newton_hessians_equal_the_rebuilding_reference_bit_for_bit(c, l2, monkeypatch):
     # Every Hessian a fit builds, from the design matrix and diagonal that
-    # _newton_minimize prepares once, must equal the per-call rebuild.
+    # _newton_minimize prepares once, must equal the per-call reduced
+    # rebuild, and the full-space Hessian projected onto the sum-to-zero
+    # class subspace.
     rng = np.random.default_rng(200 + 10 * c + int(100 * l2))
     X, y = blobs(rng, per_class=15, c=c, d=5, spread=1.0)
     Z = (X - X.mean(0)) / X.std(0)
     real_hessian = classifier._hessian
-    built = []
+    built, projected = [], []
 
-    def checked(params, X, design, diagonal, out):
-        hess = real_hessian(params, X, design, diagonal, out)
-        built.append(np.array_equal(hess, oracles.hessian(params, X, l2)))
+    def checked(params, basis, X, design, diagonal, out):
+        hess = real_hessian(params, basis, X, design, diagonal, out)
+        built.append(np.array_equal(hess, oracles.reduced_hessian(params, basis, X, l2)))
+        lift = np.kron(basis, np.eye(X.shape[1] + 1))
+        full = lift.T @ oracles.hessian(params, X, l2) @ lift
+        projected.append(np.abs(hess - full).max() / np.abs(full).max())
         return hess
 
     monkeypatch.setattr(classifier, "_hessian", checked)
     _newton_minimize(Z, y, c, TrainConfig(l2_lambda=l2, max_iters=4))
     assert built and all(built)
+    assert max(projected) <= 1e-12
+
+
+@pytest.mark.parametrize("c", (2, 3, 4))
+def test_sum_zero_basis_is_orthonormal_and_sums_to_zero(c):
+    basis = classifier._sum_zero_basis(c)
+    assert basis.shape == (c, c - 1)
+    assert np.abs(basis.T @ basis - np.eye(c - 1)).max() <= 1e-15
+    assert np.abs(basis.sum(axis=0)).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +227,29 @@ def test_monotone_descent():
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+@pytest.mark.parametrize("c", (2, 3, 4))
+def test_a_bias_shifted_start_gives_the_zero_start_model(c):
+    rng = np.random.default_rng(9)
+    X, y = blobs(rng, per_class=20, c=c)
+    Z = (X - X.mean(0)) / X.std(0)
+    config = TrainConfig(l2_lambda=0.1)
+    zero, zero_history = _newton_minimize(Z, y, c, config)
+    init = np.zeros_like(zero)
+    init[:, -1] = -3.0
+    shifted, shifted_history = _newton_minimize(Z, y, c, config, init=init)
+    assert len(shifted_history) == len(zero_history)
+    assert np.abs(shifted - zero).max() <= 1e-12 * np.abs(zero).max()
+
+
+def test_binary_fit_is_antisymmetric_over_the_two_classes():
+    rng = np.random.default_rng(10)
+    X, y = blobs(rng, per_class=25, c=2)
+    model = train(X, y, TrainConfig(l2_lambda=0.01))
+    assert np.abs(model.weights).max() > 0
+    assert np.array_equal(model.weights[0], -model.weights[1])
+    assert model.biases[0] == -model.biases[1]
+
+
 def test_biases_are_centred_whatever_the_bias_start():
     # The objective is flat along "add c to every bias"; the saved biases
     # must not depend on where the solver started along it.
@@ -261,7 +298,7 @@ def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
 
 
 # ---------------------------------------------------------------------------
-# row-space Newton
+# row-space, sum-to-zero Newton
 # ---------------------------------------------------------------------------
 
 SHAPES = ("wide", "tall", "duplicated", "constant", "all_constant")
@@ -288,8 +325,8 @@ def record_hessian_sides(monkeypatch):
     sides = []
     real_hessian = classifier._hessian
 
-    def recorded(params, X, design, diagonal, out):
-        hess = real_hessian(params, X, design, diagonal, out)
+    def recorded(params, basis, X, design, diagonal, out):
+        hess = real_hessian(params, basis, X, design, diagonal, out)
         sides.append(hess.shape[0])
         return hess
 
@@ -304,7 +341,10 @@ def test_row_space_newton_predicts_like_the_full_space_reference(kind, c, l2):
     X, y = shaped_problem(kind, c, rng)
     config = TrainConfig(l2_lambda=l2)
     model = train(X, y, config)
-    params, _ = oracles.newton_minimize(model.standardizer.transform(X), y, c, config)
+    Z = model.standardizer.transform(X)
+    _, history = _newton_minimize(Z, y, c, config)
+    params, reference_history = oracles.newton_minimize(Z, y, c, config)
+    assert len(history) == len(reference_history)  # as many Newton iterations
     reference = replace(model, weights=params[:, :-1], biases=params[:, -1])
     # Compared on the training rows: off their span, at l2 = 0, the
     # reference's weights carry drift of the Newton ridge's scale.
@@ -320,7 +360,7 @@ def test_wide_fit_builds_hessians_of_the_row_space(monkeypatch):
     model = train(X, y, TrainConfig(l2_lambda=0.1))
     rank = np.linalg.matrix_rank(model.standardizer.transform(X))
     assert rank <= X.shape[0] - 1 < X.shape[1]
-    assert sides and set(sides) == {4 * (rank + 1)}
+    assert sides and set(sides) == {3 * (rank + 1)}
 
 
 def test_all_constant_columns_fit_rank_zero_and_predict_the_priors(monkeypatch):
@@ -328,7 +368,7 @@ def test_all_constant_columns_fit_rank_zero_and_predict_the_priors(monkeypatch):
     X, y = shaped_problem("all_constant", 3, rng)
     sides = record_hessian_sides(monkeypatch)
     model = train(X, y)
-    assert sides and set(sides) == {3}
+    assert sides and set(sides) == {2}
     priors = np.bincount(y) / y.size
     assert np.allclose(predict_proba(model, X), priors, rtol=0, atol=1e-9)
 

@@ -115,6 +115,27 @@ def test_features_csv_rejects_non_finite_cells(small_dataset, tmp_path, capsys):
         assert f"{cell}.csv:4" in capsys.readouterr().err
 
 
+def test_features_csv_names_the_first_non_finite_cell_by_file_line(tmp_path):
+    # Blank lines are skipped but still counted: the message gives the
+    # file line, not the row index.
+    path = tmp_path / "blank.csv"
+    path.write_text("source_id,start_frame,tier,a,b\n"
+                    "s0,0,1,1.5,2.5\n"
+                    "\n"
+                    "s1,0,2,0.5,0.25\n"
+                    "\n"
+                    "\n"
+                    "s2,0,3,3.0,inf\n"
+                    "s3,0,0,nan,-inf\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value) == f"{path}:7: non-finite value inf in column 'b'"
+    path.write_text(path.read_text().replace(",inf\n", ",4.0\n"))
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value) == f"{path}:8: non-finite value nan in column 'a'"
+
+
 def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     root, _ = small_dataset
     corrupt = tmp_path / "corrupt.json"
