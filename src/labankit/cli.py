@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -80,7 +81,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option("length", float, 5.0, "fragment length in seconds",
                 bound=(">=", MIN_FRAGMENT_SECONDS)),
         _Option("stride", float, 5.0, "fragment stride in seconds", bound=(">", 0)),
-        _Option("workers", int, 1, "parallel file workers", bound=(">=", 1)),
+        _Option("workers", int, 1, "parallel file workers, at most one per file "
+                "and core", bound=(">=", 1)),
     )),
     "train": ("train a logistic-regression model on a feature CSV", (
         _FEATURES,
@@ -235,8 +237,11 @@ def cmd_extract(params: dict) -> int:
     manifest = load_manifest(params["manifest"])
     out = Path(params["out"])
     job = partial(_extract_one, length=params["length"], stride=params["stride"])
-    if params["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=params["workers"]) as pool:
+    # More threads than files or cores would only wait; the echo keeps the
+    # requested count.
+    workers = min(params["workers"], len(manifest.entries), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, manifest.entries))
     else:
         results = [job(entry) for entry in manifest.entries]

@@ -70,15 +70,36 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+class _Rows(list):
+    """A csv.writer target that keeps each written row as a string."""
+
+    write = list.append
+
+
 def write_features_csv(path, feature_names, rows) -> None:
     """Write fragment rows as CSV.
 
-    rows yields (source_id, start_frame, tier, vector) tuples; the vector
-    order must match feature_names.
+    rows yields (source_id, start_frame, tier, vector) tuples; the vector is
+    any float sequence in feature_names order, and one of another length
+    raises ValueError naming its source_id and start_frame.
     """
-    _write_csv(path, [*METADATA_COLUMNS, *feature_names],
-               ([source_id, start_frame, tier, *map(_VALUE_FORMAT.format, vector)]
-                for source_id, start_frame, tier, vector in rows))
+    # csv.writer quotes the metadata; the feature values never need quoting,
+    # so each row's values are formatted by one call.
+    values = f",{_VALUE_FORMAT}" * len(feature_names)
+    eol = csv.excel.lineterminator
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow([*METADATA_COLUMNS, *feature_names])
+        metadata = _Rows()
+        writer = csv.writer(metadata)
+        for source_id, start_frame, tier, vector in rows:
+            vector = np.asarray(vector, dtype=np.float64)
+            if vector.shape != (len(feature_names),):
+                raise ValueError(
+                    f"row {source_id!r} at frame {start_frame}: vector of shape "
+                    f"{vector.shape}, expected ({len(feature_names)},)")
+            writer.writerow((source_id, start_frame, tier))
+            fh.write(metadata.pop().removesuffix(eol)
+                     + values.format(*vector.tolist()) + eol)
 
 
 def read_features_csv(path) -> FeatureTable:
@@ -147,9 +168,13 @@ def read_features_csv(path) -> FeatureTable:
 def write_predictions_csv(path, table: FeatureTable, probs) -> None:
     """Write each table row's metadata, most probable class (exact ties go to
     the lower id) and class probabilities; probs is (len(table), C)."""
+    if probs.shape[0] != len(table):
+        raise ValueError(f"{probs.shape[0]} probability rows for a table "
+                         f"of {len(table)} rows")
     _write_csv(path, [*METADATA_COLUMNS, "predicted_class",
                       *(f"prob_{c}" for c in range(probs.shape[1]))],
-               ([source_id, start, tier, int(c), *map(_VALUE_FORMAT.format, row)]
+               ([source_id, start, tier, int(c),
+                 *map(_VALUE_FORMAT.format, row.tolist())]
                 for source_id, start, tier, c, row in zip(
                     table.source_ids, table.start_frames, table.tiers,
                     np.argmax(probs, axis=1), probs)))

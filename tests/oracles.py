@@ -18,7 +18,13 @@ with Armijo backtracking, run on all C * (d + 1) parameters with the
 rebuilding hessian above and no centring of the biases. The library runs
 it in the row space of the training rows and on the sum-to-zero class
 subspace, which must give the same model in as many iterations.
+
+write_features_csv is the feature CSV written cell by cell through
+csv.writer. The library formats each row's values in one call, which
+must give the same bytes.
 """
+
+import csv
 
 import numpy as np
 
@@ -264,3 +270,13 @@ def newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
         params, loss, grad = candidate, cand_loss, cand_grad
         history.append(loss)
     return params, history
+
+
+def write_features_csv(path, feature_names, rows) -> None:
+    """A feature CSV whose every cell goes through csv.writer, each value
+    formatted with "{:.9g}"."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["source_id", "start_frame", "tier", *feature_names])
+        writer.writerows([source_id, start_frame, tier, *map("{:.9g}".format, vector)]
+                         for source_id, start_frame, tier, vector in rows)

@@ -276,6 +276,49 @@ def test_extract_workers_bit_identical(small_dataset, tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+@pytest.mark.parametrize("requested, cores, started", [
+    (1000, 8, [3]),     # one thread per file
+    (1000, 2, [2]),     # one thread per core
+    (2, 8, [2]),        # the requested count
+    (1000, 1, []),      # one core: serial, no pool
+    (1000, None, []),   # unknown core count counts as one
+])
+def test_extract_starts_at_most_one_thread_per_file_and_core(
+        small_dataset, tmp_path, monkeypatch, requested, cores, started):
+    from labankit import DatasetManifest, save_manifest
+    from labankit import cli
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    sizes = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    root, features = small_dataset
+    manifest = tmp_path / "three.jsonl"
+    save_manifest(DatasetManifest(load_manifest(root / "manifest.jsonl").entries[:3]),
+                  manifest)
+    out = tmp_path / "three.csv"
+    assert run("extract", "--manifest", manifest, "--out", out,
+               "--workers", requested) == 0
+    assert sizes == started
+    assert out.read_bytes().splitlines()[1:] == features.read_bytes().splitlines()[1:4]
+    echo = json.loads((tmp_path / "three.csv.config.json").read_text())
+    assert echo["params"]["workers"] == requested
+
+
 def test_train_and_predict_round_trip(small_dataset, tmp_path):
     _, features = small_dataset
     model = tmp_path / "model.json"

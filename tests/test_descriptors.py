@@ -407,6 +407,30 @@ def test_horizontal_extent_of_coincident_xz_pose_is_exactly_zero():
     assert np.all(extent == 0.0)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "last-axis-strided"])
+@pytest.mark.parametrize("shape", [(60, 3), (60, 5, 3), (60, 6, 3), (60, 24, 3)])
+def test_norm3_equals_linalg_norm_bit_for_bit(shape, layout):
+    rng = np.random.default_rng(len(shape) * 31 + shape[-2])
+    values = (rng.choice([-1.0, 1.0], size=shape)
+              * 10.0 ** rng.uniform(-150, 150, size=shape))
+    values.flat[::7] = 0.0
+    values.flat[3::11] = -0.0
+    values[0] = -0.0
+    if layout == "strided":
+        base = np.zeros((2 * shape[0], *shape[1:-1], 6))
+        base[::2, ..., ::2] = values
+        d = base[::2, ..., ::2]
+    elif layout == "last-axis-strided":
+        d = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+    else:
+        d = values
+    before = d.copy()
+    norms = descriptors._norm3(d)
+    assert np.array_equal(norms.view(np.int64),
+                          np.linalg.norm(d, axis=-1).view(np.int64))
+    assert np.array_equal(d.view(np.int64), before.view(np.int64))  # d is not written
+
+
 def test_aggregate_constant_columns_have_zero_std():
     assert np.all(aggregate(np.full((64, 55), 2.5))[55:] == 0.0)
     # A rest fragment is constant per column too, up to float summation dust.
