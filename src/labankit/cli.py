@@ -16,7 +16,7 @@ import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -354,7 +354,10 @@ _HANDLERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and building it costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="labankit",
         description="Laban Movement Analysis descriptors and ordinal motion "

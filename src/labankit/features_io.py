@@ -8,12 +8,13 @@ by position, so reordered files are equivalent.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .skeleton import _validate_tier
+from .skeleton import VALID_TIERS, _validate_tier
 
 METADATA_COLUMNS = ("source_id", "start_frame", "tier")
 
@@ -106,8 +107,9 @@ def read_features_csv(path) -> FeatureTable:
     """Read a feature CSV; feature columns are everything non-metadata.
 
     Every feature cell must parse as a finite float, and every tier must be
-    in VALID_TIERS. Cell counts, parsing and tiers are checked row by row;
-    finiteness once, after every row has parsed.
+    in VALID_TIERS. A well-formed file is parsed by one np.loadtxt pass.
+    Any other file is read again row by row (_read_rows), which decides
+    what float() and int() accept and words every error with its file line.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -116,38 +118,108 @@ def read_features_csv(path) -> FeatureTable:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        for j, name in enumerate(header):
-            if name in header[:j]:
+        seen = set()
+        for name in header:
+            if name in seen:
                 raise ValueError(f"{path}: duplicate column {name!r}")
+            seen.add(name)
         for column in METADATA_COLUMNS:
             if column not in header:
                 raise ValueError(f"{path}: missing required column {column!r}")
-        meta_index = {c: header.index(c) for c in METADATA_COLUMNS}
-        feature_cols = [
-            (j, name) for j, name in enumerate(header) if name not in METADATA_COLUMNS
-        ]
+        try:
+            return _parse_lines(path, header, fh)
+        except (ValueError, OverflowError):
+            pass
+        fh.seek(0)
+        next(reader)  # the header again: reader iterates over fh
+        return _read_rows(path, header, reader)
 
-        source_ids: list[str] = []
-        start_frames: list[int] = []
-        tiers: list[int] = []
-        values: list[list[float]] = []
-        linenos: list[int] = []  # file line of each row; blank lines are skipped
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                source_ids.append(row[meta_index["source_id"]])
-                start_frames.append(int(row[meta_index["start_frame"]]))
-                tiers.append(int(row[meta_index["tier"]]))
-                values.append([float(row[j]) for j, _ in feature_cols])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            _validate_tier(tiers[-1], f"{path}:{lineno}")
-            linenos.append(lineno)
+
+def _parse_lines(path, header, lines) -> FeatureTable:
+    """Parse the data lines in one np.loadtxt pass.
+
+    Raises ValueError or OverflowError, without a location, wherever the row
+    loop might read the file otherwise: a cell loadtxt cannot parse (float()
+    also takes "1_000"), a bad row length, start_frame or tier, a non-finite
+    value, or a field that may exceed csv.field_size_limit().
+    """
+    lines = _within_field_limit(lines)
+    # loadtxt warns on input without rows; blank lines are skipped either way.
+    first = next((line for line in lines if line.strip("\r\n")), None)
+    if first is None:
+        return _read_rows(path, header, ())
+    # Fields are named by column index; the metadata cells stay str objects.
+    dtype = np.dtype([(str(j), object if name in METADATA_COLUMNS else np.float64)
+                      for j, name in enumerate(header)])
+    # A handle's lines, not a path: loadtxt opens a path with newline
+    # translation, which rewrites a quoted "\r" as "\n".
+    records = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
+                         quotechar='"', comments=None, ndmin=1)
+    meta = {c: records[str(header.index(c))].tolist() for c in METADATA_COLUMNS}
+    feature_cols = [j for j, name in enumerate(header) if name not in METADATA_COLUMNS]
+    values = np.empty((len(records), len(feature_cols)))
+    for k, j in enumerate(feature_cols):
+        values[:, k] = records[str(j)]
+    tiers = np.asarray([int(t) for t in meta["tier"]], dtype=np.int64)
+    start_frames = np.asarray([int(s) for s in meta["start_frame"]], dtype=np.int64)
+    # A quoted id may span short lines that each hold a comma, which
+    # _within_field_limit passes.
+    if not (np.isin(tiers, VALID_TIERS).all() and np.isfinite(values).all()
+            and max(map(len, meta["source_id"])) <= csv.field_size_limit()):
+        raise ValueError("a tier, a value or a source_id is out of range")
+    return FeatureTable(names=tuple(header[j] for j in feature_cols), values=values,
+                        tiers=tiers, source_ids=tuple(meta["source_id"]),
+                        start_frames=start_frames)
+
+
+def _within_field_limit(lines):
+    """Yield lines; raise ValueError at a comma-free stretch of them longer
+    than csv.field_size_limit(), where csv.reader may refuse a field.
+
+    A line with a comma counts in full towards both its neighbours'
+    stretches, so the check is conservative.
+    """
+    limit = csv.field_size_limit()
+    stretch = 0
+    for line in lines:
+        stretch += len(line)
+        if stretch > limit:
+            raise ValueError("a field may exceed the csv field size limit")
+        if "," in line:
+            stretch = len(line)
+        yield line
+
+
+def _read_rows(path, header, reader) -> FeatureTable:
+    """Read the rows after the header one by one, checking cell counts,
+    parsing and tiers row by row, and finiteness once after every row has
+    parsed; every error names its file line."""
+    meta_index = {c: header.index(c) for c in METADATA_COLUMNS}
+    feature_cols = [
+        (j, name) for j, name in enumerate(header) if name not in METADATA_COLUMNS
+    ]
+
+    source_ids: list[str] = []
+    start_frames: list[int] = []
+    tiers: list[int] = []
+    values: list[list[float]] = []
+    linenos: list[int] = []  # file line of each row; blank lines are skipped
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
+            )
+        try:
+            source_ids.append(row[meta_index["source_id"]])
+            start_frames.append(int(row[meta_index["start_frame"]]))
+            tiers.append(int(row[meta_index["tier"]]))
+            values.append([float(row[j]) for j, _ in feature_cols])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        _validate_tier(tiers[-1], f"{path}:{lineno}")
+        linenos.append(lineno)
 
     matrix = np.asarray(values, dtype=np.float64) if values \
         else np.empty((0, len(feature_cols)))

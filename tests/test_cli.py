@@ -518,6 +518,17 @@ def _echo_path(output):
     return output.parent / (output.name + ".config.json")
 
 
+def test_main_reuses_one_parser_and_no_value_leaks_between_calls(small_dataset,
+                                                                 tmp_path):
+    from labankit.cli import build_parser
+    assert build_parser() is build_parser()
+    _, features = small_dataset
+    report = tmp_path / "report.json"
+    for argv, l2 in ((["--l2", 0.5], 0.5), ([], 1.0)):
+        assert run("evaluate", "--features", features, "--out", report, *argv) == 0
+        assert json.loads(_echo_path(report).read_text())["params"]["l2"] == l2
+
+
 def test_config_echo_keys_are_pinned_and_reruns_rewrite_every_byte(tmp_path):
     data = tmp_path / "data"
     manifest = data / "manifest.jsonl"
