@@ -40,8 +40,8 @@ MODEL_FORMAT_VERSION = 1
 # vanishes (a saturated fit): the biases are never penalized, and at
 # l2_lambda = 0 neither are the weights.
 _NEWTON_RIDGE = 1e-10
-# Eigenvalues of Z.T @ Z at or below d * eps * the largest are rounding
-# noise of a direction the rows do not span.
+# Eigenvalues of the Gram matrix at or below d * eps * the largest are
+# rounding noise of a direction the rows of the (N, d) Z do not span.
 _ROW_SPACE_RTOL = np.finfo(np.float64).eps
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -179,6 +179,24 @@ def _hessian(params: np.ndarray, basis: np.ndarray, X: np.ndarray,
     return hess
 
 
+def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal (d, r) basis V of the span of Z's rows, and Z @ V.
+
+    The basis comes from the eigenvectors of the smaller Gram matrix. With
+    fewer rows than features, Z = U S V.T gives Z @ Z.T = U S^2 U.T, so
+    Z @ V = U S and V = Z.T @ U / S.
+    """
+    n, d = Z.shape
+    evals, evecs = np.linalg.eigh(Z @ Z.T if n < d else Z.T @ Z)
+    kept = evals > d * _ROW_SPACE_RTOL * evals.max(initial=0.0)
+    if n >= d:
+        V = evecs[:, kept]
+        return V, Z @ V
+    sigma = np.sqrt(evals[kept])
+    U = evecs[:, kept]
+    return (Z.T @ U) / sigma, U * sigma
+
+
 def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
                      config: TrainConfig,
                      init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
@@ -190,9 +208,7 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     class subspace (see the module docstring); init, if given, is projected
     onto both. The stopping test is on the full-space gradient.
     """
-    evals, evecs = np.linalg.eigh(Z.T @ Z)
-    V = evecs[:, evals > Z.shape[1] * _ROW_SPACE_RTOL * evals.max(initial=0.0)]
-    ZV = Z @ V
+    V, ZV = _row_space(Z)
     n, r = ZV.shape
     basis = _sum_zero_basis(class_count)
 

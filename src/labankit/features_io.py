@@ -114,10 +114,9 @@ def read_features_csv(path) -> FeatureTable:
     path = Path(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
+        header = next(_rows_of(path, reader), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
         seen = set()
         for name in header:
             if name in seen:
@@ -131,7 +130,8 @@ def read_features_csv(path) -> FeatureTable:
         except (ValueError, OverflowError):
             pass
         fh.seek(0)
-        next(reader)  # the header again: reader iterates over fh
+        reader = csv.reader(fh)  # a new reader counts lines from the top
+        next(reader)
         return _read_rows(path, header, reader)
 
 
@@ -193,7 +193,7 @@ def _within_field_limit(lines):
 def _read_rows(path, header, reader) -> FeatureTable:
     """Read the rows after the header one by one, checking cell counts,
     parsing and tiers row by row, and finiteness once after every row has
-    parsed; every error names its file line."""
+    parsed; every error names the file line on which its row ends."""
     meta_index = {c: header.index(c) for c in METADATA_COLUMNS}
     feature_cols = [
         (j, name) for j, name in enumerate(header) if name not in METADATA_COLUMNS
@@ -204,7 +204,8 @@ def _read_rows(path, header, reader) -> FeatureTable:
     tiers: list[int] = []
     values: list[list[float]] = []
     linenos: list[int] = []  # file line of each row; blank lines are skipped
-    for lineno, row in enumerate(reader, start=2):
+    for row in _rows_of(path, reader):
+        lineno = reader.line_num
         if not row:
             continue
         if len(row) != len(header):
@@ -235,6 +236,16 @@ def _read_rows(path, header, reader) -> FeatureTable:
         source_ids=tuple(source_ids),
         start_frames=np.asarray(start_frames, dtype=np.int64),
     )
+
+
+def _rows_of(path, reader):
+    """Iterate over a csv.reader, raising its csv.Error (such as a field
+    over csv.field_size_limit()) as a ValueError naming the file line where
+    the reader stopped."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def write_predictions_csv(path, table: FeatureTable, probs) -> None:

@@ -13,6 +13,11 @@ STD_FLOOR = 1e-8
 # ties broken by ascending name.
 FeatureRanking = list[tuple[str, float]]
 
+# kruskal_wallis ranks its columns in blocks of about this many values, so
+# the ranking's temporaries (ten or so arrays of a block's size) stay near
+# 20 MB at any row count.
+_RANK_BLOCK_VALUES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -48,17 +53,42 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     )
 
 
+def _column_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average ranks along each row of a finite (F, N) matrix, and each
+    row's tie sum, sum_t (t^3 - t) over its tie runs of t equal values.
+
+    One argsort orders every row; a tie run of t values at sorted positions
+    start..end (0-based) ranks (start + end) / 2 + 1 = start + (t + 1) / 2.
+    Ranks are exact half-integers, so every sum of them below 2^53 is exact
+    in any order.
+    """
+    f, n = columns.shape
+    order = np.argsort(columns, axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    first = np.ones((f, n), dtype=bool)  # each tie run's first sorted position
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=f * n)
+    rows, positions = np.divmod(starts, n)
+    run_ranks = positions + (lengths + 1) / 2.0
+    ranks = np.empty((f, n))
+    np.put_along_axis(ranks, order, np.repeat(run_ranks, lengths).reshape(f, n), axis=1)
+    lengths = lengths.astype(np.float64)
+    ties = np.bincount(rows, weights=lengths ** 3 - lengths, minlength=f)
+    return ranks, ties
+
+
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of finite values, with ties assigned the average of
     their positions."""
     values = np.asarray(values)
-    if not np.isfinite(values).all():  # np.unique would merge NaNs into one tie
+    if not np.isfinite(values).all():  # NaN != NaN would split its tie run
         raise ValueError("non-finite value in input")
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    ranks, _ = _column_ranks(values.reshape(1, -1))
+    return ranks.reshape(values.shape)
 
 
-def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float:
+def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """Kruskal-Wallis H with average ranks and the standard tie correction.
 
     H = [12 / (N (N+1)) * sum_g R_g^2 / n_g - 3 (N+1)]
@@ -67,33 +97,42 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float:
     where R_g sums the ranks of group g and t runs over tie-group sizes.
     If every value is identical the correction denominator vanishes and
     H is defined as 0 (no discrimination).
+
+    values is one (N,) column, giving H as a float, or an (N, F) matrix,
+    giving the (F,) H of every column from one shared pass.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
-    if values.ndim != 1 or values.shape != labels.shape:
+    if values.ndim not in (1, 2) or labels.ndim != 1 or values.shape[0] != labels.size:
         raise ValueError("values and labels must be 1-D arrays of equal length")
-    if values.size == 0:
+    if labels.size == 0:
         raise ValueError("empty input")
     if not np.isfinite(values).all():
         raise ValueError("non-finite value in input")
-    classes = np.unique(labels)
+    classes, groups, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if classes.size < 2:
         raise ValueError(f"need at least 2 classes, got {classes.size}")
 
-    n = values.size
-    ranks = average_ranks(values)
+    n = labels.size
+    columns = np.atleast_2d(values.T)
+    one_hot = np.eye(classes.size)[groups]
+    rank_sums = np.empty((columns.shape[0], classes.size))  # exact, see _column_ranks
+    ties = np.empty(columns.shape[0])
+    step = max(1, _RANK_BLOCK_VALUES // n)
+    for j in range(0, columns.shape[0], step):
+        ranks, ties[j:j + step] = _column_ranks(np.ascontiguousarray(columns[j:j + step]))
+        rank_sums[j:j + step] = ranks @ one_hot
+    # float_power squares through pow(), as a scalar's R_g ** 2 does. An
+    # array's ** 2 multiplies, and rounds some squares past 2^51 otherwise.
     rank_stat = 0.0
-    for c in classes:
-        members = labels == c
-        rank_stat += ranks[members].sum() ** 2 / members.sum()
+    for g in range(classes.size):
+        rank_stat = rank_stat + np.float_power(rank_sums[:, g], 2) / sizes[g]
     h_raw = 12.0 / (n * (n + 1)) * rank_stat - 3.0 * (n + 1)
-
-    _, tie_counts = np.unique(values, return_counts=True)
-    tie_counts = tie_counts.astype(np.float64)
-    correction = 1.0 - (tie_counts ** 3 - tie_counts).sum() / (n ** 3 - n)
-    if correction <= 0.0:
-        return 0.0
-    return max(h_raw / correction, 0.0)
+    correction = 1.0 - ties / (n ** 3 - n)
+    h = np.zeros(ties.shape)
+    varied = correction > 0.0
+    h[varied] = np.maximum(h_raw[varied] / correction[varied], 0.0)
+    return h if values.ndim == 2 else float(h[0])
 
 
 def rank_features(X: np.ndarray, labels: np.ndarray, names) -> FeatureRanking:
@@ -111,9 +150,6 @@ def rank_features(X: np.ndarray, labels: np.ndarray, names) -> FeatureRanking:
     finite = np.isfinite(X).all(axis=0)
     if not finite.all():
         raise ValueError(f"feature {names[np.argmin(finite)]!r} has a non-finite value")
-    scored = [
-        (names[j], kruskal_wallis(X[:, j], labels))
-        for j in range(X.shape[1])
-    ]
+    scored = list(zip(names, kruskal_wallis(X, labels).tolist()))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored

@@ -22,6 +22,11 @@ subspace, which must give the same model in as many iterations.
 write_features_csv is the feature CSV written cell by cell through
 csv.writer. The library formats each row's values in one call, which
 must give the same bytes.
+
+kruskal_wallis is the one-column H: average ranks from np.unique, one
+boolean mask per class and tie counts from a second np.unique. The
+library computes every column's H from one argsort, which must give the
+same floats bit for bit.
 """
 
 import csv
@@ -280,3 +285,44 @@ def write_features_csv(path, feature_names, rows) -> None:
         writer.writerow(["source_id", "start_frame", "tier", *feature_names])
         writer.writerows([source_id, start_frame, tier, *map("{:.9g}".format, vector)]
                          for source_id, start_frame, tier, vector in rows)
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of finite values, with ties assigned the average of
+    their positions."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():  # np.unique would merge NaNs into one tie
+        raise ValueError("non-finite value in input")
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float:
+    """Kruskal-Wallis H of one column, with average ranks and the standard
+    tie correction; 0 when every value is identical."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if values.ndim != 1 or values.shape != labels.shape:
+        raise ValueError("values and labels must be 1-D arrays of equal length")
+    if values.size == 0:
+        raise ValueError("empty input")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value in input")
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise ValueError(f"need at least 2 classes, got {classes.size}")
+
+    n = values.size
+    ranks = average_ranks(values)
+    rank_stat = 0.0
+    for c in classes:
+        members = labels == c
+        rank_stat += ranks[members].sum() ** 2 / members.sum()
+    h_raw = 12.0 / (n * (n + 1)) * rank_stat - 3.0 * (n + 1)
+
+    _, tie_counts = np.unique(values, return_counts=True)
+    tie_counts = tie_counts.astype(np.float64)
+    correction = 1.0 - (tie_counts ** 3 - tie_counts).sum() / (n ** 3 - n)
+    if correction <= 0.0:
+        return 0.0
+    return max(h_raw / correction, 0.0)

@@ -19,6 +19,7 @@ from labankit import (
     train,
 )
 from labankit.classifier import _newton_minimize
+from labankit.stats import fit_standardizer
 
 
 def random_problem(rng, n=None, c=None, d=None):
@@ -301,15 +302,18 @@ def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
 # row-space, sum-to-zero Newton
 # ---------------------------------------------------------------------------
 
-SHAPES = ("wide", "tall", "duplicated", "constant", "all_constant")
+SHAPES = ("wide", "tall", "duplicated", "constant", "all_constant", "near_deficient")
 
 
 def shaped_problem(kind, c, rng):
     """Rows with class-dependent means and unequal class priors: wide
     (30 x 110), tall (300 x 8), or 60 x 6 with one column duplicated, two
     columns constant, or every column constant (exactly representable
-    constants, so standardizing gives exact zeros)."""
-    n, d = {"wide": (30, 110), "tall": (300, 8)}.get(kind, (60, 6))
+    constants, so standardizing gives exact zeros); or near_deficient, 40 x
+    110 rows in duplicate pairs, one pair apart by 1e-9 in one cell, with
+    ten constant columns."""
+    n, d = {"wide": (30, 110), "tall": (300, 8), "near_deficient": (20, 110)}.get(
+        kind, (60, 6))
     y = np.minimum(np.arange(n) % (c + 1), c - 1)
     X = rng.normal(size=(n, d)) + rng.normal(size=(c, d))[y]
     if kind == "duplicated":
@@ -318,6 +322,10 @@ def shaped_problem(kind, c, rng):
         X[:, [0, 4]] = 2.5
     elif kind == "all_constant":
         X[:] = np.arange(d) - 1.5
+    elif kind == "near_deficient":
+        X, y = np.repeat(X, 2, axis=0), np.repeat(y, 2)
+        X[:, 100:] = 2.5
+        X[1, 0] += 1e-9
     return X, y
 
 
@@ -351,6 +359,28 @@ def test_row_space_newton_predicts_like_the_full_space_reference(kind, c, l2):
     ours, theirs = predict_proba(model, X), predict_proba(reference, X)
     assert np.abs(ours - theirs).max() <= 1e-12
     assert np.array_equal(ours.argmax(axis=1), theirs.argmax(axis=1))
+
+
+@pytest.mark.parametrize("kind", ["wide", "tall"])
+def test_the_row_space_comes_from_the_smaller_gram_matrix(kind, monkeypatch):
+    rng = np.random.default_rng(15)
+    X, _ = shaped_problem(kind, 3, rng)
+    grams = []
+    real_eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        grams.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    Z = fit_standardizer(X).transform(X)
+    V, ZV = classifier._row_space(Z)
+    side = min(X.shape)
+    assert grams == [(side, side)]
+    rank = np.linalg.matrix_rank(Z)
+    assert V.shape == (X.shape[1], rank) and ZV.shape == (X.shape[0], rank)
+    assert np.abs(V.T @ V - np.eye(rank)).max() <= 1e-12
+    assert np.abs(Z @ V - ZV).max() <= 1e-12 * np.abs(ZV).max()
 
 
 def test_wide_fit_builds_hessians_of_the_row_space(monkeypatch):

@@ -115,6 +115,25 @@ def test_features_csv_rejects_non_finite_cells(small_dataset, tmp_path, capsys):
         assert f"{cell}.csv:4" in capsys.readouterr().err
 
 
+def test_a_field_over_the_csv_field_size_limit_exits_2_with_its_line(
+        small_dataset, tmp_path, capsys):
+    _, features = small_dataset
+    with open(features) as fh:
+        rows = list(csv.reader(fh))
+    rows[2][0] = "s" * 60
+    long_field = tmp_path / "long_field.csv"
+    with open(long_field, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    default = csv.field_size_limit(50)
+    try:
+        code = run("rank-features", "--features", long_field,
+                   "--out", tmp_path / "ranking.csv")
+    finally:
+        csv.field_size_limit(default)
+    assert code == 2
+    assert f"{long_field}:3: field larger than field limit (50)" in capsys.readouterr().err
+
+
 def test_features_csv_names_the_first_non_finite_cell_by_file_line(tmp_path):
     # Blank lines are skipped but still counted: the message gives the
     # file line, not the row index.

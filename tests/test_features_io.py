@@ -188,10 +188,31 @@ def test_fields_over_the_csv_field_size_limit_are_refused_by_csv(tmp_path,
     field_size_limit(40)
     _assert_same_table(read_features_csv(long_lines), expected)
     path = tmp_path / "features.csv"
-    for row in ["s1,0,1," + " " * 40 + "1.5,2.5", '"' + "x,\n" * 20 + '",0,1,1.5,2.5']:
+    # The message names the line where the reader stopped: the quoted field
+    # opening on line 3 passes 40 characters on its 14th line.
+    for row, line in [("s1,0,1," + " " * 40 + "1.5,2.5", 3),
+                      ('"' + "x,\n" * 20 + '",0,1,1.5,2.5', 16)]:
         path.write_text(_HEADER + "s0,0,1,1.5,2.5\r\n" + row + "\r\n", encoding="utf-8")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ValueError) as exc:
             read_features_csv(path)
+        assert str(exc.value) == f"{path}:{line}: field larger than field limit (40)"
+    path.write_text('source_id,start_frame,tier,"' + "y" * 41 + '"\r\n', encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value) == f"{path}:1: field larger than field limit (40)"
+
+
+def test_rows_after_a_header_spanning_lines_are_named_by_their_file_line(tmp_path):
+    path = tmp_path / "features.csv"
+    header = 'source_id,start_frame,tier,"a\nb"\r\n'
+    path.write_text(header + "s0,0,1,1.5\r\ns1,0,2,nan\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value) == f"{path}:4: non-finite value nan in column 'a\\nb'"
+    path.write_text(header + "s0,0,1,1.5\r\ns1,0,2\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value) == f"{path}:4: 3 cells, expected 4"
 
 
 def test_whatever_the_loadtxt_pass_returns_the_row_loop_returns(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import oracles
+from labankit import stats
 from labankit import (
     FEATURE_NAMES_110,
     Standardizer,
@@ -182,6 +184,60 @@ def test_kw_errors():
         kruskal_wallis(np.array([]), np.array([]))
     with pytest.raises(ValueError, match="non-finite"):
         kruskal_wallis(np.array([1.0, np.nan, 3.0, 4.0]), np.array([0, 0, 1, 1]))
+
+
+def tie_heavy_matrix(rng, n, f):
+    """f columns of n rows: integer values from a range of 1 to 8 (1 gives
+    an all-equal column), normal draws, or half of each."""
+    columns = []
+    for j in range(f):
+        kind = j % 3
+        if kind == 0:
+            column = rng.integers(0, int(rng.integers(1, 9)), size=n).astype(float)
+        elif kind == 1:
+            column = rng.normal(size=n)
+        else:
+            column = np.where(rng.random(n) < 0.5, rng.normal(size=n), 3.0)
+        columns.append(column)
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("block_values", [None, 500], ids=["one-block", "blocks"])
+def test_kw_of_every_column_at_once_equals_the_one_column_oracle_bit_for_bit(
+        block_values, monkeypatch):
+    if block_values is not None:
+        monkeypatch.setattr(stats, "_RANK_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        n = int(rng.integers(2, 301))
+        k = int(rng.integers(2, 5))
+        X = tie_heavy_matrix(rng, n, int(rng.integers(1, 7)))
+        labels = rng.integers(0, k, size=n)
+        labels[:2] = [0, 1]
+        expected = np.array([oracles.kruskal_wallis(X[:, j], labels)
+                             for j in range(X.shape[1])])
+        assert np.array_equal(kruskal_wallis(X, labels), expected), f"trial {trial}"
+        assert kruskal_wallis(X[:, 0], labels) == expected[0]
+        assert np.array_equal(average_ranks(X[:, 0]), oracles.average_ranks(X[:, 0]))
+
+
+def test_kw_of_an_all_equal_column_is_zero_among_others():
+    labels = np.repeat([0, 1, 2], 4)
+    X = np.stack([np.full(12, 3.5), np.arange(12.0), np.full(12, -1.0)], axis=1)
+    h = kruskal_wallis(X, labels)
+    assert h[0] == 0.0 and h[2] == 0.0 and h[1] > 0.0
+    assert h[1] == oracles.kruskal_wallis(X[:, 1], labels)
+
+
+def test_kw_equals_the_oracle_where_class_rank_sums_square_past_2_to_51():
+    # At 20,400 rows a class rank sum is a half-integer near 5e7, whose
+    # square (past 2^51) is not a float: both sides must round it alike.
+    rng = np.random.default_rng(22)
+    n = 20_400
+    X = np.round(rng.normal(size=(n, 13)), 1)
+    labels = rng.integers(0, 4, size=n)
+    expected = [oracles.kruskal_wallis(X[:, j], labels) for j in range(13)]
+    assert kruskal_wallis(X, labels).tolist() == expected
 
 
 def test_rank_features_rejects_non_finite_column():
