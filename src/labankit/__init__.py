@@ -39,7 +39,6 @@ from .descriptors import (
 )
 from .stats import (
     Standardizer,
-    average_ranks,
     fit_standardizer,
     kruskal_wallis,
     rank_features,

@@ -10,8 +10,9 @@ Newton runs in the row space of the standardized training rows. L2-penalized
 weights never leave that span (the representer theorem), and Newton's method
 is affine-invariant, so fitting the weights in an orthonormal basis V of the
 span and mapping them back as W_r @ V.T gives the same iterates as the full
-space. With fewer rows than features, the weights then have rank columns
-instead of features columns.
+space, with rank columns instead of features columns: fewer than the
+features when there are fewer rows, or when features depend linearly on
+each other.
 
 Newton also runs on the sum-to-zero class subspace: with one L2 penalty for
 every class, the optimal weights sum to zero over the classes, and the
@@ -151,32 +152,29 @@ def _sum_zero_basis(class_count: int) -> np.ndarray:
 
 
 def _hessian(params: np.ndarray, basis: np.ndarray, X: np.ndarray,
-             design: np.ndarray, diagonal: np.ndarray,
-             out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+             design: np.ndarray, diagonal: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Exact Hessian over the flattened (C-1, d+1) coordinates theta of
     params = basis @ theta, given the fit's fixed design matrix [X, 1] and
     diagonal (L2 penalty plus Newton ridge). Block (a, b) weighs the design
     rows by (p @ (P[:, a] * P[:, b]) - q[:, a] * q[:, b]) / N, q = p @ P.
 
-    out is the fit's pair of buffers: the Hessian, which is overwritten and
-    returned, and the (N, d+1) weighted design of one block. A fit allocates
-    them once instead of faulting in fresh pages every iteration.
+    out is the fit's Hessian buffer, overwritten and returned: a fit
+    allocates it once instead of faulting in fresh pages every iteration.
     """
-    hess, weighted = out
     n, da = design.shape
     k = basis.shape[1]
     probs = _softmax(X @ params[:, :-1].T + params[:, -1])
     q = probs @ basis
-    blocks = hess.reshape(k, da, k, da)  # a view of hess
+    blocks = out.reshape(k, da, k, da)  # a view of out
     for a in range(k):
         for b in range(a, k):
             w = (probs @ (basis[:, a] * basis[:, b]) - q[:, a] * q[:, b]) / n
-            block = design.T @ np.multiply(w[:, None], design, out=weighted)
+            block = design.T @ (w[:, None] * design)
             blocks[a, :, b, :] = block
             if b != a:
                 blocks[b, :, a, :] = block
-    hess.flat[::hess.shape[0] + 1] += diagonal
-    return hess
+    out.flat[::out.shape[0] + 1] += diagonal
+    return out
 
 
 def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +182,10 @@ def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The basis comes from the eigenvectors of the smaller Gram matrix. With
     fewer rows than features, Z = U S V.T gives Z @ Z.T = U S^2 U.T, so
-    Z @ V = U S and V = Z.T @ U / S.
+    Z @ V = U S and V = Z.T @ U / S. With more, the span is still narrower
+    than the features wherever columns are linearly dependent, as five of
+    the 110 LMA features are: each Effort mean is a mean or sum of per-joint
+    kinematic means, and the six Initiation means sum to one.
     """
     n, d = Z.shape
     evals, evecs = np.linalg.eigh(Z @ Z.T if n < d else Z.T @ Z)
@@ -222,14 +223,14 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     design = np.concatenate([ZV, np.ones((n, 1))], axis=1)
     penalty = np.append(np.full(r, config.l2_lambda), 0.0)  # biases unpenalized
     diagonal = np.tile(penalty, class_count - 1) + _NEWTON_RIDGE
-    buffers = (np.empty((diagonal.size, diagonal.size)), np.empty_like(design))
+    hess_buffer = np.empty((diagonal.size, diagonal.size))
     params = basis @ theta
     loss, grad = loss_and_gradient(params, ZV, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):
         if np.abs(full_space(grad)).max() <= config.grad_tol:
             break
-        hess = _hessian(params, basis, ZV, design, diagonal, buffers)
+        hess = _hessian(params, basis, ZV, design, diagonal, hess_buffer)
         reduced = basis.T @ grad
         step = np.linalg.solve(hess, reduced.reshape(-1)).reshape(theta.shape)
         descent = float((reduced * step).sum())

@@ -82,7 +82,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
                 bound=(">=", MIN_FRAGMENT_SECONDS)),
         _Option("stride", float, 5.0, "fragment stride in seconds", bound=(">", 0)),
         _Option("workers", int, 1, "parallel file workers, at most one per file "
-                "and core", bound=(">=", 1)),
+                "and usable CPU", bound=(">=", 1)),
     )),
     "train": ("train a logistic-regression model on a feature CSV", (
         _FEATURES,
@@ -237,9 +237,13 @@ def cmd_extract(params: dict) -> int:
     manifest = load_manifest(params["manifest"])
     out = Path(params["out"])
     job = partial(_extract_one, length=params["length"], stride=params["stride"])
-    # More threads than files or cores would only wait; the echo keeps the
-    # requested count.
-    workers = min(params["workers"], len(manifest.entries), os.cpu_count() or 1)
+    # More threads than files or usable CPUs would only wait; the echo keeps
+    # the requested count.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(params["workers"], len(manifest.entries), cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, manifest.entries))

@@ -78,16 +78,6 @@ def _column_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, ties
 
 
-def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of finite values, with ties assigned the average of
-    their positions."""
-    values = np.asarray(values)
-    if not np.isfinite(values).all():  # NaN != NaN would split its tie run
-        raise ValueError("non-finite value in input")
-    ranks, _ = _column_ranks(values.reshape(1, -1))
-    return ranks.reshape(values.shape)
-
-
 def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """Kruskal-Wallis H with average ranks and the standard tie correction.
 

@@ -393,14 +393,39 @@ def test_wide_fit_builds_hessians_of_the_row_space(monkeypatch):
     assert sides and set(sides) == {3 * (rank + 1)}
 
 
-def test_all_constant_columns_fit_rank_zero_and_predict_the_priors(monkeypatch):
-    rng = np.random.default_rng(13)
-    X, y = shaped_problem("all_constant", 3, rng)
+def test_tall_fit_with_dependent_columns_builds_hessians_of_their_rank(monkeypatch):
+    # More rows than features, one column a copy of another: the row space
+    # drops the dependent direction, as it drops the five of the 110-feature
+    # schema in a paper-sized fit.
+    rng = np.random.default_rng(16)
+    X, y = shaped_problem("duplicated", 4, rng)
+    sides = record_hessian_sides(monkeypatch)
+    model = train(X, y, TrainConfig(l2_lambda=0.1))
+    rank = np.linalg.matrix_rank(model.standardizer.transform(X))
+    assert rank == X.shape[1] - 1 < X.shape[0]
+    assert sides and set(sides) == {3 * (rank + 1)}
+
+
+def assert_fit_predicts_the_priors(X, y, monkeypatch):
     sides = record_hessian_sides(monkeypatch)
     model = train(X, y)
     assert sides and set(sides) == {2}
     priors = np.bincount(y) / y.size
     assert np.allclose(predict_proba(model, X), priors, rtol=0, atol=1e-9)
+
+
+def test_all_constant_columns_fit_rank_zero_and_predict_the_priors(monkeypatch):
+    rng = np.random.default_rng(13)
+    X, y = shaped_problem("all_constant", 3, rng)
+    assert_fit_predicts_the_priors(X, y, monkeypatch)
+
+
+def test_all_constant_columns_of_a_wide_fit_leave_a_rank_zero_row_space(monkeypatch):
+    # 20 x 110 takes its basis from the 20 x 20 Gram, which is all zeros: only
+    # the biases are fitted, as in the tall case above.
+    X = np.tile(np.arange(110) - 1.5, (20, 1))
+    y = np.minimum(np.arange(20) % 4, 2)
+    assert_fit_predicts_the_priors(X, y, monkeypatch)
 
 
 def test_converged_fit_meets_grad_tol_on_the_full_space_gradient():

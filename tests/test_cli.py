@@ -295,21 +295,13 @@ def test_extract_workers_bit_identical(small_dataset, tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
-@pytest.mark.parametrize("requested, cores, started", [
-    (1000, 8, [3]),     # one thread per file
-    (1000, 2, [2]),     # one thread per core
-    (2, 8, [2]),        # the requested count
-    (1000, 1, []),      # one core: serial, no pool
-    (1000, None, []),   # unknown core count counts as one
-])
-def test_extract_starts_at_most_one_thread_per_file_and_core(
-        small_dataset, tmp_path, monkeypatch, requested, cores, started):
-    from labankit import DatasetManifest, save_manifest
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every ThreadPoolExecutor cli starts; none starts a
+    thread."""
     from labankit import cli
 
     class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -324,18 +316,56 @@ def test_extract_starts_at_most_one_thread_per_file_and_core(
 
     sizes = []
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-    root, features = small_dataset
+    return sizes
+
+
+def extract_three_files(dataset, tmp_path, requested):
+    from labankit import DatasetManifest, save_manifest
+
+    root, features = dataset
     manifest = tmp_path / "three.jsonl"
     save_manifest(DatasetManifest(load_manifest(root / "manifest.jsonl").entries[:3]),
                   manifest)
     out = tmp_path / "three.csv"
     assert run("extract", "--manifest", manifest, "--out", out,
                "--workers", requested) == 0
-    assert sizes == started
     assert out.read_bytes().splitlines()[1:] == features.read_bytes().splitlines()[1:4]
     echo = json.loads((tmp_path / "three.csv.config.json").read_text())
     assert echo["params"]["workers"] == requested
+
+
+@pytest.mark.parametrize("requested, cores, started", [
+    (1000, 8, [3]),     # one thread per file
+    (1000, 2, [2]),     # one thread per usable CPU
+    (2, 8, [2]),        # the requested count
+    (1000, 1, []),      # a one-CPU affinity: serial, no pool
+    (1000, None, []),   # no affinity and an unknown CPU count counts as one
+])
+def test_extract_starts_at_most_one_thread_per_file_and_core(
+        small_dataset, tmp_path, monkeypatch, pool_sizes, requested, cores, started):
+    # cores is the size of the affinity mask on a 64-CPU machine, or None
+    # on a platform without sched_getaffinity whose CPU count is unknown.
+    from labankit import cli
+
+    if cores is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    extract_three_files(small_dataset, tmp_path, requested)
+    assert pool_sizes == started
+
+
+def test_extract_counts_every_cpu_where_the_platform_has_no_affinity(
+        small_dataset, tmp_path, monkeypatch, pool_sizes):
+    from labankit import cli
+
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    extract_three_files(small_dataset, tmp_path, 1000)
+    assert pool_sizes == [2]
 
 
 def test_train_and_predict_round_trip(small_dataset, tmp_path):
@@ -813,3 +843,27 @@ def test_feature_csv_tier_outside_0_3_exits_2_naming_its_line(small_dataset, tmp
         assert run(command, *extra, "--features", broken, "--out", out) == 2
         assert f"{broken}:4: tier 7 not in" in capsys.readouterr().err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark hooks into
+# ---------------------------------------------------------------------------
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # A traced benchmark pass wraps each (module, attribute) of
+    # benchmarks/spans.LAYER_TARGETS, and its self-test replaces one
+    # subcommand's handler, so renaming any of them breaks the benchmark.
+    import importlib
+    import importlib.util
+
+    from labankit import cli
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYER_TARGETS
+    for module_name, attr, _, _ in spans.LAYER_TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr))
+    assert set(cli._HANDLERS) == set(cli._COMMANDS)
+    assert "rank-features" in cli._HANDLERS

@@ -669,3 +669,33 @@ def test_overlapping_fragments_agree_on_every_shared_frame(cut, monkeypatch):
 def test_fragment_features_rejects_fragments_outside_the_sequence(starts, length, message):
     with pytest.raises(ValueError, match=message):
         fragment_features(wiggle_positions(240), 30.0, starts, length)
+
+
+def test_five_feature_means_are_linear_in_the_others():
+    # These identities make any feature table rank <= 105, so a fit with
+    # more rows than features still has a row space narrower than 110.
+    fps = 30.0
+    vectors = np.concatenate([
+        fragment_features(wiggle_positions(300, fps=fps, seed=seed), fps,
+                          np.arange(0, 151, 5), 150)
+        for seed in (1, 2, 3, 4)])
+    mean = {name: vectors[:, j] for j, name in enumerate(FEATURE_NAMES_110)
+            if name.endswith(".mean")}
+    joints = ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r")
+
+    def kin(quantity):
+        return np.stack([mean[f"kin.{joint}.{quantity}.mean"] for joint in joints])
+
+    assert np.allclose(mean["effort.flow.mean"], kin("jerk").mean(axis=0), rtol=1e-12)
+    assert np.allclose(mean["effort.space.mean"], kin("directness").mean(axis=0), rtol=1e-12)
+    assert np.allclose(mean["effort.time.mean"], kin("accel").mean(axis=0), rtol=1e-12)
+    assert np.allclose(mean["effort.weight.mean"], kin("energy").sum(axis=0), rtol=1e-12)
+    shares = np.stack([mean[f"initiation.{joint}.mean"] for joint in joints])
+    assert np.allclose(shares.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    dependent = [FEATURE_NAMES_110.index(f"effort.{quality}.mean")
+                 for quality in ("flow", "space", "time", "weight")]
+    dependent.append(FEATURE_NAMES_110.index("initiation.pelvis.mean"))
+    Z = (vectors - vectors.mean(axis=0)) / vectors.std(axis=0)
+    assert vectors.shape[0] > 110
+    assert np.linalg.matrix_rank(Z) == np.linalg.matrix_rank(np.delete(Z, dependent, axis=1))
+    assert np.linalg.matrix_rank(Z) == 110 - 5

@@ -7,7 +7,6 @@ from labankit import stats
 from labankit import (
     FEATURE_NAMES_110,
     Standardizer,
-    average_ranks,
     fit_standardizer,
     kruskal_wallis,
     rank_features,
@@ -218,7 +217,8 @@ def test_kw_of_every_column_at_once_equals_the_one_column_oracle_bit_for_bit(
                              for j in range(X.shape[1])])
         assert np.array_equal(kruskal_wallis(X, labels), expected), f"trial {trial}"
         assert kruskal_wallis(X[:, 0], labels) == expected[0]
-        assert np.array_equal(average_ranks(X[:, 0]), oracles.average_ranks(X[:, 0]))
+        ranks, _ = stats._column_ranks(np.ascontiguousarray(X.T))
+        assert np.array_equal(ranks, [oracles.average_ranks(column) for column in X.T])
 
 
 def test_kw_of_an_all_equal_column_is_zero_among_others():
@@ -248,23 +248,33 @@ def test_rank_features_rejects_non_finite_column():
         rank_features(X, labels, ["a", "b", "c"])
 
 
+def column_ranks(values):
+    """stats._column_ranks of one column."""
+    ranks, _ = stats._column_ranks(np.asarray(values, dtype=np.float64).reshape(1, -1))
+    return ranks[0]
+
+
 def test_average_ranks_matches_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(20):
         values = rng.integers(0, 6, size=25).astype(float)
-        assert np.allclose(average_ranks(values), brute_force_ranks(values.tolist()))
+        assert np.allclose(column_ranks(values), brute_force_ranks(values.tolist()))
 
 
 def test_average_ranks_are_exact_half_integers():
     values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0, -0.5])
-    assert average_ranks(values).tolist() == [6.0, 2.5, 6.0, 4.0, 6.0, 2.5, 1.0]
+    assert column_ranks(values).tolist() == [6.0, 2.5, 6.0, 4.0, 6.0, 2.5, 1.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_average_ranks_rejects_non_finite_values(bad):
-    # Two NaNs would otherwise merge into one tie group.
+    # _column_ranks takes finite values only (NaN != NaN would split a tie
+    # run), so kruskal_wallis, which ranks through it, refuses the rest.
+    labels = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError, match="non-finite"):
-        average_ranks(np.array([1.0, bad, 2.0, bad]))
+        kruskal_wallis(np.array([1.0, bad, 2.0, bad]), labels)
+    with pytest.raises(ValueError, match="non-finite"):
+        kruskal_wallis(np.array([[1.0, 0.0], [bad, 1.0], [2.0, 2.0], [bad, 3.0]]), labels)
 
 
 # ---------------------------------------------------------------------------
