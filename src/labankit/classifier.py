@@ -82,6 +82,12 @@ class LinearModel:
     l2_lambda: float
 
     def __post_init__(self):
+        if type(self.class_count) is not int or self.class_count < 2:  # bool is no int
+            raise ValueError(f"class_count must be an int >= 2, got {self.class_count!r}")
+        if not isinstance(self.task, str):
+            raise ValueError(f"task must be a string, got {self.task!r}")
+        if not 0 <= self.l2_lambda < math.inf:  # NaN fails too
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "biases", np.asarray(self.biases, dtype=np.float64))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -250,12 +256,16 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     return basis @ full_space(theta), history
 
 
-def train(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
-          feature_names=None, task: str = "four_way") -> LinearModel:
+def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,
+          feature_names=None) -> LinearModel:
     """Fit a multinomial logistic regression on raw feature rows.
 
-    The standardizer is fitted here, on exactly the rows given, and
-    travels with the model; callers never standardize themselves.
+    task owns the class structure: its class_count sets the number of
+    classes, every one of which must have a row of y, and its kind labels
+    the model. Any object with those two attributes will do, such as an
+    evaluation.TaskSpec (not imported here: evaluation imports this module).
+    The standardizer is fitted here, on exactly the rows given,
+    and travels with the model; callers never standardize themselves.
     """
     config = config or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -266,17 +276,15 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
         raise ValueError("labels must be one per row")
     if not np.isfinite(X).all():
         raise ValueError("non-finite training data")
-    if y.min() < 0:
-        raise ValueError("labels must be non-negative class ids")
-    class_count = int(y.max()) + 1
-    if X.shape[0] < class_count:
-        raise ValueError(
-            f"need at least {class_count} rows for {class_count} classes, got {X.shape[0]}"
-        )
+    class_count = task.class_count
+    outside = (y < 0) | (y >= class_count)
+    if outside.any():
+        raise ValueError(f"task {task.kind!r}: label {y[outside][0]} is outside "
+                         f"[0, {class_count})")
     counts = np.bincount(y, minlength=class_count)
-    for c in range(class_count):
-        if counts[c] == 0:
-            raise ValueError(f"class {c} missing from training data")
+    if not counts.all():
+        raise ValueError(f"task {task.kind!r}: class {np.argmin(counts)} "
+                         f"has no training rows")
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(X.shape[1]))
     elif len(feature_names) != X.shape[1]:
@@ -288,7 +296,7 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
     Z = standardizer.transform(X)
     params, _ = _newton_minimize(Z, y, class_count, config)
     return LinearModel(
-        task=task,
+        task=task.kind,
         class_count=class_count,
         weights=params[:, :-1],
         biases=params[:, -1],

@@ -20,6 +20,8 @@ from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .classifier import TrainConfig, load_model, predict_proba, save_model, train
 from .descriptors import FEATURE_NAMES_110, FEATURE_SCHEMA_VERSION, fragment_features
@@ -118,6 +120,11 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
 }
 
 
+# Echo keys that an older version wrote and that no longer name an option:
+# train's --seed, which nothing read, was removed; its echoes still rerun.
+_RETIRED_KEYS = {"train": {"seed"}}
+
+
 class UsageError(ValueError):
     """A configuration problem the user must fix (exit code 2)."""
 
@@ -152,6 +159,11 @@ def _read_config(path: str, subcommand: str, options) -> dict:
     if echo.get("subcommand") != subcommand:
         raise UsageError(f"config {path} is for {echo.get('subcommand')!r}, "
                          f"not {subcommand!r}")
+    known = {o.key for o in options} | _RETIRED_KEYS.get(subcommand, set())
+    unknown = [key for key in params if key not in known]
+    if unknown:
+        raise UsageError(f"config {path}: {unknown[0]!r} is not an option of "
+                         f"{subcommand}")
     return {o.key: _config_value(o, params[o.key], f"config {path}: {o.key!r}")
             for o in options if o.key in params}
 
@@ -279,20 +291,31 @@ def _train_config(params: dict) -> TrainConfig:
                        grad_tol=params["grad_tol"])
 
 
-def _read_nonempty_table(path: str):
+def _task_rows(params: dict):
+    """The feature table, the task, and the task's labels and row mask; every
+    class of the task must keep rows, or a fit or ranking has fewer classes
+    than the task says."""
+    path = params["features"]
     table = read_features_csv(path)
     if len(table) == 0:
         raise UsageError(f"{path}: feature table has no rows")
-    return table
+    task = get_task(params["task"])
+    labels, mask = remap_task(table.tiers, task)
+    counts = np.bincount(labels, minlength=task.class_count)
+    if not counts.all():
+        c = int(np.argmin(counts))
+        tiers = [str(t) for t, mapped in task.mapping.items() if mapped == c]
+        raise UsageError(f"{path}: task {task.kind!r} keeps no rows of "
+                         f"class {c} (tier{'s' if len(tiers) > 1 else ''} "
+                         f"{', '.join(tiers)})")
+    return table, task, labels, mask
 
 
 def cmd_train(params: dict) -> int:
-    table = _read_nonempty_table(params["features"])
+    table, task, labels, mask = _task_rows(params)
     X = table.aligned_to(FEATURE_NAMES_110)
-    task = get_task(params["task"])
-    labels, mask = remap_task(table.tiers, task)
-    model = train(X[mask], labels, _train_config(params),
-                  feature_names=FEATURE_NAMES_110, task=task.kind)
+    model = train(X[mask], labels, task, _train_config(params),
+                  feature_names=FEATURE_NAMES_110)
     out = Path(params["out"])
     save_model(model, out)
     _write_echo(out, "train", params)
@@ -302,6 +325,10 @@ def cmd_train(params: dict) -> int:
 
 def cmd_predict(params: dict) -> int:
     model = load_model(params["model"])
+    if model.task in TASKS and model.class_count != TASKS[model.task].class_count:
+        raise UsageError(f"{params['model']}: a {model.task!r} model has "
+                         f"{TASKS[model.task].class_count} classes, not "
+                         f"{model.class_count}")
     if params["task"] is not None and params["task"] != model.task:
         raise UsageError(f"model was trained for task {model.task!r}, "
                          f"not {params['task']!r}")
@@ -315,9 +342,9 @@ def cmd_predict(params: dict) -> int:
 
 
 def cmd_evaluate(params: dict) -> int:
-    table = _read_nonempty_table(params["features"])
+    table, task, _, _ = _task_rows(params)
     X = table.aligned_to(FEATURE_NAMES_110)
-    report = cross_validate(X, table.tiers, get_task(params["task"]), k=params["k"],
+    report = cross_validate(X, table.tiers, task, k=params["k"],
                             config=_train_config(params), seed=params["seed"])
     out = Path(params["out"])
     out.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
@@ -327,8 +354,7 @@ def cmd_evaluate(params: dict) -> int:
 
 
 def cmd_rank_features(params: dict) -> int:
-    table = _read_nonempty_table(params["features"])
-    labels, mask = remap_task(table.tiers, get_task(params["task"]))
+    table, _, labels, mask = _task_rows(params)
     ranking = rank_features(table.values[mask], labels, table.names)
     out = Path(params["out"])
     write_ranking_csv(out, ranking)

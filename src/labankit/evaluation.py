@@ -62,14 +62,14 @@ def remap_task(tiers, task: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
     labels holds the task class ids of exactly those rows, in order.
     """
     tiers = np.asarray(tiers)
-    for t in np.unique(tiers):
-        # Compared by value, so that 1.5 is not truncated to tier 1.
-        if t not in VALID_TIERS:
-            raise ValueError(f"unknown tier value {t}")
-    mapped = np.array([
-        -1 if task.mapping[int(t)] is None else task.mapping[int(t)]
-        for t in tiers
-    ])
+    # Compared by value, so that 1.5 is not truncated to tier 1.
+    known = np.isin(tiers, VALID_TIERS)
+    if not known.all():
+        raise ValueError(f"unknown tier value {np.unique(tiers[~known])[0]}")
+    # VALID_TIERS are 0..3, so a tier is its own index into the lookup.
+    lookup = np.array([-1 if task.mapping[t] is None else task.mapping[t]
+                       for t in VALID_TIERS], dtype=np.int64)
+    mapped = lookup[tiers.astype(np.int64)]
     mask = mapped >= 0
     return mapped[mask], mask
 
@@ -180,7 +180,7 @@ def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
     fold_accuracies = []
     for f in range(k):
         test = folds == f
-        model = train(kept[~test], labels[~test], config)
+        model = train(kept[~test], labels[~test], task, config)
         fold_pred = predict(model, kept[test])
         predictions[test] = fold_pred
         fold_accuracies.append(float((fold_pred == labels[test]).mean()))

@@ -27,6 +27,10 @@ kruskal_wallis is the one-column H: average ranks from np.unique, one
 boolean mask per class and tie counts from a second np.unique. The
 library computes every column's H from one argsort, which must give the
 same floats bit for bit.
+
+remap_task maps tiers to a task's class ids one row at a time, after
+checking each distinct tier by value. The library indexes one lookup
+array, which must give the same labels, mask and refusals.
 """
 
 import csv
@@ -35,6 +39,7 @@ import numpy as np
 
 from labankit.classifier import _ARMIJO_C1, _MAX_BACKTRACKS, _NEWTON_RIDGE
 
+from labankit.skeleton import VALID_TIERS
 from labankit.descriptors import (
     CURVATURE_CAP,
     DIRECTNESS_HALF_WINDOW_S,
@@ -326,3 +331,17 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float:
     if correction <= 0.0:
         return 0.0
     return max(h_raw / correction, 0.0)
+
+
+def remap_task(tiers, task) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, mask) of the rows the task keeps, mapped row by row."""
+    tiers = np.asarray(tiers)
+    for t in np.unique(tiers):
+        if t not in VALID_TIERS:
+            raise ValueError(f"unknown tier value {t}")
+    mapped = np.array([
+        -1 if task.mapping[int(t)] is None else task.mapping[int(t)]
+        for t in tiers
+    ], dtype=np.int64)
+    mask = mapped >= 0
+    return mapped[mask], mask

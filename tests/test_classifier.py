@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import scipy.optimize
 import oracles
 from labankit import classifier
 from labankit import (
+    TASKS,
     LinearModel,
     Standardizer,
     TrainConfig,
@@ -20,6 +23,8 @@ from labankit import (
 )
 from labankit.classifier import _newton_minimize
 from labankit.stats import fit_standardizer
+
+TASK_OF = {task.class_count: task for task in TASKS.values()}  # 2, 3, 4 classes
 
 
 def random_problem(rng, n=None, c=None, d=None):
@@ -169,7 +174,7 @@ def test_separable_one_dimensional_data_trains_to_full_accuracy():
     rng = np.random.default_rng(2)
     x = np.concatenate([rng.uniform(-3.0, -0.5, 40), rng.uniform(0.5, 3.0, 40)])
     y = (x > 0).astype(int)
-    model = train(x[:, None], y)
+    model = train(x[:, None], y, TASKS["binary"])
     assert np.mean(predict(model, x[:, None]) == y) == 1.0
 
 
@@ -177,7 +182,7 @@ def test_huge_l2_shrinks_weights_and_predicts_priors():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(120, 4))
     y = np.concatenate([np.zeros(30, int), np.ones(90, int)])  # priors 1/4, 3/4
-    model = train(X, y, TrainConfig(l2_lambda=1e6))
+    model = train(X, y, TASKS["binary"], TrainConfig(l2_lambda=1e6))
     assert np.abs(model.weights).max() < 1e-4
     probs = predict_proba(model, X)
     assert np.allclose(probs[:, 0], 0.25, atol=1e-3)
@@ -188,7 +193,7 @@ def test_objective_matches_independent_convex_solver():
     rng = np.random.default_rng(4)
     X, y = blobs(rng)
     config = TrainConfig(l2_lambda=0.5, grad_tol=1e-9)
-    model = train(X, y, config)
+    model = train(X, y, TASKS["three_way"], config)
     std = model.standardizer
     Z = std.transform(X)
     ours = loss_and_gradient(
@@ -245,7 +250,7 @@ def test_a_bias_shifted_start_gives_the_zero_start_model(c):
 def test_binary_fit_is_antisymmetric_over_the_two_classes():
     rng = np.random.default_rng(10)
     X, y = blobs(rng, per_class=25, c=2)
-    model = train(X, y, TrainConfig(l2_lambda=0.01))
+    model = train(X, y, TASKS["binary"], TrainConfig(l2_lambda=0.01))
     assert np.abs(model.weights).max() > 0
     assert np.array_equal(model.weights[0], -model.weights[1])
     assert model.biases[0] == -model.biases[1]
@@ -269,20 +274,24 @@ def test_biases_are_centred_whatever_the_bias_start():
 def test_training_is_bit_deterministic():
     rng = np.random.default_rng(7)
     X, y = blobs(rng)
-    a = train(X, y, TrainConfig())
-    b = train(X, y, TrainConfig())
+    a = train(X, y, TASKS["three_way"], TrainConfig())
+    b = train(X, y, TASKS["three_way"], TrainConfig())
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
 
 
 def test_train_validates_inputs():
     X = np.ones((6, 2))
-    with pytest.raises(ValueError, match="class 1 missing"):
-        train(X, np.array([0, 0, 0, 2, 2, 2]))
+    with pytest.raises(ValueError, match="task 'three_way': class 1 has no training rows"):
+        train(X, np.array([0, 0, 0, 2, 2, 2]), TASKS["three_way"])
     with pytest.raises(ValueError, match="non-finite"):
-        train(X * np.nan, np.array([0, 1, 0, 1, 0, 1]))
-    with pytest.raises(ValueError, match="at least"):
-        train(np.ones((2, 2)), np.array([0, 2]))
+        train(X * np.nan, np.array([0, 1, 0, 1, 0, 1]), TASKS["binary"])
+    with pytest.raises(ValueError, match=r"task 'binary': label 2 is outside \[0, 2\)"):
+        train(X, np.array([0, 1, 0, 1, 0, 2]), TASKS["binary"])
+    with pytest.raises(ValueError, match=r"task 'four_way': label -1 is outside \[0, 4\)"):
+        train(X, np.array([0, 1, 2, 3, -1, 2]), TASKS["four_way"])
+    with pytest.raises(ValueError, match="task 'four_way': class 1 has no training rows"):
+        train(np.ones((2, 2)), np.array([0, 2]), TASKS["four_way"])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -348,7 +357,7 @@ def test_row_space_newton_predicts_like_the_full_space_reference(kind, c, l2):
     rng = np.random.default_rng(300 + 10 * c + int(100 * l2))
     X, y = shaped_problem(kind, c, rng)
     config = TrainConfig(l2_lambda=l2)
-    model = train(X, y, config)
+    model = train(X, y, TASK_OF[c], config)
     Z = model.standardizer.transform(X)
     _, history = _newton_minimize(Z, y, c, config)
     params, reference_history = oracles.newton_minimize(Z, y, c, config)
@@ -387,7 +396,7 @@ def test_wide_fit_builds_hessians_of_the_row_space(monkeypatch):
     rng = np.random.default_rng(12)
     X, y = shaped_problem("wide", 4, rng)
     sides = record_hessian_sides(monkeypatch)
-    model = train(X, y, TrainConfig(l2_lambda=0.1))
+    model = train(X, y, TASKS["four_way"], TrainConfig(l2_lambda=0.1))
     rank = np.linalg.matrix_rank(model.standardizer.transform(X))
     assert rank <= X.shape[0] - 1 < X.shape[1]
     assert sides and set(sides) == {3 * (rank + 1)}
@@ -400,7 +409,7 @@ def test_tall_fit_with_dependent_columns_builds_hessians_of_their_rank(monkeypat
     rng = np.random.default_rng(16)
     X, y = shaped_problem("duplicated", 4, rng)
     sides = record_hessian_sides(monkeypatch)
-    model = train(X, y, TrainConfig(l2_lambda=0.1))
+    model = train(X, y, TASKS["four_way"], TrainConfig(l2_lambda=0.1))
     rank = np.linalg.matrix_rank(model.standardizer.transform(X))
     assert rank == X.shape[1] - 1 < X.shape[0]
     assert sides and set(sides) == {3 * (rank + 1)}
@@ -408,7 +417,7 @@ def test_tall_fit_with_dependent_columns_builds_hessians_of_their_rank(monkeypat
 
 def assert_fit_predicts_the_priors(X, y, monkeypatch):
     sides = record_hessian_sides(monkeypatch)
-    model = train(X, y)
+    model = train(X, y, TASKS["three_way"])
     assert sides and set(sides) == {2}
     priors = np.bincount(y) / y.size
     assert np.allclose(predict_proba(model, X), priors, rtol=0, atol=1e-9)
@@ -530,8 +539,8 @@ def test_probabilities_sum_to_one():
 
 def test_model_round_trip_reproduces_probabilities(tmp_path):
     rng = np.random.default_rng(10)
-    X, y = blobs(rng, per_class=20)
-    model = train(X, y, TrainConfig(), task="binary")
+    X, y = blobs(rng, per_class=20, c=2)
+    model = train(X, y, TASKS["binary"], TrainConfig())
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -547,4 +556,28 @@ def test_load_model_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 99}')
     with pytest.raises(ValueError, match="format version"):
+        load_model(path)
+
+
+def _one_class(payload, class_count):
+    return {**payload, "class_count": class_count, "weights": payload["weights"][:1],
+            "biases": payload["biases"][:1]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: _one_class(p, True), "class_count must be an int >= 2, got True"),
+    (lambda p: _one_class(p, 1), "class_count must be an int >= 2, got 1"),
+    (lambda p: {**p, "class_count": 4.0}, "class_count must be an int >= 2, got 4.0"),
+    (lambda p: {**p, "task": 5}, "task must be a string, got 5"),
+    (lambda p: {**p, "l2_lambda": math.nan}, "l2_lambda must be finite and >= 0, got nan"),
+    (lambda p: {**p, "l2_lambda": -1}, "l2_lambda must be finite and >= 0, got -1.0"),
+], ids=["class-count-true", "class-count-1", "class-count-4.0", "task-5", "l2-nan",
+        "l2-negative"])
+def test_load_model_rejects_a_bad_task_class_count_or_penalty(tmp_path, edit, message):
+    # Each edit keeps the weights' shape consistent with class_count, so it
+    # is the value itself that must be refused.
+    path = tmp_path / "model.json"
+    save_model(fixture_model(np.ones((4, 3)), np.zeros(4)), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_model(path)

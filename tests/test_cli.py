@@ -437,6 +437,24 @@ def test_predict_task_guard(small_dataset, tmp_path, capsys):
     assert "binary" in capsys.readouterr().err
 
 
+def test_predict_refuses_a_model_whose_class_count_is_not_its_tasks(small_dataset,
+                                                                   tmp_path, capsys):
+    # A four-class model relabelled "binary" would write four prob_ columns
+    # under --task binary.
+    _, features = small_dataset
+    model = tmp_path / "model.json"
+    assert run("train", "--features", features, "--out", model, "--task", "four_way") == 0
+    payload = json.loads(model.read_text())
+    payload["task"] = "binary"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "pred.csv"
+    assert run("predict", "--model", model, "--features", features, "--out", out,
+               "--task", "binary") == 2
+    assert capsys.readouterr().err == (
+        f"error: {model}: a 'binary' model has 2 classes, not 4\n")
+    assert not out.exists() and not _echo_path(out).exists()
+
+
 def test_evaluate_writes_report_and_prints_matrix(small_dataset, tmp_path, capsys):
     _, features = small_dataset
     report_path = tmp_path / "report.json"
@@ -456,6 +474,28 @@ def test_evaluate_k_too_large_names_class(small_dataset, tmp_path, capsys):
                "--task", "four_way", "--k", 10)
     assert code == 2
     assert "fewer than k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tiers, task, message", [
+    ({0, 1, 2}, "four_way", "task 'four_way' keeps no rows of class 3 (tier 3)"),
+    ({0, 1}, "binary", "task 'binary' keeps no rows of class 1 (tiers 2, 3)"),
+    ({1, 2, 3}, "four_way", "task 'four_way' keeps no rows of class 0 (tier 0)"),
+], ids=["four_way-without-tier-3", "binary-on-tiers-0-1", "four_way-without-tier-0"])
+def test_a_task_class_without_rows_exits_2_before_any_output(small_dataset, tmp_path,
+                                                             capsys, tiers, task, message):
+    _, features = small_dataset
+    with open(features, newline="") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("tier")
+    subset = tmp_path / "subset.csv"
+    with open(subset, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [rows[0]] + [row for row in rows[1:] if int(row[column]) in tiers])
+    for command in ("train", "evaluate", "rank-features"):
+        assert run(command, "--features", subset, "--task", task,
+                   "--out", tmp_path / command) == 2, command
+        assert capsys.readouterr().err == f"error: {subset}: {message}\n", command
+    assert list(tmp_path.iterdir()) == [subset]
 
 
 def test_rank_features_csv(small_dataset, tmp_path):
@@ -538,6 +578,20 @@ def test_config_echo_subcommand_mismatch(small_dataset, tmp_path, capsys):
     echo = report.parent / (report.name + ".config.json")
     assert run("train", "--config", echo) == 2
     assert "evaluate" in capsys.readouterr().err
+
+
+def test_config_echo_key_that_is_no_option_exits_2_naming_it(small_dataset, tmp_path,
+                                                             capsys):
+    # "l2_lambda" in place of "l2" used to rerun silently at the default l2.
+    _, features = small_dataset
+    report = tmp_path / "r.json"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": "evaluate", "params": {
+        "features": str(features), "out": str(report), "l2_lambda": 100}}))
+    assert run("evaluate", "--config", config) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {config}: 'l2_lambda' is not an option of evaluate\n")
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_missing_required_flags_exit_2(capsys):
@@ -660,7 +714,9 @@ def test_malformed_config_exits_2_with_its_path(tmp_path, capsys, body):
 def test_config_values_are_checked_against_the_option_type(tmp_path, capsys,
                                                             subcommand, key, value):
     out = tmp_path / "out"
-    params = {"out_dir": str(out), "features": "f.csv", "out": str(out), key: value}
+    paths = {"out_dir": str(out), "features": "f.csv", "out": str(out)}
+    params = {k: v for k, v in paths.items() if k in ECHO_KEYS[subcommand]}
+    params[key] = value
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"subcommand": subcommand, "params": params}))
     assert run(subcommand, "--config", config) == 2
@@ -737,8 +793,10 @@ def test_out_of_range_config_value_exits_2_naming_the_flag(small_dataset, tmp_pa
 def test_non_finite_config_value_exits_2_naming_the_flag(small_dataset, tmp_path, capsys,
                                                          subcommand, key, value, message):
     root, features = small_dataset
-    params = {"manifest": str(root / "manifest.jsonl"), "features": str(features),
-              "out": str(tmp_path / "out"), key: value}
+    paths = {"manifest": str(root / "manifest.jsonl"), "features": str(features),
+             "out": str(tmp_path / "out")}
+    params = {k: v for k, v in paths.items() if k in ECHO_KEYS[subcommand]}
+    params[key] = value
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"subcommand": subcommand, "params": params}))
     assert run(subcommand, "--config", config) == 2

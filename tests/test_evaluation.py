@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+
+import oracles
 
 from labankit import (
     TASKS,
@@ -45,6 +48,24 @@ def test_remap_four_way_identity():
     labels, mask = remap_task([0, 1, 2, 3], TASKS["four_way"])
     assert mask.all()
     assert labels.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kind", sorted(TASKS))
+def test_remap_matches_the_per_row_reference(kind):
+    task = TASKS[kind]
+    rng = np.random.default_rng(11)
+    cases = [rng.integers(0, 4, 500), rng.integers(0, 4, 500).astype(np.float64),
+             np.array([], dtype=np.int64), [3, 2, 1, 0]]
+    for tiers in cases:
+        labels, mask = remap_task(tiers, task)
+        want_labels, want_mask = oracles.remap_task(tiers, task)
+        assert labels.dtype == want_labels.dtype and mask.dtype == want_mask.dtype
+        assert np.array_equal(labels, want_labels) and np.array_equal(mask, want_mask)
+    for tiers in ([0, 5, -1, 2], [np.nan, 4.0, 0.0], [2, 1.5, 3.5], [7]):
+        with pytest.raises(ValueError) as want:
+            oracles.remap_task(tiers, task)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            remap_task(tiers, task)
 
 
 def test_remap_rejects_unknown_tier():
@@ -246,6 +267,25 @@ def test_cross_validate_no_leakage_from_test_rows():
     same_fold_other_rows[0] = False
     assert np.array_equal(base.predictions[same_fold_other_rows],
                           poked.predictions[same_fold_other_rows])
+
+
+def test_every_fold_model_carries_its_tasks_kind_and_class_count(monkeypatch):
+    from labankit import evaluation
+    real_train = evaluation.train
+    models = []
+
+    def recorded(*args, **kwargs):
+        models.append(real_train(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(evaluation, "train", recorded)
+    rng = np.random.default_rng(8)
+    X, tiers = separable_blobs(rng, per_class=12)
+    for task in TASKS.values():
+        models.clear()
+        cross_validate(X, tiers, task, k=3, seed=0)
+        assert [(m.task, m.class_count) for m in models] == [
+            (task.kind, task.class_count)] * 3, task.kind
 
 
 def test_cross_validate_rejects_small_class():
