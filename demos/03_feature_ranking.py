@@ -29,9 +29,12 @@ rows, tiers = [], []
 for regime in (0, 2):
     for i in range(40):
         seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
-        for _, positions in slice_fragments(seq):
-            rows.append(fragment_features(positions, seq.fps))
-            tiers.append(regime)
+        fragments = slice_fragments(seq)
+        # As extract does: one call per sequence, one row per fragment.
+        vectors = fragment_features(seq.positions, seq.fps,
+                                    [start for start, _ in fragments], len(fragments[0][1]))
+        rows.extend(vectors)
+        tiers += [regime] * len(vectors)
 X = np.asarray(rows)
 labels, mask = remap_task(tiers, get_task("binary"))
 print(f"\ndataset: {X.shape[0]} fragments, binary task "

@@ -31,9 +31,13 @@ def build_dataset(per_regime, blend, duration=5.0):
         for i in range(per_regime):
             seq = generate(RegimeSpec(regime, duration_s=duration,
                                       seed=regime * 10_000 + i, blend=blend))
-            for _, positions in slice_fragments(seq):
-                rows.append(fragment_features(positions, seq.fps))
-                tiers.append(regime)
+            fragments = slice_fragments(seq)
+            # As extract does: one call per sequence, one row per fragment.
+            vectors = fragment_features(seq.positions, seq.fps,
+                                        [start for start, _ in fragments],
+                                        len(fragments[0][1]))
+            rows.extend(vectors)
+            tiers += [regime] * len(vectors)
     return np.asarray(rows), np.asarray(tiers)
 
 

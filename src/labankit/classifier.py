@@ -205,15 +205,14 @@ def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
-                     config: TrainConfig,
-                     init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+                     config: TrainConfig) -> tuple[np.ndarray, list[float]]:
     """Damped Newton descent on the convex objective; returns the (C, d+1)
     params, whose weights and biases sum to zero over the classes, and the
     loss history.
 
-    The parameters are fitted in the row space of Z and on the sum-to-zero
-    class subspace (see the module docstring); init, if given, is projected
-    onto both. The stopping test is on the full-space gradient.
+    The parameters are fitted, from zero, in the row space of Z and on the
+    sum-to-zero class subspace (see the module docstring). The stopping
+    test is on the full-space gradient.
     """
     V, ZV = _row_space(Z)
     n, r = ZV.shape
@@ -222,10 +221,7 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     def full_space(p):  # (k, r + 1) -> (k, d + 1)
         return np.concatenate([p[:, :-1] @ V.T, p[:, -1:]], axis=1)
 
-    if init is None:
-        theta = np.zeros((class_count - 1, r + 1))
-    else:
-        theta = basis.T @ np.concatenate([init[:, :-1] @ V, init[:, -1:]], axis=1)
+    theta = np.zeros((class_count - 1, r + 1))
     design = np.concatenate([ZV, np.ones((n, 1))], axis=1)
     penalty = np.append(np.full(r, config.l2_lambda), 0.0)  # biases unpenalized
     diagonal = np.tile(penalty, class_count - 1) + _NEWTON_RIDGE

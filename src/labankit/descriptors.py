@@ -16,7 +16,8 @@ sequence's matrix to a 110-dim vector (per-column mean, then per-column
 population standard deviation) with stable feature names. Kinematics at
 a fragment's edges use the sequence's neighbouring frames; only net
 displacement, measured from the fragment's first frame, is recomputed
-per fragment.
+per fragment. A whole sequence taken as one fragment is
+aggregate(frame_matrix(positions, fps)).
 
 All quantities are in meters and seconds. Distances and speeds are
 translation-invariant except the pelvis world height; everything is
@@ -257,32 +258,33 @@ def aggregate(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)])
 
 
-def fragment_features(positions: np.ndarray, fps: float,
-                      starts=None, length: int | None = None) -> np.ndarray:
-    """Aggregate feature vectors in FEATURE_NAMES_110 order.
+def fragment_features(positions: np.ndarray, fps: float, starts,
+                      length: int) -> np.ndarray:
+    """The (len(starts), 110) feature vectors, in FEATURE_NAMES_110 order,
+    of the fragments positions[s:s + length] of a whole (T, 24, 3) sequence.
 
-    positions is a whole (T, 24, 3) sequence. Without starts and length it
-    is one fragment and the result is its (110,) vector. With them, the
-    result is the (len(starts), 110) array of the fragments
-    positions[s:s + length]: the sequence's frame_matrix is computed once,
-    and each fragment aggregates its rows with net displacement measured
-    from its own first frame.
+    The sequence's frame_matrix is computed once, and each fragment
+    aggregates its rows with net displacement measured from its own first
+    frame. A vector with a non-finite feature is refused, naming the
+    fragment's start frame and the feature.
     """
-    if (starts is None) != (length is None):
-        raise ValueError("starts and length must be given together")
-    if length is not None and length < 1:
+    if length < 1:
         raise ValueError(f"length must be >= 1 frame, got {length}")
     pos = np.asarray(positions)
     rows = frame_matrix(pos, fps)
-    whole = starts is None
-    if whole:
-        starts, length = (0,), len(rows)
     out = np.empty((len(starts), len(FEATURE_NAMES_110)))
     for i, start in enumerate(starts):
         if not 0 <= start <= len(rows) - length:
             raise ValueError(f"fragment at frame {start} of {length} frames does not "
                              f"fit in a sequence of {len(rows)} frames")
-        block = rows[start:start + length].copy()
-        block[:, _NET_DISPLACEMENT] = _net_displacement(pos[start:start + length, PELVIS])
-        out[i] = aggregate(block)
-    return out[0] if whole else out
+        # Each fragment rewrites its whole window's net displacement before
+        # aggregating it, so overlapping windows never see another's column.
+        window = rows[start:start + length]
+        window[:, _NET_DISPLACEMENT] = _net_displacement(pos[start:start + length, PELVIS])
+        out[i] = aggregate(window)
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"fragment at frame {starts[i]}: feature {FEATURE_NAMES_110[j]} "
+                         f"is {out[i, j]}")
+    return out

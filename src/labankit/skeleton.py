@@ -262,7 +262,9 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
 def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
                     stride_s: float = 5.0) -> list[tuple[int, np.ndarray]]:
     """Cut a sequence into fixed-length (start_frame, positions) fragments
-    ordered by start frame; positions is a read-only view of seq.positions.
+    ordered by start frame; positions is a read-only view of seq.positions,
+    for looking at a fragment. Features come from the sequence:
+    fragment_features(seq.positions, seq.fps, starts, length).
 
     Fragments are round(length_s * fps) frames at stride round(stride_s * fps);
     a trailing remainder shorter than one fragment is discarded. A sequence

@@ -255,10 +255,10 @@ def reduced_hessian(params: np.ndarray, basis: np.ndarray, X: np.ndarray,
 
 
 def newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
-                    config, init: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+                    config) -> tuple[np.ndarray, list[float]]:
     """Damped Newton descent on the convex objective; returns (params, loss history)."""
     n, d = Z.shape
-    params = np.zeros((class_count, d + 1)) if init is None else init.astype(np.float64)
+    params = np.zeros((class_count, d + 1))
     loss, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):

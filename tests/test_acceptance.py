@@ -15,10 +15,10 @@ from labankit import (
     FRAME_FEATURE_NAMES,
     RegimeSpec,
     TrainConfig,
+    aggregate,
     cross_validate,
     differentiate,
     frame_matrix,
-    fragment_features,
     generate,
     get_task,
     kruskal_wallis,
@@ -30,7 +30,7 @@ from labankit import (
 from labankit.cli import main as cli_main
 from labankit.features_io import read_features_csv
 
-from conftest import rest_positions, wiggle_positions
+from conftest import extract_vectors, rest_positions, wiggle_positions
 from oracles import directness, effort_frame, trajectory_frame
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -238,8 +238,8 @@ def test_features_agree_across_sampling_rates():
     # Flow features alone by 47-117 % on these seeds.
     worst = 0.0
     for seed in range(10):
-        features = {fps: fragment_features(
-                        wiggle_positions(round(5 * fps), fps=fps, seed=seed), fps)
+        features = {fps: aggregate(frame_matrix(
+                        wiggle_positions(round(5 * fps), fps=fps, seed=seed), fps))
                     for fps in (30.0, 60.0, 120.0)}
         for fps in (60.0, 120.0):
             np.testing.assert_allclose(features[fps], features[30.0], rtol=0.2,
@@ -257,9 +257,9 @@ def test_ordinal_confusion_concentrates_on_adjacent_tiers():
     for regime in range(4):
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 7919 + i, blend=0.85))
-            for _, positions in slice_fragments(seq):
-                rows.append(fragment_features(positions, seq.fps))
-                tiers.append(regime)
+            vectors = extract_vectors(seq, slice_fragments(seq))
+            rows.extend(vectors)
+            tiers += [regime] * len(vectors)
     report = cross_validate(np.array(rows), np.array(tiers),
                             get_task("four_way"), k=5, seed=1)
     confusion = report.confusion
@@ -280,9 +280,9 @@ def test_directness_family_ranks_in_top_ten():
     for regime in (0, 2):
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
-            for _, positions in slice_fragments(seq):
-                rows.append(fragment_features(positions, seq.fps))
-                tiers.append(regime)
+            vectors = extract_vectors(seq, slice_fragments(seq))
+            rows.extend(vectors)
+            tiers += [regime] * len(vectors)
     labels, mask = remap_task(tiers, get_task("binary"))
     ranking = rank_features(np.array(rows)[mask], labels, FEATURE_NAMES_110)
     top10 = [name for name, _ in ranking[:10]]

@@ -179,6 +179,30 @@ def test_extract_partial_failure(small_dataset, tmp_path, capsys):
     assert f"{missing}\tNo such file or directory\n" in log
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extract_fails_a_file_whose_features_overflow(tmp_path, capsys):
+    # Coordinates of 1e154 m are finite, but their squared distances are
+    # not: the file fails, naming the fragment and the feature, and the
+    # good file's rows are still written.
+    from labankit import RegimeSpec, SkeletonSequence, generate, save_sequence
+    seq = generate(RegimeSpec(0, duration_s=5.0, seed=7), source_id="huge")
+    save_sequence(SkeletonSequence("huge", seq.fps, seq.positions * 1e154, 0),
+                  tmp_path / "huge.skel")
+    save_sequence(generate(RegimeSpec(1, duration_s=5.0, seed=8), source_id="good"),
+                  tmp_path / "good.skel")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"path": "huge.skel", "tier": 0}) + "\n"
+                        + json.dumps({"path": "good.skel", "tier": 1}) + "\n")
+    out = tmp_path / "features.csv"
+    assert run("extract", "--manifest", manifest, "--out", out) == 1
+    table = read_features_csv(out)
+    assert table.source_ids == ("good",)
+    log = (out.parent / (out.name + ".errors.log")).read_text()
+    assert log == (f"{tmp_path / 'huge.skel'}\tfragment at frame 0: feature "
+                   f"dispersion.horizontal_extent.mean is inf\n")
+    assert "huge.skel" in capsys.readouterr().err
+
+
 def _tier_case(tmp_path, file_tier, manifest_tier, suffix=".json"):
     from labankit import RegimeSpec, SkeletonSequence, generate, save_sequence
     seq = generate(RegimeSpec(2, duration_s=5.0, seed=3), source_id="clip")

@@ -19,7 +19,7 @@ from labankit import (
 )
 from labankit import descriptors
 
-from conftest import rest_positions, wiggle_positions
+from conftest import extract_vectors, rest_positions, wiggle_positions
 from oracles import (
     directness,
     dispersion_frame,
@@ -98,7 +98,7 @@ def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
     positions = wiggle_positions(150)
     positions[37, 5, 1] = np.nan
     with pytest.raises(SkeletonError, match="non-finite coordinate at frame 37, joint 5"):
-        fragment_features(positions, 30.0)
+        fragment_features(positions, 30.0, [0], 150)
 
 
 @pytest.mark.parametrize("shape, message", [
@@ -108,12 +108,12 @@ def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
 ])
 def test_fragment_features_rejects_the_wrong_shape(shape, message):
     with pytest.raises(SkeletonError, match=message):
-        fragment_features(np.zeros(shape), 30.0)
+        fragment_features(np.zeros(shape), 30.0, [0], 150)
 
 
 def test_fragment_features_rejects_a_three_frame_fragment():
     with pytest.raises(ValueError, match="need at least 4 frames, got 3"):
-        fragment_features(rest_positions(3), 1.0)
+        fragment_features(rest_positions(3), 1.0, [0], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +511,8 @@ def test_time_reversal_preserves_total_path(wiggle_fragment):
 def test_frame_rate_consistency_of_speed_means():
     # Band-limited motion sampled at 30 and 60 fps: fragment-mean speeds
     # agree within 2%.
-    lo = fragment_features(wiggle_positions(150, fps=30.0, seed=4), 30.0)
-    hi = fragment_features(wiggle_positions(300, fps=60.0, seed=4), 60.0)
+    lo = aggregate(frame_matrix(wiggle_positions(150, fps=30.0, seed=4), 30.0))
+    hi = aggregate(frame_matrix(wiggle_positions(300, fps=60.0, seed=4), 60.0))
     names = list(FEATURE_NAMES_110)
     for j in ("pelvis", "head", "hand_l", "hand_r", "foot_l", "foot_r"):
         idx = names.index(f"kin.{j}.speed.mean")
@@ -555,12 +555,6 @@ def _cut(fps, seconds, length_s, stride_s):
     return seq, slice_fragments(seq, length_s=length_s, stride_s=stride_s)
 
 
-def _extract_vectors(seq, fragments):
-    """The fragment vectors as extract computes them: one call per sequence."""
-    return fragment_features(seq.positions, seq.fps, [start for start, _ in fragments],
-                             len(fragments[0][1]))
-
-
 def _record_frame_matrix_calls(monkeypatch):
     """Patch descriptors' frame_matrix to record the frame count of each call."""
     calls = []
@@ -578,7 +572,8 @@ def test_sequence_dispersion_rows_give_the_per_fragment_features(cut):
     # Each vector aggregates the sequence's rows over its fragment, with net
     # displacement measured from the fragment's first frame. Dispersion rows
     # depend on their own frame alone, so that half of the vector is also
-    # what the bare fragment gives.
+    # what the fragment's positions give when taken as a sequence of their
+    # own.
     seq, fragments = _cut(*cut)
     if not fragments:
         assert fragment_features(seq.positions, seq.fps, [], 150).shape == (0, 110)
@@ -586,12 +581,12 @@ def test_sequence_dispersion_rows_give_the_per_fragment_features(cut):
     rows = frame_matrix(seq.positions, seq.fps)
     dispersion = [k for k, name in enumerate(FEATURE_NAMES_110)
                   if name.startswith("dispersion.")]
-    for (start, view), vector in zip(fragments, _extract_vectors(seq, fragments)):
+    for (start, view), vector in zip(fragments, extract_vectors(seq, fragments)):
         block = rows[start:start + len(view)].copy()
         block[:, NET] = np.linalg.norm(view[:, PELVIS] - view[0, PELVIS], axis=1)
         assert np.array_equal(vector, aggregate(block))
         assert np.array_equal(vector[dispersion],
-                              fragment_features(view, seq.fps)[dispersion])
+                              aggregate(frame_matrix(view, seq.fps))[dispersion])
 
 
 @pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
@@ -639,7 +634,7 @@ def test_overlapping_fragments_agree_on_every_shared_frame(cut, monkeypatch):
         return aggregate(matrix)
 
     monkeypatch.setattr(descriptors, "aggregate", recording)
-    vectors = _extract_vectors(seq, fragments)
+    vectors = extract_vectors(seq, fragments)
     assert len(blocks) == len(fragments) > 2
     others = [k for k in range(55) if k != NET]
     length = len(fragments[0][1])
@@ -658,9 +653,27 @@ def test_overlapping_fragments_agree_on_every_shared_frame(cut, monkeypatch):
     assert shared_frames > 0
 
 
+@pytest.mark.parametrize("fps", [30.0, 29.97])
+@pytest.mark.parametrize("stride_s", [0.5, 1.0])
+def test_each_fragment_row_is_the_one_fragment_call_in_either_order(fps, stride_s):
+    # Fragments aggregate their windows of one sequence matrix in place:
+    # whichever fragments came before, and in either order, each row is the
+    # bits that the fragment gets alone.
+    seq, fragments = _cut(fps, 9.0, 5.0, stride_s)
+    starts = [start for start, _ in fragments]
+    length = len(fragments[0][1])
+    alone = np.array([fragment_features(seq.positions, fps, [start], length)[0]
+                      for start in starts])
+    forward = fragment_features(seq.positions, fps, starts, length)
+    backward = fragment_features(seq.positions, fps, starts[::-1], length)[::-1]
+    assert len(starts) > 2
+    assert np.array_equal(forward.view(np.int64), alone.view(np.int64))
+    assert np.array_equal(backward.view(np.int64), alone.view(np.int64))
+
+
 @pytest.mark.parametrize("starts, length, message", [
-    ([0], None, "starts and length must be given together"),
-    (None, 150, "starts and length must be given together"),
+    ([0], 241, "fragment at frame 0 of 241 frames does not fit in a sequence of 240"),
+    ([240], 1, "fragment at frame 240 of 1 frames does not fit in a sequence of 240"),
     ([-1], 150, "fragment at frame -1 of 150 frames does not fit in a sequence of 240"),
     ([0, 91], 150, "fragment at frame 91 of 150 frames does not fit in a sequence of 240"),
     ([0], 0, "length must be >= 1 frame, got 0"),

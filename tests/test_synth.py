@@ -6,18 +6,18 @@ import pytest
 from labankit import (
     FEATURE_NAMES_110,
     RegimeSpec,
-    fragment_features,
     generate,
     slice_fragments,
 )
+
+from conftest import extract_vectors
 
 NAMES = list(FEATURE_NAMES_110)
 
 
 def regime_feature(regime, seed, name, **kwargs):
     seq = generate(RegimeSpec(regime, seed=seed, **kwargs))
-    _, positions = slice_fragments(seq)[0]
-    return fragment_features(positions, seq.fps)[NAMES.index(name)]
+    return extract_vectors(seq, slice_fragments(seq))[0, NAMES.index(name)]
 
 
 def regime_features(regime, seeds, name, **kwargs):
