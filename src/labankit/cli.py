@@ -214,15 +214,19 @@ def cmd_synth(params: dict) -> int:
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
+    frames = 0
     for source_id, spec in specs.items():
         file_path = out_dir / f"{source_id}{SKELETON_SUFFIX}"
-        save_sequence(generate(spec, source_id=source_id), file_path)
+        seq = generate(spec, source_id=source_id)
+        save_sequence(seq, file_path)
+        frames += seq.frame_count
         entries.append(ManifestEntry(path=file_path, source_id=source_id,
                                      tier=spec.regime))
     manifest_path = out_dir / "manifest.jsonl"
     save_manifest(DatasetManifest(tuple(entries)), manifest_path)
     _write_echo(manifest_path, "synth", params)
-    print(f"wrote {len(entries)} sequences and {manifest_path}")
+    print(f"wrote {len(entries)} sequences ({frames} frames, "
+          f"{frames / params['fps']:g} s) and {manifest_path}")
     return 0
 
 

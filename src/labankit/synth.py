@@ -17,6 +17,10 @@ where adjacent tiers genuinely overlap. Every draw is keyed to the spec
 seed, so equal specs yield bit-identical sequences; regime parameters are
 drawn independently of fps, so the same seed describes the same motion at
 any frame rate.
+
+R1's limb strokes and hops are evaluated against a running sum over
+events: each frame adds the event in progress, if any, to the end values
+of the events before it, so a build takes time linear in clip length.
 """
 
 from __future__ import annotations
@@ -76,6 +80,19 @@ _STREAM_REGIME = 11
 _STREAM_BLEND = 7
 _STREAM_NOISE = 99
 
+# R1 event timing, seconds: a stroke's transition and a hop's pulse, and
+# the range of gaps between successive starts. Each minimum gap exceeds
+# its window, so no two windows of a kind overlap, which _events needs.
+_STROKE_S = 0.12
+_STROKE_GAP_S = (0.4, 0.7)
+_HOP_S = 0.25
+_HOP_GAP_S = (0.9, 1.4)
+
+
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class RegimeSpec:
@@ -89,8 +106,9 @@ class RegimeSpec:
     blend: float = 0.0
 
     def __post_init__(self):
-        if self.regime not in range(N_REGIMES):
-            raise ValueError(f"regime must be in 0..{N_REGIMES - 1}, got {self.regime}")
+        if not _is_integer(self.regime) or self.regime not in range(N_REGIMES):
+            raise ValueError(f"regime must be an integer in 0..{N_REGIMES - 1}, "
+                             f"got {self.regime!r}")
         if not MIN_FRAGMENT_SECONDS <= self.duration_s < math.inf:  # NaN fails too
             raise ValueError(f"duration must be finite and >= "
                              f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s}")
@@ -101,7 +119,7 @@ class RegimeSpec:
                              f"got {self.noise_amp}")
         if not 0.0 <= self.blend < 1.0:
             raise ValueError(f"blend must be in [0, 1), got {self.blend}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -113,16 +131,37 @@ def _jitter(rng: np.random.Generator, value: float, spread: float = 0.12) -> flo
     return value * (1.0 + rng.uniform(-spread, spread))
 
 
-def _ramp(s: np.ndarray, start: float, width: float) -> np.ndarray:
-    """Raised-cosine step from 0 to 1 over [start, start + width]."""
-    u = np.clip((s - start) / width, 0.0, 1.0)
+def _raised_cosine(u: np.ndarray) -> np.ndarray:
+    """Step from 0 to 1 over u in [0, 1]; exactly 0 at 0 and 1 at 1."""
     return 0.5 * (1.0 - np.cos(np.pi * u))
 
 
-def _pulse(s: np.ndarray, start: float, width: float) -> np.ndarray:
-    """Smooth out-and-back bump (sin^2) supported on [start, start + width]."""
-    u = np.clip((s - start) / width, 0.0, 1.0)
+def _sin2(u: np.ndarray) -> np.ndarray:
+    """Out-and-back bump over u in [0, 1]; sin(pi)^2 = 1.5e-32 at 1, not 0."""
     return np.sin(np.pi * u) ** 2
+
+
+def _events(s: np.ndarray, starts: list[float], amounts: np.ndarray,
+            width: float, shape) -> np.ndarray:
+    """(T, k) track: the sum over events e, in event order, of
+    amounts[e] * shape(u), where u = clip((s - starts[e]) / width, 0, 1).
+
+    Windows never overlap, so a frame is past every earlier event, inside
+    at most the latest one that has started, and before the later ones,
+    which add +-0.0. It therefore holds the running sum of the earlier
+    events' end values, amounts * shape(1), plus its latest event's
+    term: the same floats as adding one full-length array per event.
+    """
+    starts = np.asarray(starts)
+    ends = amounts * shape(np.ones(1))
+    prefix = np.cumsum(np.concatenate([np.zeros((1, amounts.shape[1])), ends]), axis=0)
+    latest = np.searchsorted(starts, s, side="right") - 1
+    started = latest >= 0
+    e = latest[started]
+    u = np.clip((s[started] - starts[e]) / width, 0.0, 1.0)
+    total = np.zeros((len(s), amounts.shape[1]))
+    total[started] = prefix[e] + shape(u)[:, None] * amounts[e]
+    return total
 
 
 def _rest_pose(n_frames: int) -> np.ndarray:
@@ -178,28 +217,21 @@ def _locomotion(s: np.ndarray, duration: float, rng: np.random.Generator) -> np.
 
 def _staccato(s: np.ndarray, duration: float, rng: np.random.Generator) -> np.ndarray:
     """R1: sparse fast limb relocations and hops from a standing base."""
-    transition = 0.12
     reach = _jitter(rng, 0.45, 0.2)
     hop_amp = _jitter(rng, 0.07, 0.2)
 
     pos = _rest_pose(len(s))
     for chain in (_ARM_L, _ARM_R, _LEG_L, _LEG_R):
-        times = _burst_schedule(rng, duration - transition, (0.1, 0.5), (0.4, 0.7))
-        displacement = np.zeros((len(s), 3))
-        previous = np.zeros(3)
-        for start in times:
-            target = rng.uniform(-1.0, 1.0, size=3) * reach
-            target[1] *= 0.5  # strokes stay mostly horizontal
-            displacement += np.outer(_ramp(s, start, transition), target - previous)
-            previous = target
+        times = _burst_schedule(rng, duration - _STROKE_S, (0.1, 0.5), _STROKE_GAP_S)
+        targets = rng.uniform(-1.0, 1.0, size=(len(times), 3)) * reach
+        targets[:, 1] *= 0.5  # strokes stay mostly horizontal
+        deltas = np.diff(targets, axis=0, prepend=0.0)
+        displacement = _events(s, times, deltas, _STROKE_S, _raised_cosine)
         for joint, scale in chain:
             pos[:, joint] += scale * displacement
 
-    hops = _burst_schedule(rng, duration - 0.25, (0.5, 1.0), (0.9, 1.4))
-    rise = np.zeros(len(s))
-    for start in hops:
-        rise += hop_amp * _pulse(s, start, 0.25)
-    pos[:, :, 1] += rise[:, None]
+    hops = _burst_schedule(rng, duration - _HOP_S, (0.5, 1.0), _HOP_GAP_S)
+    pos[:, :, 1] += _events(s, hops, np.full((len(hops), 1), hop_amp), _HOP_S, _sin2)
     return pos
 
 

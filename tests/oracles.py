@@ -31,6 +31,12 @@ same floats bit for bit.
 remap_task maps tiers to a task's class ids one row at a time, after
 checking each distinct tier by value. The library indexes one lookup
 array, which must give the same labels, mask and refusals.
+
+staccato is the R1 synth builder that adds one full-length raised-cosine
+ramp per limb stroke and one full-length sin^2 pulse per hop, with its
+_ramp and _pulse. The library keeps a running sum over the events and
+evaluates each frame's latest event only, which must give the same
+positions bit for bit.
 """
 
 import csv
@@ -40,6 +46,15 @@ import numpy as np
 from labankit.classifier import _ARMIJO_C1, _MAX_BACKTRACKS, _NEWTON_RIDGE
 
 from labankit.skeleton import VALID_TIERS
+from labankit.synth import (
+    _ARM_L,
+    _ARM_R,
+    _LEG_L,
+    _LEG_R,
+    _burst_schedule,
+    _jitter,
+    _rest_pose,
+)
 from labankit.descriptors import (
     CURVATURE_CAP,
     DIRECTNESS_HALF_WINDOW_S,
@@ -345,3 +360,42 @@ def remap_task(tiers, task) -> tuple[np.ndarray, np.ndarray]:
     ], dtype=np.int64)
     mask = mapped >= 0
     return mapped[mask], mask
+
+
+def _ramp(s: np.ndarray, start: float, width: float) -> np.ndarray:
+    """Raised-cosine step from 0 to 1 over [start, start + width]."""
+    u = np.clip((s - start) / width, 0.0, 1.0)
+    return 0.5 * (1.0 - np.cos(np.pi * u))
+
+
+def _pulse(s: np.ndarray, start: float, width: float) -> np.ndarray:
+    """Smooth out-and-back bump (sin^2) supported on [start, start + width]."""
+    u = np.clip((s - start) / width, 0.0, 1.0)
+    return np.sin(np.pi * u) ** 2
+
+
+def staccato(s: np.ndarray, duration: float, rng: np.random.Generator) -> np.ndarray:
+    """R1: sparse fast limb relocations and hops from a standing base."""
+    transition = 0.12
+    reach = _jitter(rng, 0.45, 0.2)
+    hop_amp = _jitter(rng, 0.07, 0.2)
+
+    pos = _rest_pose(len(s))
+    for chain in (_ARM_L, _ARM_R, _LEG_L, _LEG_R):
+        times = _burst_schedule(rng, duration - transition, (0.1, 0.5), (0.4, 0.7))
+        displacement = np.zeros((len(s), 3))
+        previous = np.zeros(3)
+        for start in times:
+            target = rng.uniform(-1.0, 1.0, size=3) * reach
+            target[1] *= 0.5  # strokes stay mostly horizontal
+            displacement += np.outer(_ramp(s, start, transition), target - previous)
+            previous = target
+        for joint, scale in chain:
+            pos[:, joint] += scale * displacement
+
+    hops = _burst_schedule(rng, duration - 0.25, (0.5, 1.0), (0.9, 1.4))
+    rise = np.zeros(len(s))
+    for start in hops:
+        rise += hop_amp * _pulse(s, start, 0.25)
+    pos[:, :, 1] += rise[:, None]
+    return pos

@@ -33,6 +33,14 @@ def skeleton_path(root, source_id):
     return next(entry.path for entry in entries if entry.source_id == source_id)
 
 
+def test_synth_says_how_many_sequences_frames_and_seconds_it_wrote(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("synth", "--out-dir", out, "--per-regime", 2, "--duration", 4,
+               "--fps", 25) == 0
+    assert capsys.readouterr().out == (
+        f"wrote 8 sequences (800 frames, 32 s) and {out / 'manifest.jsonl'}\n")
+
+
 def test_synth_writes_sequences_and_manifest(small_dataset):
     root, _ = small_dataset
     manifest = load_manifest(root / "manifest.jsonl")
@@ -714,6 +722,16 @@ def test_readme_quick_start_commands_parse():
     for line in commands:
         args = build_parser().parse_args(shlex.split(line)[1:])
         _resolve_params(args.subcommand, args)  # every required flag is given
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (library)")[1].split("```python")[1].split("```")[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["X"].shape == (20, 110)
+    assert namespace["model"].class_count == 3
+    assert "three_way confusion matrix" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("body", ["[]", '{"subcommand": "train", "params": [1]}',
