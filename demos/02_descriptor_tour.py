@@ -28,20 +28,22 @@ print("directness of a straight track :", f"{windowed_directness(line, 15)[30]:.
 print("directness of a closed loop    :", f"{windowed_directness(loop, 30)[30]:.3f}")
 
 
-def first_fragment(regime, name):
-    """The (positions, fps) of a clip's first 5 s fragment."""
-    seq = generate(RegimeSpec(regime, seed=1), source_id=name)
-    _, positions = slice_fragments(seq)[0]
-    return positions, seq.fps
+def clip_and_first_fragment(regime, name):
+    """A 10 s clip, and the rows of its per-frame matrix that its first 5 s
+    fragment covers: descriptors are defined on the whole sequence, and a
+    fragment's features aggregate its rows (as extract does)."""
+    seq = generate(RegimeSpec(regime, duration_s=10.0, seed=1), source_id=name)
+    start, positions = slice_fragments(seq)[0]
+    rows = frame_matrix(seq.positions, seq.fps)[start:start + len(positions)]
+    return seq, rows
 
 
-# The full per-frame matrix for one fragment of each style.
-walk = first_fragment(0, "walk")
-sway = first_fragment(2, "sway")
+# The per-frame matrix over the first fragment of each style.
+walk, walk_rows = clip_and_first_fragment(0, "walk")
+_, sway_rows = clip_and_first_fragment(2, "sway")
 
 names = list(FRAME_FEATURE_NAMES)
-for label, frag in (("walk", walk), ("sway", sway)):
-    matrix = frame_matrix(*frag)
+for label, matrix in (("walk", walk_rows), ("sway", sway_rows)):
     print(f"\n{label}: per-frame matrix {matrix.shape}  "
           f"(T frames x {len(names)} descriptors)")
     for family in ("effort.flow", "effort.space", "effort.time", "effort.weight",
@@ -49,9 +51,10 @@ for label, frag in (("walk", walk), ("sway", sway)):
         col = matrix[:, names.index(family)]
         print(f"  {family:<28} mean {col.mean():9.3f}   std {col.std():8.3f}")
 
-# Aggregation to the 110-dim vector every classifier consumes.
-vector = aggregate(frame_matrix(*walk))
+# Aggregation to the 110-dim vector every classifier consumes, here of the
+# whole walk clip taken as one fragment.
+vector = aggregate(frame_matrix(walk.positions, walk.fps))
 print(f"\naggregate vector: {vector.shape[0]} values "
       f"({len(names)} means then {len(names)} stds)")
 print("first five names:", ", ".join(FEATURE_NAMES_110[:5]))
-print("vector is deterministic: same fragment, same bits, every run")
+print("vector is deterministic: same clip, same bits, every run")

@@ -22,7 +22,7 @@ from labankit import (
 )
 
 # The statistic itself, on a textbook example: three ordered groups.
-h = kruskal_wallis(np.arange(1.0, 10.0), np.repeat([0, 1, 2], 3))
+h = kruskal_wallis(np.arange(1.0, 10.0)[:, None], np.repeat([0, 1, 2], 3))[0]
 print(f"H for {{1,2,3}} vs {{4,5,6}} vs {{7,8,9}}: {h:.1f} (fully ordered groups)")
 
 rows, tiers = [], []

@@ -100,6 +100,9 @@ class LinearModel:
             raise ValueError(f"biases shape {self.biases.shape} != ({self.class_count},)")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError("model parameters must be finite")
+        if self.standardizer.means.shape != (len(self.feature_names),):
+            raise ValueError(f"standardizer of {self.standardizer.means.size} columns "
+                             f"for {len(self.feature_names)} features")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -302,28 +305,24 @@ def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,
     )
 
 
-def predict_proba(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for raw, finite feature row(s); positive, summing to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
+def predict_proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """(N, C) class probabilities for raw, finite (N, d) feature rows;
+    positive, each row summing to 1."""
+    X = np.asarray(X, dtype=np.float64)
     expected = model.weights.shape[1]
-    if rows.shape[1] != expected:
-        raise ValueError(f"expected {expected} features, got {rows.shape[1]}")
-    finite = np.isfinite(rows).all(axis=1)
+    if X.ndim != 2 or X.shape[1] != expected:
+        raise ValueError(f"expected an (N, {expected}) feature matrix, "
+                         f"got shape {X.shape}")
+    finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite feature value in row {np.argmin(finite)}")
-    z = model.standardizer.transform(rows)
-    probs = _softmax(z @ model.weights.T + model.biases)
-    return probs[0] if single else probs
+    z = model.standardizer.transform(X)
+    return _softmax(z @ model.weights.T + model.biases)
 
 
-def predict(model: LinearModel, x: np.ndarray) -> np.ndarray | int:
-    """Most probable class id(s); exact ties go to the lower id."""
-    probs = predict_proba(model, x)
-    if probs.ndim == 1:
-        return int(np.argmax(probs))
-    return np.argmax(probs, axis=1)
+def predict(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """(N,) most probable class ids; exact ties go to the lower id."""
+    return np.argmax(predict_proba(model, X), axis=1)
 
 
 def save_model(model: LinearModel, path) -> None:
@@ -344,6 +343,21 @@ def save_model(model: LinearModel, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
+def _json_array(key: str, value, ndim: int, kinds=(int, float)) -> np.ndarray:
+    """A model file's value as an ndim-D object array whose every cell has
+    one of the types kinds exactly, or ValueError naming the key. A JSON
+    true is a bool, not an int, and "0.5" a string, not a number, though
+    np.asarray would read both as numbers."""
+    cells = np.asarray(value, dtype=object)
+    if cells.ndim != ndim:
+        raise ValueError(f"{key} must be {ndim}-D, got {cells.ndim}-D")
+    for cell in cells.flat:
+        if type(cell) not in kinds:
+            what = "strings" if str in kinds else "numbers"
+            raise ValueError(f"{key} must hold only {what}, got {cell!r}")
+    return cells
+
+
 def load_model(path) -> LinearModel:
     path = Path(path)
     try:
@@ -353,25 +367,27 @@ def load_model(path) -> LinearModel:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported model format version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     try:
+        standardizer = payload["standardizer"]
         return LinearModel(
             task=payload["task"],
             class_count=payload["class_count"],
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            biases=np.asarray(payload["biases"], dtype=np.float64),
+            weights=_json_array("weights", payload["weights"], 2),
+            biases=_json_array("biases", payload["biases"], 1),
             standardizer=Standardizer(
-                means=np.asarray(payload["standardizer"]["means"], dtype=np.float64),
-                stds=np.asarray(payload["standardizer"]["stds"], dtype=np.float64),
+                means=_json_array("standardizer means", standardizer["means"], 1),
+                stds=_json_array("standardizer stds", standardizer["stds"], 1),
             ),
-            feature_names=tuple(payload["feature_names"]),
-            l2_lambda=float(payload["l2_lambda"]),
+            feature_names=tuple(_json_array("feature_names", payload["feature_names"],
+                                            1, (str,))),
+            l2_lambda=float(_json_array("l2_lambda", payload["l2_lambda"], 0)),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .skeleton import SMPL_JOINT_NAMES, _check_fps, _check_positions
+from .skeleton import SMPL_JOINT_NAMES, _check_fps, _check_positions, _is_integer
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 
@@ -274,6 +274,8 @@ def fragment_features(positions: np.ndarray, fps: float, starts,
     rows = frame_matrix(pos, fps)
     out = np.empty((len(starts), len(FEATURE_NAMES_110)))
     for i, start in enumerate(starts):
+        if not _is_integer(start):
+            raise ValueError(f"fragment start must be an integer frame, got {start!r}")
         if not 0 <= start <= len(rows) - length:
             raise ValueError(f"fragment at frame {start} of {length} frames does not "
                              f"fit in a sequence of {len(rows)} frames")

@@ -107,9 +107,10 @@ def read_features_csv(path) -> FeatureTable:
     """Read a feature CSV; feature columns are everything non-metadata.
 
     Every feature cell must parse as a finite float, and every tier must be
-    in VALID_TIERS. A well-formed file is parsed by one np.loadtxt pass.
-    Any other file is read again row by row (_read_rows), which decides
-    what float() and int() accept and words every error with its file line.
+    in VALID_TIERS. A well-formed file of unquoted lines, none longer than
+    csv.field_size_limit(), is parsed by one np.loadtxt pass. Any other file
+    is read again row by row (_read_rows), which decides what float() and
+    int() accept and words every error with its file line.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -139,11 +140,12 @@ def _parse_lines(path, header, lines) -> FeatureTable:
     """Parse the data lines in one np.loadtxt pass.
 
     Raises ValueError or OverflowError, without a location, wherever the row
-    loop might read the file otherwise: a cell loadtxt cannot parse (float()
-    also takes "1_000"), a bad row length, start_frame or tier, a non-finite
-    value, or a field that may exceed csv.field_size_limit().
+    loop might read the file otherwise: a line that holds a '"' or is longer
+    than csv.field_size_limit(), a cell loadtxt cannot parse (float() also
+    takes "1_000"), a bad row length, start_frame or tier, or a non-finite
+    value. Every line it takes is one row of short, unquoted cells.
     """
-    lines = _within_field_limit(lines)
+    lines = map(_plain_line, lines)
     # loadtxt warns on input without rows; blank lines are skipped either way.
     first = next((line for line in lines if line.strip("\r\n")), None)
     if first is None:
@@ -151,10 +153,8 @@ def _parse_lines(path, header, lines) -> FeatureTable:
     # Fields are named by column index; the metadata cells stay str objects.
     dtype = np.dtype([(str(j), object if name in METADATA_COLUMNS else np.float64)
                       for j, name in enumerate(header)])
-    # A handle's lines, not a path: loadtxt opens a path with newline
-    # translation, which rewrites a quoted "\r" as "\n".
     records = np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
-                         quotechar='"', comments=None, ndmin=1)
+                         comments=None, ndmin=1)
     meta = {c: records[str(header.index(c))].tolist() for c in METADATA_COLUMNS}
     feature_cols = [j for j, name in enumerate(header) if name not in METADATA_COLUMNS]
     values = np.empty((len(records), len(feature_cols)))
@@ -162,32 +162,19 @@ def _parse_lines(path, header, lines) -> FeatureTable:
         values[:, k] = records[str(j)]
     tiers = np.asarray([int(t) for t in meta["tier"]], dtype=np.int64)
     start_frames = np.asarray([int(s) for s in meta["start_frame"]], dtype=np.int64)
-    # A quoted id may span short lines that each hold a comma, which
-    # _within_field_limit passes.
-    if not (np.isin(tiers, VALID_TIERS).all() and np.isfinite(values).all()
-            and max(map(len, meta["source_id"])) <= csv.field_size_limit()):
-        raise ValueError("a tier, a value or a source_id is out of range")
+    if not (np.isin(tiers, VALID_TIERS).all() and np.isfinite(values).all()):
+        raise ValueError("a tier or a value is out of range")
     return FeatureTable(names=tuple(header[j] for j in feature_cols), values=values,
                         tiers=tiers, source_ids=tuple(meta["source_id"]),
                         start_frames=start_frames)
 
 
-def _within_field_limit(lines):
-    """Yield lines; raise ValueError at a comma-free stretch of them longer
-    than csv.field_size_limit(), where csv.reader may refuse a field.
-
-    A line with a comma counts in full towards both its neighbours'
-    stretches, so the check is conservative.
-    """
-    limit = csv.field_size_limit()
-    stretch = 0
-    for line in lines:
-        stretch += len(line)
-        if stretch > limit:
-            raise ValueError("a field may exceed the csv field size limit")
-        if "," in line:
-            stretch = len(line)
-        yield line
+def _plain_line(line: str) -> str:
+    """The line, if it holds no '"' and is no longer than
+    csv.field_size_limit(); otherwise ValueError."""
+    if '"' in line or len(line) > csv.field_size_limit():
+        raise ValueError("a quoted or over-long line")
+    return line
 
 
 def _read_rows(path, header, reader) -> FeatureTable:

@@ -46,8 +46,13 @@ class SkeletonError(ValueError):
     """A skeleton file, sequence, or manifest violates the format contract."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _validate_tier(tier, context: str) -> int:
-    if not isinstance(tier, (int, np.integer)) or isinstance(tier, bool):
+    if not _is_integer(tier):
         raise SkeletonError(f"{context}: tier must be an integer in {VALID_TIERS}, got {tier!r}")
     tier = int(tier)
     if tier not in VALID_TIERS:
@@ -270,6 +275,9 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
     a trailing remainder shorter than one fragment is discarded. A sequence
     shorter than one fragment yields an empty list.
     """
+    for name, value in (("length_s", length_s), ("stride_s", stride_s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if length_s < MIN_FRAGMENT_SECONDS:
         raise ValueError(
             f"fragment length {length_s} s is below the {MIN_FRAGMENT_SECONDS} s floor"

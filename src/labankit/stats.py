@@ -78,7 +78,7 @@ def _column_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, ties
 
 
-def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Kruskal-Wallis H with average ranks and the standard tie correction.
 
     H = [12 / (N (N+1)) * sum_g R_g^2 / n_g - 3 (N+1)]
@@ -88,13 +88,14 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray
     If every value is identical the correction denominator vanishes and
     H is defined as 0 (no discrimination).
 
-    values is one (N,) column, giving H as a float, or an (N, F) matrix,
-    giving the (F,) H of every column from one shared pass.
+    values is an (N, F) matrix, and the (F,) H of its columns come from
+    one shared pass.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
-    if values.ndim not in (1, 2) or labels.ndim != 1 or values.shape[0] != labels.size:
-        raise ValueError("values and labels must be 1-D arrays of equal length")
+    if values.ndim != 2 or labels.ndim != 1 or values.shape[0] != labels.size:
+        raise ValueError(f"expected an (N, F) matrix and N labels, got shapes "
+                         f"{values.shape} and {labels.shape}")
     if labels.size == 0:
         raise ValueError("empty input")
     if not np.isfinite(values).all():
@@ -104,7 +105,7 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray
         raise ValueError(f"need at least 2 classes, got {classes.size}")
 
     n = labels.size
-    columns = np.atleast_2d(values.T)
+    columns = values.T
     one_hot = np.eye(classes.size)[groups]
     rank_sums = np.empty((columns.shape[0], classes.size))  # exact, see _column_ranks
     ties = np.empty(columns.shape[0])
@@ -112,8 +113,9 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray
     for j in range(0, columns.shape[0], step):
         ranks, ties[j:j + step] = _column_ranks(np.ascontiguousarray(columns[j:j + step]))
         rank_sums[j:j + step] = ranks @ one_hot
-    # float_power squares through pow(), as a scalar's R_g ** 2 does. An
-    # array's ** 2 multiplies, and rounds some squares past 2^51 otherwise.
+    # float_power squares through pow(), as a NumPy scalar's R_g ** 2 does in
+    # tests/oracles.py. An array's ** 2 multiplies, and rounds some squares
+    # past 2^51 otherwise.
     rank_stat = 0.0
     for g in range(classes.size):
         rank_stat = rank_stat + np.float_power(rank_sums[:, g], 2) / sizes[g]
@@ -122,7 +124,7 @@ def kruskal_wallis(values: np.ndarray, labels: np.ndarray) -> float | np.ndarray
     h = np.zeros(ties.shape)
     varied = correction > 0.0
     h[varied] = np.maximum(h_raw[varied] / correction[varied], 0.0)
-    return h if values.ndim == 2 else float(h[0])
+    return h
 
 
 def rank_features(X: np.ndarray, labels: np.ndarray, names) -> FeatureRanking:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .skeleton import MIN_FRAGMENT_SECONDS, SkeletonSequence, SMPL_JOINT_COUNT
+from .skeleton import (MIN_FRAGMENT_SECONDS, SkeletonSequence, SMPL_JOINT_COUNT,
+                       _is_integer)
 
 N_REGIMES = 4
 
@@ -87,11 +88,6 @@ _STROKE_S = 0.12
 _STROKE_GAP_S = (0.4, 0.7)
 _HOP_S = 0.25
 _HOP_GAP_S = (0.9, 1.4)
-
-
-def _is_integer(value) -> bool:
-    """A Python or NumPy integer; bool is not one here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

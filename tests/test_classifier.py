@@ -442,7 +442,8 @@ def fixture_model(weights, biases, task="four_way"):
 
 def test_zero_weight_model_is_uniform():
     model = fixture_model(np.zeros((4, 3)), np.zeros(4))
-    probs = predict_proba(model, np.array([1.0, -2.0, 0.5]))
+    probs = predict_proba(model, np.array([[1.0, -2.0, 0.5]]))
+    assert probs.shape == (1, 4)
     assert np.allclose(probs, 0.25, atol=1e-15)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -451,26 +452,26 @@ def test_logit_shift_invariance():
     weights = np.array([[1.0, -0.5], [0.2, 0.8], [-1.0, 0.3]])
     base = fixture_model(weights, np.array([0.1, -0.2, 0.4]))
     shifted = fixture_model(weights, np.array([0.1, -0.2, 0.4]) + 123.0)
-    x = np.array([0.7, -1.3])
+    x = np.array([[0.7, -1.3]])
     assert np.allclose(predict_proba(base, x), predict_proba(shifted, x), atol=1e-12)
 
 
 def test_predict_proba_matches_hand_softmax():
     model = fixture_model(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5]))
-    x = np.array([0.3, 0.9])
+    x = np.array([[0.3, 0.9]])
     logits = [0.3 + 0.5, 0.9 - 0.5]
     denom = math.exp(logits[0]) + math.exp(logits[1])
-    expected = [math.exp(z) / denom for z in logits]
+    expected = [[math.exp(z) / denom for z in logits]]
     assert np.allclose(predict_proba(model, x), expected, atol=1e-12)
 
 
 def test_predict_argmax_and_tie_rule():
     probs_model = fixture_model(
         np.array([[0.0], [1.0], [0.0], [0.0]]), np.log([0.1, 0.7, 0.1, 0.1]))
-    assert predict(probs_model, np.array([0.0])) == 1
+    assert predict(probs_model, np.array([[0.0]])).tolist() == [1]
 
     tie_model = fixture_model(np.array([[1.0], [1.0], [0.0]]), np.zeros(3))
-    assert predict(tie_model, np.array([2.0])) == 0  # exact tie -> lower id
+    assert predict(tie_model, np.array([[2.0]])).tolist() == [0]  # exact tie -> lower id
 
     rng = np.random.default_rng(8)
     model = fixture_model(rng.normal(size=(4, 6)), rng.normal(size=4))
@@ -480,9 +481,14 @@ def test_predict_argmax_and_tie_rule():
 
 
 def test_predict_rejects_wrong_dimension():
+    # One row is a (1, d) matrix too: a 1-D row is refused like any other shape.
     model = fixture_model(np.zeros((2, 5)), np.zeros(2))
-    with pytest.raises(ValueError, match="expected 5 features"):
-        predict_proba(model, np.zeros(4))
+    for shape in [(3, 4), (3, 6), (5,), (1, 1, 5)]:
+        message = re.escape(f"expected an (N, 5) feature matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            predict_proba(model, np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            predict(model, np.zeros(shape))
 
 
 def test_predict_proba_rejects_non_finite_rows():
@@ -492,8 +498,8 @@ def test_predict_proba_rejects_non_finite_rows():
     rows[3, 0] = np.inf
     with pytest.raises(ValueError, match="row 2"):
         predict_proba(model, rows)
-    with pytest.raises(ValueError, match="non-finite"):
-        predict(model, rows[3])
+    with pytest.raises(ValueError, match="non-finite feature value in row 0"):
+        predict(model, rows[3:])
 
 
 def test_probabilities_sum_to_one():
@@ -552,3 +558,57 @@ def test_load_model_rejects_a_bad_task_class_count_or_penalty(tmp_path, edit, me
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_model(path)
+
+
+def _set(payload, key, value):
+    """The payload with key (standardizer keys as 'standardizer.means')
+    set to value."""
+    payload = json.loads(json.dumps(payload))
+    *parents, last = key.split(".")
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    target[last] = value
+    return payload
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("weights", [["1.0", "0", "0"]] * 4, "weights must hold only numbers, got '1.0'"),
+    ("standardizer.stds", ["1", "1", "1"], "standardizer stds must hold only numbers, "
+                                           "got '1'"),
+    ("standardizer.means", [0.0, 0.0, None], "standardizer means must hold only numbers, "
+                                             "got None"),
+    ("biases", [True, 0.0, 0.0, 0.0], "biases must hold only numbers, got True"),
+    ("biases", [[0.0], [0.0], [0.0], [0.0]], "biases must be 1-D, got 2-D"),
+    ("l2_lambda", "0.5", "l2_lambda must hold only numbers, got '0.5'"),
+    ("l2_lambda", True, "l2_lambda must hold only numbers, got True"),
+    ("l2_lambda", [0.5], "l2_lambda must be 0-D, got 1-D"),
+    ("feature_names", [0, 1, 2], "feature_names must hold only strings, got 0"),
+    ("feature_names", "abc", "feature_names must be 1-D, got 0-D"),
+    ("weights", [[10 ** 400, 0, 0]] + [[0, 0, 0]] * 3, "int too large to convert"),
+    ("format_version", True, "unsupported model format version True (expected 1)"),
+], ids=["str-weights", "str-stds", "null-means", "true-biases", "nested-biases", "str-l2",
+        "true-l2", "list-l2", "int-feature-names", "str-feature-names", "huge-int-weight",
+        "true-format-version"])
+def test_load_model_refuses_a_mistyped_value_naming_its_key(tmp_path, key, value,
+                                                            message):
+    path = tmp_path / "model.json"
+    save_model(fixture_model(np.ones((4, 3)), np.zeros(4)), path)
+    path.write_text(json.dumps(_set(json.loads(path.read_text()), key, value)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 4])
+def test_a_standardizer_of_another_length_than_the_features_is_refused(tmp_path, columns):
+    path = tmp_path / "model.json"
+    save_model(fixture_model(np.ones((4, 3)), np.zeros(4)), path)
+    payload = json.loads(path.read_text())
+    payload["standardizer"] = {"means": [0.0] * columns, "stds": [1.0] * columns}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: standardizer of {columns} columns for 3 features")):
+        load_model(path)
+    with pytest.raises(ValueError, match="standardizer of"):
+        replace(fixture_model(np.ones((4, 3)), np.zeros(4)),
+                standardizer=identity_standardizer(columns))

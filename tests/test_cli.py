@@ -889,11 +889,17 @@ def _drop_weights(payload):
     return payload
 
 
+def _one_column_standardizer(payload):
+    payload["standardizer"] = {"means": [0.0], "stds": [1.0]}
+    return payload
+
+
 @pytest.mark.parametrize("edit, message", [
     (_nan_std, "means and stds must be finite"),
     (_drop_weights, "missing key 'weights'"),
     (lambda payload: [1], "expected a JSON object"),
-], ids=["nan-std", "missing-key", "top-level-list"])
+    (_one_column_standardizer, "standardizer of 1 columns for 110 features"),
+], ids=["nan-std", "missing-key", "top-level-list", "one-column-standardizer"])
 def test_predict_with_a_broken_model_exits_2_naming_it(small_dataset, tmp_path,
                                                        capsys, edit, message):
     _, features = small_dataset

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -682,6 +683,14 @@ def test_each_fragment_row_is_the_one_fragment_call_in_either_order(fps, stride_
 def test_fragment_features_rejects_fragments_outside_the_sequence(starts, length, message):
     with pytest.raises(ValueError, match=message):
         fragment_features(wiggle_positions(240), 30.0, starts, length)
+
+
+@pytest.mark.parametrize("start", [True, np.True_, 30.0, np.float64(30.0), "30", None],
+                         ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"])
+def test_fragment_features_refuses_a_start_that_is_not_an_integer(start):
+    message = f"fragment start must be an integer frame, got {start!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fragment_features(wiggle_positions(240), 30.0, [0, start], 150)
 
 
 def test_five_feature_means_are_linear_in_the_others():

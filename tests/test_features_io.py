@@ -75,6 +75,18 @@ def _read_both_ways(path):
     return fast, rows
 
 
+def _row_loop_only(path):
+    """The row loop's table of a file that the loadtxt pass declines."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        with pytest.raises(ValueError, match="quoted or over-long line"):
+            features_io._parse_lines(path, header, fh)
+        fh.seek(0)
+        next(reader)
+        return features_io._read_rows(path, header, reader)
+
+
 def _assert_same_table(a, b):
     assert a.names == b.names and a.source_ids == b.source_ids
     assert a.values.shape == b.values.shape and a.values.flags.c_contiguous
@@ -84,17 +96,19 @@ def _assert_same_table(a, b):
 
 
 def test_written_rows_read_back_with_their_ids_and_nine_digit_values(tmp_path):
+    # Quoted ids send the file to the row loop.
     rows = _rows(len(FEATURE_NAMES_110))
     path = tmp_path / "features.csv"
     write_features_csv(path, FEATURE_NAMES_110, rows)
-    for table in (read_features_csv(path), *_read_both_ways(path)):
-        assert table.names == FEATURE_NAMES_110
-        assert table.source_ids == _SOURCE_IDS
-        assert table.start_frames.tolist() == [f for _, f, _, _ in rows]
-        assert table.tiers.tolist() == [t for _, _, t, _ in rows]
-        expected = np.array([[float(format(v, ".9g")) for v in vector]
-                             for _, _, _, vector in rows])
-        assert np.array_equal(table.values.view(np.int64), expected.view(np.int64))
+    table = _row_loop_only(path)
+    _assert_same_table(read_features_csv(path), table)
+    assert table.names == FEATURE_NAMES_110
+    assert table.source_ids == _SOURCE_IDS
+    assert table.start_frames.tolist() == [f for _, f, _, _ in rows]
+    assert table.tiers.tolist() == [t for _, _, t, _ in rows]
+    expected = np.array([[float(format(v, ".9g")) for v in vector]
+                         for _, _, _, vector in rows])
+    assert np.array_equal(table.values.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("order", ["golden", "shuffled"])
@@ -131,14 +145,25 @@ def test_spellings_that_float_and_int_accept_read_with_their_values(tmp_path):
 
 
 @pytest.mark.parametrize("body", [
-    ' 1.5 ,"2.5"', "+1.5,2.5", "1.5,2.5\r\n\r\n\n", "1.5,2.5\n\ns1,0,2,1.5,2.5",
-], ids=["spaces-quotes", "plus", "blank-tail", "blank-between"])
+    " 1.5 , 2.5 ", "+1.5,2.5", "1.5,2.5\r\n\r\n\n", "1.5,2.5\n\ns1,0,2,1.5,2.5",
+], ids=["spaces", "plus", "blank-tail", "blank-between"])
 def test_spellings_loadtxt_shares_with_float_take_the_loadtxt_pass(tmp_path, body):
     path = tmp_path / "features.csv"
     path.write_text(_HEADER + "s0,0,1," + body, encoding="utf-8")
     fast, rows = _read_both_ways(path)
     _assert_same_table(fast, rows)
     assert fast.values[0].tolist() == [1.5, 2.5]
+
+
+@pytest.mark.parametrize("body", [
+    ' 1.5 ,"2.5"', '1.5,2.5\r\n"s1",0,2,1.5,2.5', '1.5,2.5\r\n"s\r\n1",0,2,1.5,2.5',
+], ids=["quoted-value", "quoted-id", "quoted-line-break"])
+def test_quoted_lines_are_left_to_the_row_loop(tmp_path, body):
+    path = tmp_path / "features.csv"
+    path.write_text(_HEADER + "s0,0,1," + body, encoding="utf-8", newline="")
+    rows = _row_loop_only(path)
+    _assert_same_table(read_features_csv(path), rows)
+    assert rows.values.tolist()[0] == [1.5, 2.5]
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -187,6 +212,7 @@ def test_fields_over_the_csv_field_size_limit_are_refused_by_csv(tmp_path,
     expected = read_features_csv(long_lines)
     field_size_limit(40)
     _assert_same_table(read_features_csv(long_lines), expected)
+    _assert_same_table(_row_loop_only(long_lines), expected)
     path = tmp_path / "features.csv"
     # The message names the line where the reader stopped: the quoted field
     # opening on line 3 passes 40 characters on its 14th line.
@@ -222,9 +248,14 @@ def test_whatever_the_loadtxt_pass_returns_the_row_loop_returns(tmp_path):
     path = tmp_path / "features.csv"
     pieces = [",", '"', "\r", "\n", " ", "1", ".", "e", "-", "_", "nan", "\x00",
               "\xa0", "\u0661"]
-    rows = ['s0,0,1,1.5,2.5', '"a,b",30,2,-0,1e5', '"l\nm",60,3,.5,2.', '"q""x",0,0,1,2']
+    # The loadtxt pass declines any line with a '"', so most base rows are
+    # quote-free for it to be taken often.
+    rows = ['s0,0,1,1.5,2.5', '"a,b",30,2,-0,1e5', '"l\nm",60,3,.5,2.', '"q""x",0,0,1,2',
+            's1,15,0,-2.5e-3,7', 's2,45,3, 1e5 ,+0', 'x y,90,2,.5,-2.',
+            's_4,120,1,3E2,0.', 'id-5,7,3,-0.,1', "s'6,0,0,9,8", 's7,300,2,1e-300,-4',
+            'S8,1,1,0.1,2e2', 's9,2,0,+.5,-.5', 's10,3,3,7,7']
     taken = 0
-    for _ in range(400):
+    for _ in range(1000):
         text = list("".join(rng.sample(rows, 3)[k] + rng.choice(["\n", "\r\n", "\r"])
                             for k in range(3)))
         for _ in range(rng.randint(1, 3)):

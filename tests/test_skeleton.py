@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -323,6 +324,15 @@ def test_slice_rejects_bad_parameters():
         slice_fragments(seq, length_s=2.0, stride_s=2.0)
     with pytest.raises(ValueError, match="stride"):
         slice_fragments(seq, length_s=5.0, stride_s=0.0)
+    for length_s, stride_s, message in [
+        (math.nan, 5.0, "length_s must be finite, got nan"),
+        (math.inf, 5.0, "length_s must be finite, got inf"),
+        (5.0, math.nan, "stride_s must be finite, got nan"),
+        (5.0, math.inf, "stride_s must be finite, got inf"),
+        (5.0, -math.inf, "stride_s must be finite, got -inf"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            slice_fragments(seq, length_s=length_s, stride_s=stride_s)
 
 
 def test_slice_concat_reproduces_parent_bits():
