@@ -230,48 +230,102 @@ def cmd_synth(params: dict) -> int:
     return 0
 
 
-def _extract_one(entry, length: float, stride: float):
-    """(entry, fragment rows, None), or (entry, None, message) if the file
-    fails; the message does not repeat the file's path."""
+# Consecutive files of one frame count and fps are described by one
+# fragment_features call of at most this many frames in all: numpy's fixed
+# cost per call, most of the work on a 5 s file, is then paid once per
+# batch. The cap bounds the batch's working arrays, a few times its
+# positions, and so peak memory. A longer file is a batch of its own.
+_BATCH_FRAMES = 512
+
+
+def _describe(batch, results: list) -> None:
+    """Set results[i] to (entry, fragment rows, None) for each (i, entry,
+    sequence, fragments) of a batch whose files share a frame count and fps,
+    and so their fragments' starts and length. A batch that fails is
+    described again file by file, so that only a failing file gets (entry,
+    None, message)."""
+    _, first_entry, first, fragments = batch[0]
+    starts = [start for start, _ in fragments]
+    positions = (first.positions[:, None] if len(batch) == 1
+                 else np.stack([seq.positions for _, _, seq, _ in batch], axis=1))
     try:
-        seq = load_sequence(entry.path)
-        if seq.tier is not None and seq.tier != entry.tier:
-            raise ValueError(f"file tier {seq.tier} differs from manifest "
-                             f"tier {entry.tier}")
-        fragments = slice_fragments(seq, length_s=length, stride_s=stride)
+        vectors = fragment_features(positions, first.fps, starts, len(fragments[0][1]))
+    except ValueError as exc:
+        if len(batch) == 1:
+            results[batch[0][0]] = (first_entry, None, _message(first_entry, exc))
+        else:
+            for item in batch:
+                _describe([item], results)
+        return
+    for k, (i, entry, _, _) in enumerate(batch):
+        results[i] = (entry, [(entry.source_id, start, entry.tier, vector)
+                              for start, vector in zip(starts, vectors[:, k])], None)
+
+
+def _message(entry, exc: Exception) -> str:
+    """An error's text without the file's path, which its log line names."""
+    return str(exc).removeprefix(f"{entry.path}: ")
+
+
+def _extract_run(entries, length: float, stride: float) -> list:
+    """(entry, fragment rows, None) for each entry in order, or (entry, None,
+    message) for a file that fails. Each file is read and sliced once; its
+    frames are described in a batch of consecutive files of its shape."""
+    results = [None] * len(entries)
+    batch, shape, frames = [], None, 0
+    for i, entry in enumerate(entries):
+        try:
+            seq = load_sequence(entry.path)
+            if seq.tier is not None and seq.tier != entry.tier:
+                raise ValueError(f"file tier {seq.tier} differs from manifest "
+                                 f"tier {entry.tier}")
+            fragments = slice_fragments(seq, length_s=length, stride_s=stride)
+        except (ValueError, OSError) as exc:
+            results[i] = (entry, None, _message(entry, exc))
+            continue
         if not fragments:
-            return entry, [], None
-        starts = [start for start, _ in fragments]
-        vectors = fragment_features(seq.positions, seq.fps, starts, len(fragments[0][1]))
-        return entry, [(entry.source_id, start, entry.tier, vector)
-                       for start, vector in zip(starts, vectors)], None
-    except (ValueError, OSError) as exc:
-        return entry, None, str(exc).removeprefix(f"{entry.path}: ")
+            results[i] = (entry, [], None)
+            continue
+        if batch and ((seq.frame_count, seq.fps) != shape
+                      or frames + seq.frame_count > _BATCH_FRAMES):
+            _describe(batch, results)
+            batch, frames = [], 0
+        batch.append((i, entry, seq, fragments))
+        shape = (seq.frame_count, seq.fps)
+        frames += seq.frame_count
+    if batch:
+        _describe(batch, results)
+    return results
 
 
 def cmd_extract(params: dict) -> int:
     manifest = load_manifest(params["manifest"])
+    entries = manifest.entries
     out = Path(params["out"])
-    job = partial(_extract_one, length=params["length"], stride=params["stride"])
+    job = partial(_extract_run, length=params["length"], stride=params["stride"])
     # More threads than files or usable CPUs would only wait; the echo keeps
     # the requested count.
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(params["workers"], len(manifest.entries), cpus)
+    workers = min(params["workers"], len(entries), cpus)
+    # Each worker takes one contiguous run of the manifest, so that its
+    # consecutive files still batch.
+    runs = [entries[len(entries) * k // workers:len(entries) * (k + 1) // workers]
+            for k in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, manifest.entries))
+            results = [result for run in pool.map(job, runs) for result in run]
     else:
-        results = [job(entry) for entry in manifest.entries]
+        results = [result for run in runs for result in job(run)]
 
     failures = [(entry, message) for entry, _, message in results if message]
     all_rows = [row for _, rows, _ in results if rows for row in rows]
     write_features_csv(out, FEATURE_NAMES_110, all_rows)
     _write_echo(out, "extract", params)
 
-    if not manifest.entries:
+    if not entries:
         print("warning: empty manifest, wrote header-only CSV", file=sys.stderr)
     short = [str(entry.path) for entry, rows, _ in results if rows == []]
     if short:
@@ -286,7 +340,7 @@ def cmd_extract(params: dict) -> int:
                 print(f"error: {entry.path}: {message}", file=sys.stderr)
         print(f"{len(failures)} file(s) failed; see {log_path}", file=sys.stderr)
         return 1
-    print(f"wrote {len(all_rows)} fragment rows to {out}")
+    print(f"wrote {len(all_rows)} fragment rows from {len(entries)} files to {out}")
     return 0
 
 

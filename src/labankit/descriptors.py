@@ -19,6 +19,15 @@ displacement, measured from the fragment's first frame, is recomputed
 per fragment. A whole sequence taken as one fragment is
 aggregate(frame_matrix(positions, fps)).
 
+Sequences of one frame count and fps can be stacked on axes between time
+and joints: frame_matrix takes (T, ..., 24, 3) and returns (T, ..., 55),
+aggregate takes (L, ..., 55) and returns (..., 110), and fragment_features
+returns (len(starts), ..., 110). Each sequence gets the same bits as when
+described alone, and one call pays numpy's fixed cost per call once for
+all of them, which is most of the work on a 5 s clip. A single sequence
+is the case with no stacked axes. The working arrays of a call are a few
+times its positions, so callers cap how many frames they stack.
+
 All quantities are in meters and seconds. Distances and speeds are
 translation-invariant except the pelvis world height; everything is
 invariant to rotation about a vertical axis.
@@ -86,6 +95,11 @@ FRAME_FEATURE_NAMES = (
     + tuple(f"initiation.{joint}" for joint in TRACKED_JOINT_NAMES)
     + _TRAJECTORY_NAMES
 )
+# First columns of the families after Dispersion, which starts at 0.
+_EFFORT_AT = len(_DISPERSION_NAMES)
+_KINEMATICS_AT = _EFFORT_AT + len(_EFFORT_NAMES)
+_INITIATION_AT = _KINEMATICS_AT + len(_KIN_SUFFIXES) * len(TRACKED_JOINT_NAMES)
+_TRAJECTORY_AT = _INITIATION_AT + len(TRACKED_JOINT_NAMES)
 _NET_DISPLACEMENT = FRAME_FEATURE_NAMES.index("trajectory.net_displacement")
 
 # The 110 aggregate names: every frame feature's mean, then its std.
@@ -185,94 +199,118 @@ def _net_displacement(pelvis: np.ndarray) -> np.ndarray:
 
 
 def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
-    """The (T x 55) descriptor matrix of a sequence, vectorized over frames;
-    its columns are FRAME_FEATURE_NAMES, stacked family by family.
+    """The (T, ..., 55) descriptor matrix of a (T, ..., 24, 3) positions
+    array, vectorized over frames: each sequence stacked on the axes between
+    time and joints gets its own rows, the same bits as when described
+    alone. Its columns are FRAME_FEATURE_NAMES, family by family.
 
     Dispersion rows depend on their own frame alone. Kinematics and
     Directness windows see the whole sequence and are cut short only at its
     two ends; net displacement is measured from frame 0.
     """
     pos = np.asarray(positions)
-    _check_positions(pos, "fragment")
-    n = pos.shape[0]
-    pelvis = pos[:, PELVIS]
+    _check_positions(pos, "fragment", stacked=True)
+    out = np.empty((*pos.shape[:-2], len(FRAME_FEATURE_NAMES)))
 
     # Dispersion: limb reach, centroid spread, extents, hand and foot
-    # spans, pelvis height.
-    reach = _norm3(pos[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]] - pelvis[:, None])
-    to_centroid = _norm3(pos - pos.mean(axis=1)[:, None, :])
-    dispersion = (reach, to_centroid.mean(axis=1),
-                  pos[:, :, 1].max(axis=1) - pos[:, :, 1].min(axis=1),
-                  _horizontal_extent(pos), to_centroid.std(axis=1),
-                  _norm3(pos[:, HAND_L] - pos[:, HAND_R]),
-                  _norm3(pos[:, FOOT_L] - pos[:, FOOT_R]),
-                  pelvis[:, 1])
-    del to_centroid  # (T, 24): not kept alive through the other families
+    # spans, pelvis height. Each frame of each sequence is one row here.
+    frames = pos.reshape(-1, *pos.shape[-2:])
+    dispersion = out.reshape(-1, out.shape[-1])[:, :_EFFORT_AT]
+    root = frames[:, PELVIS]
+    dispersion[:, :5] = _norm3(frames[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
+                               - root[:, None])
+    # _norm3 of the offsets from the centroid, squared in place: a second
+    # (frames, 24, 3) array would be this function's peak.
+    offsets = frames - frames.mean(axis=1)[:, None, :]
+    offsets *= offsets
+    to_centroid = np.sqrt((offsets[..., 0] + offsets[..., 1]) + offsets[..., 2])
+    del offsets
+    dispersion[:, 5] = to_centroid.mean(axis=1)
+    dispersion[:, 8] = to_centroid.std(axis=1)
+    del to_centroid  # (frames, 24): not kept alive through the horizontal extent
+    dispersion[:, 6] = frames[:, :, 1].max(axis=1) - frames[:, :, 1].min(axis=1)
+    dispersion[:, 7] = _horizontal_extent(frames)
+    dispersion[:, 9] = _norm3(frames[:, HAND_L] - frames[:, HAND_R])
+    dispersion[:, 10] = _norm3(frames[:, FOOT_L] - frames[:, FOOT_R])
+    dispersion[:, 11] = root[:, 1]
 
-    joints = list(TRACKED_JOINT_INDICES)
     # Only the tracked joints' kinematics are used, so only they are
     # differentiated.
-    velocity, acceleration, jerk = differentiate(pos[:, joints], fps)
+    tracked = pos[..., list(TRACKED_JOINT_INDICES), :]
+    velocity, acceleration, jerk = differentiate(tracked, fps)
     fps = float(fps)  # checked by differentiate
 
     # Tracked-joint kinematic magnitudes, shared by Effort and the
-    # per-joint block.
+    # per-joint block, whose columns run joint by joint.
     speeds = _norm3(velocity)
     accels = _norm3(acceleration)
     jerks = _norm3(jerk)
+    # The pelvis's ||v x a|| for curvature, so that the derivatives can go
+    # before Directness runs.
+    cross = _norm3(np.cross(velocity[..., _TRACKED_PELVIS, :],
+                            acceleration[..., _TRACKED_PELVIS, :]))
+    del velocity, acceleration, jerk
     energies = 0.5 * speeds ** 2
-    direct = windowed_directness(pos[:, joints],
-                                 max(1, round(DIRECTNESS_HALF_WINDOW_S * fps)))
+    direct = windowed_directness(tracked, max(1, round(DIRECTNESS_HALF_WINDOW_S * fps)))
+    for k, block in enumerate((speeds, accels, jerks, energies, direct)):
+        out[..., _KINEMATICS_AT + k:_INITIATION_AT:len(_KIN_SUFFIXES)] = block
+
     # Effort: Flow, Space, Time, Weight.
-    effort = (jerks.mean(axis=1), direct.mean(axis=1), accels.mean(axis=1),
-              energies.sum(axis=1))
-    kinematics = np.stack([speeds, accels, jerks, energies, direct], axis=2).reshape(n, -1)
+    out[..., _EFFORT_AT] = jerks.mean(axis=-1)
+    out[..., _EFFORT_AT + 1] = direct.mean(axis=-1)
+    out[..., _EFFORT_AT + 2] = accels.mean(axis=-1)
+    out[..., _EFFORT_AT + 3] = energies.sum(axis=-1)
 
     # Initiation.
-    total = speeds.sum(axis=1)
+    total = speeds.sum(axis=-1)
     resting = total < EPS_SPEED
-    shares = speeds / np.where(resting, 1.0, total)[:, None]
-    shares[resting] = 1.0 / len(joints)
+    shares = speeds / np.where(resting, 1.0, total)[..., None]
+    shares[resting] = 1.0 / len(TRACKED_JOINT_INDICES)
+    out[..., _INITIATION_AT:_TRAJECTORY_AT] = shares
 
     # Trajectory, pelvis reference. The path increment is the step to the
     # next frame in m/s; the last frame repeats the step that reached it.
+    pelvis = pos[..., PELVIS, :]
     steps = _norm3(np.diff(pelvis, axis=0)) * fps
-    increments = np.append(steps, steps[-1])
-    v = velocity[:, _TRACKED_PELVIS]
-    speed = speeds[:, _TRACKED_PELVIS]
-    cross = _norm3(np.cross(v, acceleration[:, _TRACKED_PELVIS]))
-    curvature = np.zeros(n)
+    out[:-1, ..., _TRAJECTORY_AT] = steps
+    out[-1, ..., _TRAJECTORY_AT] = steps[-1]
+    speed = speeds[..., _TRACKED_PELVIS]
+    curvature = np.zeros(speed.shape)
     moving = speed >= EPS_SPEED
     curvature[moving] = np.minimum(cross[moving] / speed[moving] ** 3, CURVATURE_CAP)
-    trajectory = (increments, curvature, _net_displacement(pelvis))
-
-    return np.column_stack([*dispersion, *effort, kinematics, shares, *trajectory])
+    out[..., _TRAJECTORY_AT + 1] = curvature
+    out[..., _NET_DISPLACEMENT] = _net_displacement(pelvis)
+    return out
 
 
 def aggregate(matrix: np.ndarray) -> np.ndarray:
-    """Collapse a (T x 55) matrix to the 110 values named by
-    FEATURE_NAMES_110: column means, then population standard deviations."""
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] != len(FRAME_FEATURE_NAMES):
-        raise ValueError(f"expected a non-empty (T, {len(FRAME_FEATURE_NAMES)}) "
+    """Collapse a (T, ..., 55) matrix to the (..., 110) values named by
+    FEATURE_NAMES_110: means over time, then population standard
+    deviations."""
+    if matrix.ndim < 2 or matrix.shape[0] < 1 or matrix.shape[-1] != len(FRAME_FEATURE_NAMES):
+        raise ValueError(f"expected a non-empty (T, ..., {len(FRAME_FEATURE_NAMES)}) "
                          f"matrix, got shape {matrix.shape}")
-    return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)])
+    return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)], axis=-1)
 
 
 def fragment_features(positions: np.ndarray, fps: float, starts,
                       length: int) -> np.ndarray:
-    """The (len(starts), 110) feature vectors, in FEATURE_NAMES_110 order,
-    of the fragments positions[s:s + length] of a whole (T, 24, 3) sequence.
+    """The (len(starts), ..., 110) feature vectors, in FEATURE_NAMES_110
+    order, of the fragments positions[s:s + length] of whole (T, ..., 24, 3)
+    sequences: every start is cut from each stacked sequence.
 
-    The sequence's frame_matrix is computed once, and each fragment
+    The sequences' frame_matrix is computed once, and each fragment
     aggregates its rows with net displacement measured from its own first
     frame. A vector with a non-finite feature is refused, naming the
     fragment's start frame and the feature.
     """
+    if not _is_integer(length):
+        raise ValueError(f"fragment length must be an integer frame count, got {length!r}")
     if length < 1:
         raise ValueError(f"length must be >= 1 frame, got {length}")
     pos = np.asarray(positions)
     rows = frame_matrix(pos, fps)
-    out = np.empty((len(starts), len(FEATURE_NAMES_110)))
+    out = np.empty((len(starts), *rows.shape[1:-1], len(FEATURE_NAMES_110)))
     for i, start in enumerate(starts):
         if not _is_integer(start):
             raise ValueError(f"fragment start must be an integer frame, got {start!r}")
@@ -282,11 +320,12 @@ def fragment_features(positions: np.ndarray, fps: float, starts,
         # Each fragment rewrites its whole window's net displacement before
         # aggregating it, so overlapping windows never see another's column.
         window = rows[start:start + length]
-        window[:, _NET_DISPLACEMENT] = _net_displacement(pos[start:start + length, PELVIS])
+        window[..., _NET_DISPLACEMENT] = _net_displacement(
+            pos[start:start + length, ..., PELVIS, :])
         out[i] = aggregate(window)
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):
-        i, j = bad[0]
+        i, *_, j = bad[0]
         raise ValueError(f"fragment at frame {starts[i]}: feature {FEATURE_NAMES_110[j]} "
-                         f"is {out[i, j]}")
+                         f"is {out[tuple(bad[0])]}")
     return out

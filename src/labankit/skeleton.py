@@ -73,18 +73,22 @@ def _check_fps(fps, context: str) -> float:
     return float(fps)
 
 
-def _check_positions(positions: np.ndarray, context: str):
-    if positions.ndim != 3 or positions.shape[2] != 3:
+def _check_positions(positions: np.ndarray, context: str, stacked: bool = False):
+    """Refuse positions that are not a finite (T, 24, 3) array; stacked
+    admits axes of stacked sequences between time and joints."""
+    if (positions.ndim < 3 if stacked else positions.ndim != 3) or positions.shape[-1] != 3:
+        axes = ", with any stacked axes between T and the joints" if stacked else ""
+        raise SkeletonError(f"{context}: positions must have shape "
+                            f"(T, {SMPL_JOINT_COUNT}, 3){axes}, got {positions.shape}")
+    if positions.shape[-2] != SMPL_JOINT_COUNT:
         raise SkeletonError(
-            f"{context}: positions must have shape (T, {SMPL_JOINT_COUNT}, 3), got {positions.shape}"
-        )
-    if positions.shape[1] != SMPL_JOINT_COUNT:
-        raise SkeletonError(
-            f"{context}: joint count {positions.shape[1]} != {SMPL_JOINT_COUNT}"
+            f"{context}: joint count {positions.shape[-2]} != {SMPL_JOINT_COUNT}"
         )
     if not np.isfinite(positions).all():
-        t, j = np.argwhere(~np.isfinite(positions).all(axis=2))[0]
-        raise SkeletonError(f"{context}: non-finite coordinate at frame {t}, joint {j}")
+        t, *sequence, j = np.argwhere(~np.isfinite(positions).all(axis=-1))[0]
+        where = f", sequence {', '.join(map(str, sequence))}" if sequence else ""
+        raise SkeletonError(f"{context}: non-finite coordinate at frame {t}{where}, "
+                            f"joint {j}")
 
 
 @dataclass(frozen=True)

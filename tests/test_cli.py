@@ -98,7 +98,7 @@ def test_extract_warns_about_files_too_short_for_a_fragment(tmp_path, capsys):
     out = tmp_path / "features.csv"
     assert run("extract", "--manifest", manifest, "--out", out) == 0
     captured = capsys.readouterr()
-    assert captured.out == f"wrote 1 fragment rows to {out}\n"
+    assert captured.out == f"wrote 1 fragment rows from 2 files to {out}\n"
     warnings = captured.err.splitlines()
     assert len(warnings) == 1
     assert "1 file(s)" in warnings[0] and "short.json" in warnings[0]
@@ -267,15 +267,16 @@ def test_extract_labels_a_file_without_a_tier_with_the_manifest_tier(tmp_path):
 
 def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, monkeypatch):
     # Two 8 s files cut into 5 s fragments every 1 s: 4 fragments each,
-    # from one frame_matrix of each file's 240 frames, Dispersion block and
-    # all.
+    # from frame_matrix rows that cover each file's 240 frames once,
+    # Dispersion block and all, whether the files are stacked in one call
+    # or not.
     import labankit.descriptors
     from labankit import RegimeSpec, frame_matrix, generate, save_sequence
 
     computed = []
 
     def counting(positions, fps):
-        computed.append(len(positions))
+        computed.append(positions.shape[:-2])
         return frame_matrix(positions, fps)
 
     for i in range(2):
@@ -288,7 +289,8 @@ def test_extract_computes_each_covered_frames_dispersion_rows_once(tmp_path, mon
     monkeypatch.setattr(labankit.descriptors, "frame_matrix", counting)
     assert run("extract", "--manifest", manifest, "--out", out, "--stride", 1) == 0
     assert len(read_features_csv(out)) == 8
-    assert computed == [240, 240]
+    assert all(shape[0] == 240 for shape in computed)
+    assert sum(math.prod(shape[1:]) for shape in computed) == 2
 
 
 def test_extract_writes_each_fragment_the_aggregate_of_its_sequence_rows(tmp_path):
@@ -325,6 +327,106 @@ def test_extract_workers_bit_identical(small_dataset, tmp_path):
     assert run("extract", "--manifest", root / "manifest.jsonl", "--out", four,
                "--workers", 4) == 0
     assert one.read_bytes() == four.read_bytes()
+
+
+def _save_clips(directory, clips):
+    """Save (name, fps, seconds, file tier, manifest tier) clips; return the
+    manifest lines in order. A clip whose fps is None is never written."""
+    from labankit import RegimeSpec, SkeletonSequence, generate, save_sequence
+    lines = []
+    for k, (name, fps, seconds, file_tier, tier) in enumerate(clips):
+        if fps is not None:
+            seq = generate(RegimeSpec(tier, duration_s=seconds, fps=fps, seed=k),
+                           source_id=name)
+            save_sequence(SkeletonSequence(name, fps, seq.positions, file_tier),
+                          directory / f"{name}.skel")
+        lines.append(json.dumps({"path": f"{name}.skel", "tier": tier}) + "\n")
+    return lines
+
+
+def _recording_fragment_features(monkeypatch):
+    """Patch cli's fragment_features to record each call's positions shape."""
+    from labankit import cli
+    shapes = []
+    original = cli.fragment_features
+
+    def recording(positions, *args):
+        shapes.append(positions.shape)
+        return original(positions, *args)
+
+    monkeypatch.setattr(cli, "fragment_features", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_of_a_mixed_manifest_is_its_one_file_runs_concatenated(
+        tmp_path, monkeypatch, workers):
+    # Two frame counts (150 and 180) at two fps (30 and 25), interleaved,
+    # with a missing file, a tier mismatch and a file too short for one
+    # fragment among them.
+    from labankit import cli
+    lines = _save_clips(tmp_path, [
+        ("a", 30.0, 5.0, 0, 0), ("b", 30.0, 5.0, 1, 1), ("c", 25.0, 6.0, 2, 2),
+        ("d", 25.0, 6.0, 3, 3), ("e", 30.0, 6.0, 0, 0), ("missing", None, 0, 0, 1),
+        ("f", 30.0, 6.0, 1, 1), ("g", 30.0, 5.0, 2, 2), ("mismatch", 30.0, 5.0, 2, 0),
+        ("h", 30.0, 5.0, 3, 3), ("short", 30.0, 3.5, 0, 0), ("i", 30.0, 5.0, 1, 1),
+        ("j", 30.0, 5.0, 2, 2), ("k", 30.0, 5.0, None, 3), ("l", 25.0, 6.0, 0, 0),
+    ])
+    header, rows, logs, codes = None, [], [], []
+    for k, line in enumerate(lines):
+        manifest = tmp_path / f"one{k}.jsonl"
+        manifest.write_text(line)
+        out = tmp_path / f"one{k}.csv"
+        codes.append(run("extract", "--manifest", manifest, "--out", out,
+                         "--stride", 0.5))
+        header, *body = out.read_bytes().splitlines(keepends=True)
+        rows += body
+        log = out.with_name(out.name + ".errors.log")
+        logs.append(log.read_text() if log.exists() else "")
+    assert codes.count(1) == 2 and sum(len(log) > 0 for log in logs) == 2
+
+    manifest = tmp_path / "all.jsonl"
+    manifest.write_text("".join(lines))
+    out = tmp_path / "all.csv"
+    shapes = _recording_fragment_features(monkeypatch)
+    assert run("extract", "--manifest", manifest, "--out", out, "--stride", 0.5,
+               "--workers", workers) == max(codes)
+    assert out.read_bytes() == header + b"".join(rows)
+    assert out.with_name(out.name + ".errors.log").read_text() == "".join(logs)
+    # Consecutive files of one shape share calls of at most _BATCH_FRAMES.
+    assert max(shape[1] for shape in shapes) > 1
+    assert all(shape[0] * shape[1] <= cli._BATCH_FRAMES or shape[1] == 1
+               for shape in shapes)
+    assert sum(shape[1] for shape in shapes) == len(lines) - 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extract_fails_an_overflowing_file_alone_in_its_batch(tmp_path, monkeypatch):
+    # Three same-shape files described in one call; the middle one's
+    # features overflow, so the batch is described again file by file and
+    # only that file fails, with the message it gets alone.
+    from labankit import SkeletonSequence, load_sequence, save_sequence
+    lines = _save_clips(tmp_path, [("a", 30.0, 5.0, 0, 0), ("huge", 30.0, 5.0, 1, 1),
+                                   ("c", 30.0, 5.0, 2, 2)])
+    seq = load_sequence(tmp_path / "huge.skel")
+    save_sequence(SkeletonSequence("huge", seq.fps, seq.positions * 1e154, 1),
+                  tmp_path / "huge.skel")
+    good = tmp_path / "good.jsonl"
+    good.write_text(lines[0] + lines[2])
+    assert run("extract", "--manifest", good, "--out", tmp_path / "good.csv") == 0
+    alone = tmp_path / "alone.jsonl"
+    alone.write_text(lines[1])
+    assert run("extract", "--manifest", alone, "--out", tmp_path / "alone.csv") == 1
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(lines))
+    out = tmp_path / "features.csv"
+    shapes = _recording_fragment_features(monkeypatch)
+    assert run("extract", "--manifest", manifest, "--out", out) == 1
+    assert [shape[1] for shape in shapes] == [3, 1, 1, 1]
+    assert out.read_bytes() == (tmp_path / "good.csv").read_bytes()
+    log = out.with_name(out.name + ".errors.log").read_text()
+    assert log == (tmp_path / "alone.csv.errors.log").read_text()
+    assert log.startswith(f"{tmp_path / 'huge.skel'}\tfragment at frame 0: feature ")
 
 
 @pytest.fixture

@@ -8,13 +8,16 @@ import pytest
 from labankit import (
     FEATURE_NAMES_110,
     FRAME_FEATURE_NAMES,
+    N_REGIMES,
     TRACKED_JOINT_INDICES,
+    RegimeSpec,
     SkeletonError,
     SkeletonSequence,
     aggregate,
     differentiate,
     fragment_features,
     frame_matrix,
+    generate,
     slice_fragments,
     windowed_directness,
 )
@@ -691,6 +694,96 @@ def test_fragment_features_refuses_a_start_that_is_not_an_integer(start):
     message = f"fragment start must be an integer frame, got {start!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         fragment_features(wiggle_positions(240), 30.0, [0, start], 150)
+
+
+@pytest.mark.parametrize("length", [True, np.True_, 150.0, np.float64(150.0), "150", None],
+                         ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"])
+def test_fragment_features_refuses_a_length_that_is_not_an_integer(length):
+    message = f"fragment length must be an integer frame count, got {length!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fragment_features(wiggle_positions(240), 30.0, [0], length)
+
+
+def test_fragment_features_takes_a_numpy_integer_length():
+    positions = wiggle_positions(240)
+    assert np.array_equal(fragment_features(positions, 30.0, [0, 90], np.int64(150)),
+                          fragment_features(positions, 30.0, [0, 90], 150))
+
+
+# ---------------------------------------------------------------------------
+# stacked sequences
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7])
+@pytest.mark.parametrize("fps", [30.0, 29.97, 60.0])
+def test_stacked_sequences_are_described_as_each_alone(fps, batch):
+    # Every regime, frame counts that are not multiples of 8, and the last
+    # sequence of a batch a smooth wiggle: each sequence's rows, aggregate
+    # and fragment vectors are the bits it gets alone.
+    frames = round(5.1 * fps)
+    assert frames % 8
+    alone = [generate(RegimeSpec(k % N_REGIMES, duration_s=frames / fps, fps=fps,
+                                 blend=0.3, seed=k)).positions for k in range(batch)]
+    alone[-1] = wiggle_positions(frames, fps=fps, seed=batch)
+    assert {len(p) for p in alone} == {frames}
+    stacked = np.stack(alone, axis=1)
+    length = round(4.0 * fps)
+    starts = list(range(0, frames - length + 1, 7))
+    matrix = frame_matrix(stacked, fps)
+    vectors = fragment_features(stacked, fps, starts, length)
+    assert matrix.shape == (frames, batch, 55)
+    assert vectors.shape == (len(starts), batch, 110)
+    whole = aggregate(matrix)
+    for k, positions in enumerate(alone):
+        rows = frame_matrix(positions, fps)
+        assert _same_bits(matrix[:, k], rows)
+        assert _same_bits(whole[k], aggregate(rows))
+        assert _same_bits(vectors[:, k], fragment_features(positions, fps, starts, length))
+    assert _same_bits(frame_matrix(alone[0][:, None], fps)[:, 0], frame_matrix(alone[0], fps))
+
+
+def test_sequences_stacked_on_two_axes_are_described_as_each_alone():
+    alone = [wiggle_positions(157, seed=k) for k in range(6)]
+    stacked = np.stack(alone, axis=1).reshape(157, 2, 3, 24, 3)
+    vectors = fragment_features(stacked, 30.0, [0, 7], 150)
+    assert vectors.shape == (2, 2, 3, 110)
+    for k, positions in enumerate(alone):
+        assert _same_bits(vectors[:, k // 3, k % 3],
+                          fragment_features(positions, 30.0, [0, 7], 150))
+
+
+@pytest.mark.parametrize("call", ["frame_matrix", "fragment_features"])
+def test_stacked_descriptor_memory_stays_within_three_positions_arrays(call):
+    # Seven 50 s sequences at 30 fps stacked on one axis.
+    stacked = np.stack([wiggle_positions(1500, seed=k) for k in range(7)], axis=1)
+    run = {
+        "frame_matrix": lambda: frame_matrix(stacked, 30.0),
+        "fragment_features": lambda: fragment_features(stacked, 30.0,
+                                                       range(0, 1351, 15), 150),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stacked.nbytes
+
+
+def test_stacked_sequences_are_checked_by_location():
+    stacked = np.stack([wiggle_positions(150, seed=k) for k in range(3)], axis=1)
+    stacked[37, 2, 5, 1] = np.nan
+    with pytest.raises(SkeletonError,
+                       match="non-finite coordinate at frame 37, sequence 2, joint 5"):
+        fragment_features(stacked, 30.0, [0], 150)
+    with pytest.raises(SkeletonError, match="joint count 23 != 24"):
+        frame_matrix(np.zeros((150, 2, 23, 3)), 30.0)
+    with pytest.raises(SkeletonError, match=r"shape \(T, 24, 3\), with any stacked axes"):
+        frame_matrix(np.zeros((150, 2, 24, 2)), 30.0)
 
 
 def test_five_feature_means_are_linear_in_the_others():
