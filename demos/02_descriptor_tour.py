@@ -16,8 +16,8 @@ from labankit import (
     frame_matrix,
     generate,
     slice_fragments,
-    windowed_directness,
 )
+from labankit.descriptors import windowed_directness
 
 # Directness on a hand-built track: chord length over traveled path,
 # here at the middle frame of each track.

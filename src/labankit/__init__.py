@@ -32,14 +32,11 @@ from .descriptors import (
     TRACKED_JOINT_INDICES,
     TRACKED_JOINT_NAMES,
     aggregate,
-    differentiate,
     fragment_features,
     frame_matrix,
-    windowed_directness,
 )
 from .stats import (
     Standardizer,
-    fit_standardizer,
     kruskal_wallis,
     rank_features,
 )
@@ -47,7 +44,6 @@ from .classifier import (
     LinearModel,
     TrainConfig,
     load_model,
-    loss_and_gradient,
     predict,
     predict_proba,
     save_model,
@@ -57,18 +53,14 @@ from .evaluation import (
     TASKS,
     EvalReport,
     TaskSpec,
-    confusion_matrix,
     cross_validate,
     get_task,
-    macro_f1,
     remap_task,
     render_confusion,
-    stratified_kfold,
 )
 from .features_io import (
     FeatureTable,
     read_features_csv,
     write_features_csv,
-    write_ranking_csv,
 )
 from .synth import N_REGIMES, RegimeSpec, generate

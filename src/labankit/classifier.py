@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .skeleton import _is_integer
 from .stats import Standardizer, fit_standardizer
 
 MODEL_FORMAT_VERSION = 1
@@ -59,8 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.l2_lambda < math.inf:  # NaN fails too
             raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
@@ -275,6 +276,8 @@ def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,
         raise ValueError("labels must be one per row")
     if not np.isfinite(X).all():
         raise ValueError("non-finite training data")
+    if y.dtype.kind not in "iu":  # bool is kind "b"
+        raise ValueError(f"task {task.kind!r}: labels must be integers, got dtype {y.dtype}")
     class_count = task.class_count
     outside = (y < 0) | (y >= class_count)
     if outside.any():

@@ -153,8 +153,8 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     time and norms on the last axis; the result has shape (T, ...). A window
     whose path is shorter than EPS_PATH counts as fully Direct (1.0).
     """
-    if w < 1:
-        raise ValueError(f"half-window must be >= 1, got {w}")
+    if not _is_integer(w) or w < 1:
+        raise ValueError(f"half-window w must be an integer frame count >= 1, got {w!r}")
     track = np.asarray(track, dtype=np.float64)
     n = track.shape[0]
     steps = _norm3(np.diff(track, axis=0))

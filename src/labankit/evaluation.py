@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classifier import TrainConfig, predict, train
-from .skeleton import VALID_TIERS
+from .skeleton import VALID_TIERS, _is_integer
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     so per-class fold sizes differ by at most one.
     """
     labels = np.asarray(labels)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if not _is_integer(k) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     rng = np.random.default_rng(seed)
     folds = np.empty(labels.shape[0], dtype=np.int64)
     for c in np.unique(labels):
@@ -98,6 +98,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
 
 def confusion_matrix(y_true, y_pred, class_count: int) -> np.ndarray:
     """Counts with rows = true class, columns = predicted class."""
+    if not _is_integer(class_count):
+        raise ValueError(f"class_count must be an integer, got {class_count!r}")
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:

@@ -17,17 +17,17 @@ from labankit import (
     TrainConfig,
     aggregate,
     cross_validate,
-    differentiate,
     frame_matrix,
     generate,
     get_task,
     kruskal_wallis,
-    loss_and_gradient,
     rank_features,
     remap_task,
     slice_fragments,
 )
+from labankit.classifier import loss_and_gradient
 from labankit.cli import main as cli_main
+from labankit.descriptors import differentiate
 from labankit.features_io import read_features_csv
 
 from conftest import extract_vectors, rest_positions, wiggle_positions

@@ -15,13 +15,12 @@ from labankit import (
     Standardizer,
     TrainConfig,
     load_model,
-    loss_and_gradient,
     predict,
     predict_proba,
     save_model,
     train,
 )
-from labankit.classifier import _newton_minimize
+from labankit.classifier import _newton_minimize, loss_and_gradient
 from labankit.stats import fit_standardizer
 
 TASK_OF = {task.class_count: task for task in TASKS.values()}  # 2, 3, 4 classes
@@ -263,6 +262,11 @@ def test_train_validates_inputs():
         train(X, np.array([0, 1, 2, 3, -1, 2]), TASKS["four_way"])
     with pytest.raises(ValueError, match="task 'four_way': class 1 has no training rows"):
         train(np.ones((2, 2)), np.array([0, 2]), TASKS["four_way"])
+    # Float labels used to fail in np.bincount, bool ones in loss_and_gradient.
+    for labels in (np.array([0.0, 1.0] * 3), np.array([False, True] * 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"task 'binary': labels must be integers, got dtype {labels.dtype}")):
+            train(X, labels, TASKS["binary"])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -272,10 +276,21 @@ def test_train_validates_inputs():
     ({"grad_tol": math.nan}, "grad_tol must be finite and > 0"),
     ({"grad_tol": math.inf}, "grad_tol must be finite and > 0"),
     ({"grad_tol": 0.0}, "grad_tol must be finite and > 0"),
+    ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
+    ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
+    ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
 ])
 def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**kwargs)
+
+
+def test_train_config_takes_a_numpy_integer_iteration_cap():
+    rng = np.random.default_rng(4)
+    X, y = blobs(rng, per_class=10)
+    a = train(X, y, TASKS["three_way"], TrainConfig(max_iters=np.int64(3)))
+    b = train(X, y, TASKS["three_way"], TrainConfig(max_iters=3))
+    assert np.array_equal(a.weights, b.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
+import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labankit
 from labankit import load_manifest, read_features_csv
 from labankit.cli import main
 
@@ -1075,3 +1080,62 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
         assert callable(getattr(importlib.import_module(module_name), attr))
     assert set(cli._HANDLERS) == set(cli._COMMANDS)
     assert "rank-features" in cli._HANDLERS
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+PUBLIC_NAMES = {
+    # skeleton files, manifests and fragments
+    "SMPL_JOINT_COUNT", "SMPL_JOINT_NAMES", "VALID_TIERS", "DatasetManifest",
+    "ManifestEntry", "SkeletonError", "SkeletonSequence", "balance_dataset",
+    "load_manifest", "load_sequence", "save_manifest", "save_sequence",
+    "slice_fragments",
+    # descriptors
+    "DIRECTNESS_HALF_WINDOW_S", "FEATURE_NAMES_110", "FEATURE_SCHEMA_VERSION",
+    "FRAME_FEATURE_NAMES", "TRACKED_JOINT_INDICES", "TRACKED_JOINT_NAMES",
+    "aggregate", "fragment_features", "frame_matrix",
+    # ranking and classification
+    "Standardizer", "kruskal_wallis", "rank_features", "LinearModel", "TrainConfig",
+    "load_model", "predict", "predict_proba", "save_model", "train",
+    "TASKS", "EvalReport", "TaskSpec", "cross_validate", "get_task", "remap_task",
+    "render_confusion",
+    # feature files and synthetic data
+    "FeatureTable", "read_features_csv", "write_features_csv",
+    "N_REGIMES", "RegimeSpec", "generate",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    # Building blocks that only tests reach (descriptors.differentiate,
+    # classifier.loss_and_gradient, ...) stay in their modules.
+    exported = {name for name, value in vars(labankit).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 45
+
+
+def test_python_dash_m_labankit_writes_the_csv_that_main_writes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module_run(*argv):
+        done = subprocess.run([sys.executable, "-m", "labankit", *map(str, argv)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def steps(root):
+        return [("synth", "--out-dir", root, "--per-regime", 1),
+                ("extract", "--manifest", root / "manifest.jsonl",
+                 "--out", root / "features.csv")]
+
+    assert module_run("--version").strip() == f"labankit {labankit.__version__}"
+    for argv in steps(tmp_path / "sub"):
+        module_run(*argv)
+    for argv in steps(tmp_path / "lib"):
+        assert run(*argv) == 0
+    csv_bytes = (tmp_path / "sub" / "features.csv").read_bytes()
+    assert csv_bytes.count(b"\n") == 5  # header and one row per regime
+    assert csv_bytes == (tmp_path / "lib" / "features.csv").read_bytes()

@@ -14,14 +14,13 @@ from labankit import (
     SkeletonError,
     SkeletonSequence,
     aggregate,
-    differentiate,
     fragment_features,
     frame_matrix,
     generate,
     slice_fragments,
-    windowed_directness,
 )
 from labankit import descriptors
+from labankit.descriptors import differentiate, windowed_directness
 
 from conftest import extract_vectors, rest_positions, wiggle_positions
 from oracles import (
@@ -167,6 +166,20 @@ def test_windowed_directness_of_stacked_tracks_equals_one_call_per_track():
     assert stacked.shape == (150, 6)
     assert np.array_equal(stacked, np.stack(
         [windowed_directness(positions[:, j], 15) for j in joints], axis=1))
+
+
+@pytest.mark.parametrize("w", [1.5, 3.0, True, 0])
+def test_windowed_directness_refuses_a_half_window_that_is_no_frame_count(w):
+    # 1.5 used to fail inside fancy indexing, and True ran as one frame.
+    with pytest.raises(ValueError, match=re.escape(
+            f"half-window w must be an integer frame count >= 1, got {w!r}")):
+        windowed_directness(np.zeros((10, 3)), w)
+
+
+def test_windowed_directness_takes_a_numpy_integer_half_window():
+    track = wiggle_positions(40, seed=2)[:, 0]
+    assert np.array_equal(windowed_directness(track, np.int64(3)),
+                          windowed_directness(track, 3))
 
 
 # ---------------------------------------------------------------------------

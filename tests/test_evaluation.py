@@ -10,14 +10,12 @@ from labankit import (
     TASKS,
     TaskSpec,
     TrainConfig,
-    confusion_matrix,
     cross_validate,
     get_task,
-    macro_f1,
     remap_task,
     render_confusion,
-    stratified_kfold,
 )
+from labankit.evaluation import confusion_matrix, macro_f1, stratified_kfold
 
 
 def separable_blobs(rng, per_class=40, c=4, d=6, spread=6.0):
@@ -128,6 +126,15 @@ def test_kfold_rejects_small_class():
         stratified_kfold(labels, k=5, seed=0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+def test_kfold_refuses_a_fold_count_that_is_not_an_integer(k):
+    # 2.5 used to deal each class round-robin mod 2.5, truncated to 3 folds.
+    with pytest.raises(ValueError, match=f"k must be an integer >= 2, got {k!r}"):
+        stratified_kfold(np.zeros(6), k, 0)
+    assert np.array_equal(stratified_kfold(np.zeros(6), np.int64(2), 0),
+                          stratified_kfold(np.zeros(6), 2, 0))
+
+
 # ---------------------------------------------------------------------------
 # confusion matrix and macro F1
 # ---------------------------------------------------------------------------
@@ -161,6 +168,14 @@ def test_confusion_matches_hand_tally():
 def test_confusion_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         confusion_matrix([0, 4], [0, 1], 4)
+
+
+@pytest.mark.parametrize("class_count", [2.0, True, "2"])
+def test_confusion_refuses_a_class_count_that_is_not_an_integer(class_count):
+    with pytest.raises(ValueError, match=re.escape(
+            f"class_count must be an integer, got {class_count!r}")):
+        confusion_matrix([0, 1], [1, 1], class_count)
+    assert np.array_equal(confusion_matrix([0, 1], [1, 1], np.int64(2)), [[0, 1], [0, 1]])
 
 
 def test_macro_f1_perfect_and_degenerate():
@@ -293,6 +308,12 @@ def test_cross_validate_rejects_small_class():
     X, tiers = separable_blobs(rng, per_class=3)
     with pytest.raises(ValueError, match="fewer than k"):
         cross_validate(X, tiers, TASKS["four_way"], k=5, seed=0)
+
+
+def test_cross_validate_refuses_a_fold_count_that_is_not_an_integer():
+    X, tiers = separable_blobs(np.random.default_rng(6), per_class=6)
+    with pytest.raises(ValueError, match="k must be an integer >= 2, got 2.5"):
+        cross_validate(X, tiers, TASKS["four_way"], k=2.5, seed=0)
 
 
 def test_report_shapes_and_rendering():

@@ -9,10 +9,10 @@ from labankit import stats
 from labankit import (
     FEATURE_NAMES_110,
     Standardizer,
-    fit_standardizer,
     kruskal_wallis,
     rank_features,
 )
+from labankit.stats import fit_standardizer
 
 
 # ---------------------------------------------------------------------------
