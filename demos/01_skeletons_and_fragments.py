@@ -26,9 +26,9 @@ with tempfile.TemporaryDirectory() as tmp:
 # Non-overlapping 5 s fragments: the unit every later stage consumes.
 fragments = slice_fragments(sequence, length_s=5.0, stride_s=5.0)
 print(f"\n{len(fragments)} fragments of 5 s (trailing 2 s remainder discarded):")
-for start, positions in fragments:  # positions is a read-only view into the clip
-    print(f"  frames [{start:3d}, {start + len(positions):3d})  "
-          f"tier {sequence.tier}  duration {len(positions) / sequence.fps:.1f} s")
+for f in fragments:  # a slice of the clip's frames: sequence.positions[f]
+    print(f"  frames [{f.start:3d}, {f.stop:3d})  "
+          f"tier {sequence.tier}  duration {(f.stop - f.start) / sequence.fps:.1f} s")
 
 # Overlapping slicing for denser coverage.
 dense = slice_fragments(sequence, length_s=5.0, stride_s=2.5)

@@ -33,8 +33,7 @@ def clip_and_first_fragment(regime, name):
     fragment covers: descriptors are defined on the whole sequence, and a
     fragment's features aggregate its rows (as extract does)."""
     seq = generate(RegimeSpec(regime, duration_s=10.0, seed=1), source_id=name)
-    start, positions = slice_fragments(seq)[0]
-    rows = frame_matrix(seq.positions, seq.fps)[start:start + len(positions)]
+    rows = frame_matrix(seq.positions, seq.fps)[slice_fragments(seq)[0]]
     return seq, rows
 
 

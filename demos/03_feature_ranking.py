@@ -31,8 +31,7 @@ for regime in (0, 2):
         seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
         fragments = slice_fragments(seq)
         # As extract does: one call per sequence, one row per fragment.
-        vectors = fragment_features(seq.positions, seq.fps,
-                                    [start for start, _ in fragments], len(fragments[0][1]))
+        vectors = fragment_features(seq.positions, seq.fps, fragments)
         rows.extend(vectors)
         tiers += [regime] * len(vectors)
 X = np.asarray(rows)

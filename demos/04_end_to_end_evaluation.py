@@ -33,9 +33,7 @@ def build_dataset(per_regime, blend, duration=5.0):
                                       seed=regime * 10_000 + i, blend=blend))
             fragments = slice_fragments(seq)
             # As extract does: one call per sequence, one row per fragment.
-            vectors = fragment_features(seq.positions, seq.fps,
-                                        [start for start, _ in fragments],
-                                        len(fragments[0][1]))
+            vectors = fragment_features(seq.positions, seq.fps, fragments)
             rows.extend(vectors)
             tiers += [regime] * len(vectors)
     return np.asarray(rows), np.asarray(tiers)

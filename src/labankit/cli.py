@@ -241,15 +241,13 @@ _BATCH_FRAMES = 512
 def _describe(batch, results: list) -> None:
     """Set results[i] to (entry, fragment rows, None) for each (i, entry,
     sequence, fragments) of a batch whose files share a frame count and fps,
-    and so their fragments' starts and length. A batch that fails is
-    described again file by file, so that only a failing file gets (entry,
-    None, message)."""
+    and so their fragments. A batch that fails is described again file by
+    file, so that only a failing file gets (entry, None, message)."""
     _, first_entry, first, fragments = batch[0]
-    starts = [start for start, _ in fragments]
     positions = (first.positions[:, None] if len(batch) == 1
                  else np.stack([seq.positions for _, _, seq, _ in batch], axis=1))
     try:
-        vectors = fragment_features(positions, first.fps, starts, len(fragments[0][1]))
+        vectors = fragment_features(positions, first.fps, fragments)
     except ValueError as exc:
         if len(batch) == 1:
             results[batch[0][0]] = (first_entry, None, _message(first_entry, exc))
@@ -258,8 +256,8 @@ def _describe(batch, results: list) -> None:
                 _describe([item], results)
         return
     for k, (i, entry, _, _) in enumerate(batch):
-        results[i] = (entry, [(entry.source_id, start, entry.tier, vector)
-                              for start, vector in zip(starts, vectors[:, k])], None)
+        results[i] = (entry, [(entry.source_id, f.start, entry.tier, vector)
+                              for f, vector in zip(fragments, vectors[:, k])], None)
 
 
 def _message(entry, exc: Exception) -> str:

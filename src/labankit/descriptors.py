@@ -11,7 +11,7 @@ column order:
   * Initiation (6) -- each tracked joint's share of total speed,
   * Trajectory (3) -- pelvis path increment, curvature, net displacement.
 
-A fragment, a run of a sequence's frames, aggregates its rows of the
+A fragment, a slice of a sequence's frames, aggregates its rows of the
 sequence's matrix to a 110-dim vector (per-column mean, then per-column
 population standard deviation) with stable feature names. Kinematics at
 a fragment's edges use the sequence's neighbouring frames; only net
@@ -22,7 +22,7 @@ aggregate(frame_matrix(positions, fps)).
 Sequences of one frame count and fps can be stacked on axes between time
 and joints: frame_matrix takes (T, ..., 24, 3) and returns (T, ..., 55),
 aggregate takes (L, ..., 55) and returns (..., 110), and fragment_features
-returns (len(starts), ..., 110). Each sequence gets the same bits as when
+returns (len(fragments), ..., 110). Each sequence gets the same bits as when
 described alone, and one call pays numpy's fixed cost per call once for
 all of them, which is most of the work on a 5 s clip. A single sequence
 is the case with no stacked axes. The working arrays of a call are a few
@@ -293,39 +293,33 @@ def aggregate(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)], axis=-1)
 
 
-def fragment_features(positions: np.ndarray, fps: float, starts,
-                      length: int) -> np.ndarray:
-    """The (len(starts), ..., 110) feature vectors, in FEATURE_NAMES_110
-    order, of the fragments positions[s:s + length] of whole (T, ..., 24, 3)
-    sequences: every start is cut from each stacked sequence.
+def fragment_features(positions: np.ndarray, fps: float, fragments) -> np.ndarray:
+    """The (len(fragments), ..., 110) feature vectors, in FEATURE_NAMES_110
+    order, of fragments of whole (T, ..., 24, 3) sequences: each fragment is
+    a slice(start, stop) of frames, as slice_fragments cuts them, taken from
+    every stacked sequence.
 
     The sequences' frame_matrix is computed once, and each fragment
     aggregates its rows with net displacement measured from its own first
     frame. A vector with a non-finite feature is refused, naming the
     fragment's start frame and the feature.
     """
-    if not _is_integer(length):
-        raise ValueError(f"fragment length must be an integer frame count, got {length!r}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1 frame, got {length}")
     pos = np.asarray(positions)
     rows = frame_matrix(pos, fps)
-    out = np.empty((len(starts), *rows.shape[1:-1], len(FEATURE_NAMES_110)))
-    for i, start in enumerate(starts):
-        if not _is_integer(start):
-            raise ValueError(f"fragment start must be an integer frame, got {start!r}")
-        if not 0 <= start <= len(rows) - length:
-            raise ValueError(f"fragment at frame {start} of {length} frames does not "
-                             f"fit in a sequence of {len(rows)} frames")
+    out = np.empty((len(fragments), *rows.shape[1:-1], len(FEATURE_NAMES_110)))
+    for i, f in enumerate(fragments):
+        if not (isinstance(f, slice) and f.step is None and _is_integer(f.start)
+                and _is_integer(f.stop) and 0 <= f.start < f.stop <= len(rows)):
+            raise ValueError(f"fragment {i} is {f!r}, not a slice(start, stop) of integer "
+                             f"frames 0 <= start < stop <= {len(rows)}")
         # Each fragment rewrites its whole window's net displacement before
         # aggregating it, so overlapping windows never see another's column.
-        window = rows[start:start + length]
-        window[..., _NET_DISPLACEMENT] = _net_displacement(
-            pos[start:start + length, ..., PELVIS, :])
+        window = rows[f]
+        window[..., _NET_DISPLACEMENT] = _net_displacement(pos[f, ..., PELVIS, :])
         out[i] = aggregate(window)
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):
         i, *_, j = bad[0]
-        raise ValueError(f"fragment at frame {starts[i]}: feature {FEATURE_NAMES_110[j]} "
-                         f"is {out[tuple(bad[0])]}")
+        raise ValueError(f"fragment at frame {fragments[i].start}: feature "
+                         f"{FEATURE_NAMES_110[j]} is {out[tuple(bad[0])]}")
     return out

@@ -3,9 +3,9 @@
 The input unit is a 24-joint SMPL skeleton trajectory in world meters
 (gravity along -y, floor at y = 0), stored one sequence per file: skeleton
 JSON, the interchange format, or the binary container (SKELETON_SUFFIX).
-Fragments are fixed-length windows of a sequence, passed on as
-(start_frame, positions view) pairs; they are the unit that the descriptor
-and classification stages operate on, labeled by their sequence.
+Fragments are fixed-length windows of a sequence, each a slice of its
+frames; they are the unit that the descriptor and classification stages
+operate on, labeled by their sequence.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or NumPy int or float; bool and np.bool_ are not ones here."""
+    return isinstance(value, (float, np.floating)) or _is_integer(value)
+
+
 def _validate_tier(tier, context: str) -> int:
     if not _is_integer(tier):
         raise SkeletonError(f"{context}: tier must be an integer in {VALID_TIERS}, got {tier!r}")
@@ -66,9 +71,7 @@ def _check_str(value, what: str):
 
 
 def _check_fps(fps, context: str) -> float:
-    # bool is an int subclass and np.bool_ is neither np.integer nor np.floating.
-    if (isinstance(fps, bool) or not isinstance(fps, (int, float, np.integer, np.floating))
-            or not (math.isfinite(fps) and fps > 0)):
+    if not (_is_real(fps) and math.isfinite(fps) and fps > 0):
         raise SkeletonError(f"{context}: fps must be positive and finite, got {fps!r}")
     return float(fps)
 
@@ -269,17 +272,19 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
 
 
 def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
-                    stride_s: float = 5.0) -> list[tuple[int, np.ndarray]]:
-    """Cut a sequence into fixed-length (start_frame, positions) fragments
-    ordered by start frame; positions is a read-only view of seq.positions,
-    for looking at a fragment. Features come from the sequence:
-    fragment_features(seq.positions, seq.fps, starts, length).
+                    stride_s: float = 5.0) -> list[slice]:
+    """Cut a sequence into fixed-length fragments, each a slice(start, stop)
+    of its frames, ordered by start frame: seq.positions[f] is a fragment's
+    frames, and fragment_features(seq.positions, seq.fps, fragments) their
+    features.
 
     Fragments are round(length_s * fps) frames at stride round(stride_s * fps);
     a trailing remainder shorter than one fragment is discarded. A sequence
     shorter than one fragment yields an empty list.
     """
     for name, value in (("length_s", length_s), ("stride_s", stride_s)):
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a number of seconds, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if length_s < MIN_FRAGMENT_SECONDS:
@@ -294,7 +299,7 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
     min_frames = math.ceil(MIN_FRAGMENT_SECONDS * seq.fps - _DURATION_TOL)
     n_frames = max(n_frames, min_frames)
     stride = max(1, int(round(stride_s * seq.fps)))
-    return [(start, seq.positions[start:start + n_frames])
+    return [slice(start, start + n_frames)
             for start in range(0, seq.frame_count - n_frames + 1, stride)]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .skeleton import (MIN_FRAGMENT_SECONDS, SkeletonSequence, SMPL_JOINT_COUNT,
-                       _is_integer)
+                       _is_integer, _is_real)
 
 N_REGIMES = 4
 
@@ -110,10 +110,9 @@ class RegimeSpec:
                              f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s}")
         if not 10.0 <= self.fps <= 120.0:
             raise ValueError(f"fps must be in [10, 120], got {self.fps}")
-        if not 0.0 <= self.noise_amp < math.inf:
-            raise ValueError(f"noise amplitude must be finite and >= 0, "
-                             f"got {self.noise_amp}")
-        if not 0.0 <= self.blend < 1.0:
+        if not (_is_real(self.noise_amp) and 0.0 <= self.noise_amp < math.inf):
+            raise ValueError(f"noise_amp must be finite and >= 0, got {self.noise_amp}")
+        if not (_is_real(self.blend) and 0.0 <= self.blend < 1.0):
             raise ValueError(f"blend must be in [0, 1), got {self.blend}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from labankit import fragment_features
-
 JOINTS = 24
 
 
@@ -25,13 +23,6 @@ def wiggle_positions(n_frames, fps=30.0, seed=0, joints=JOINTS):
     phase = rng.uniform(0, 2 * np.pi, size=(joints, 3))
     osc = amp * np.sin(2 * np.pi * freq * t[:, None, None] + phase)
     return pose[None] + osc
-
-
-def extract_vectors(seq, fragments):
-    """The (len(fragments), 110) vectors of seq's slice_fragments cut as
-    extract computes them: one fragment_features call on the sequence."""
-    return fragment_features(seq.positions, seq.fps, [start for start, _ in fragments],
-                             len(fragments[0][1]))
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from labankit import (
     TrainConfig,
     aggregate,
     cross_validate,
+    fragment_features,
     frame_matrix,
     generate,
     get_task,
@@ -30,7 +31,7 @@ from labankit.cli import main as cli_main
 from labankit.descriptors import differentiate
 from labankit.features_io import read_features_csv
 
-from conftest import extract_vectors, rest_positions, wiggle_positions
+from conftest import rest_positions, wiggle_positions
 from oracles import directness, effort_frame, trajectory_frame
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -257,7 +258,7 @@ def test_ordinal_confusion_concentrates_on_adjacent_tiers():
     for regime in range(4):
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 7919 + i, blend=0.85))
-            vectors = extract_vectors(seq, slice_fragments(seq))
+            vectors = fragment_features(seq.positions, seq.fps, slice_fragments(seq))
             rows.extend(vectors)
             tiers += [regime] * len(vectors)
     report = cross_validate(np.array(rows), np.array(tiers),
@@ -280,7 +281,7 @@ def test_directness_family_ranks_in_top_ten():
     for regime in (0, 2):
         for i in range(60):
             seq = generate(RegimeSpec(regime, seed=regime * 1000 + i, blend=0.6))
-            vectors = extract_vectors(seq, slice_fragments(seq))
+            vectors = fragment_features(seq.positions, seq.fps, slice_fragments(seq))
             rows.extend(vectors)
             tiers += [regime] * len(vectors)
     labels, mask = remap_task(tiers, get_task("binary"))

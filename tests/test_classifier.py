@@ -279,10 +279,33 @@ def test_train_validates_inputs():
     ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
     ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
     ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
+    # True would train as lambda 1 and save a model that load_model refuses.
+    ({"l2_lambda": True}, "l2_lambda must be finite and >= 0, got True"),
+    ({"l2_lambda": np.False_}, "l2_lambda must be finite and >= 0, got False"),
+    ({"grad_tol": True}, "grad_tol must be finite and > 0, got True"),
+    ({"grad_tol": np.True_}, "grad_tol must be finite and > 0, got True"),
 ])
 def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**kwargs)
+
+
+def test_a_model_refuses_a_bool_penalty_when_built_not_when_it_loads():
+    # Accepted, True would be saved as a JSON true that load_model refuses.
+    model = fixture_model(np.ones((4, 3)), np.zeros(4))
+    with pytest.raises(ValueError, match="l2_lambda must be finite and >= 0, got True"):
+        replace(model, l2_lambda=True)
+    assert replace(model, l2_lambda=np.float64(0.5)).l2_lambda == 0.5
+
+
+def test_a_numpy_integer_class_count_is_taken_and_saved_as_an_int(tmp_path):
+    model = fixture_model(np.ones((4, 3)), np.zeros(4))
+    numpy = replace(model, class_count=np.int64(4))
+    assert type(numpy.class_count) is int and numpy.class_count == 4
+    save_model(numpy, tmp_path / "numpy.json")
+    save_model(model, tmp_path / "int.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+    assert load_model(tmp_path / "numpy.json").class_count == 4
 
 
 def test_train_config_takes_a_numpy_integer_iteration_cap():

@@ -22,7 +22,7 @@ from labankit import (
 from labankit import descriptors
 from labankit.descriptors import differentiate, windowed_directness
 
-from conftest import extract_vectors, rest_positions, wiggle_positions
+from conftest import rest_positions, wiggle_positions
 from oracles import (
     directness,
     dispersion_frame,
@@ -101,7 +101,7 @@ def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
     positions = wiggle_positions(150)
     positions[37, 5, 1] = np.nan
     with pytest.raises(SkeletonError, match="non-finite coordinate at frame 37, joint 5"):
-        fragment_features(positions, 30.0, [0], 150)
+        fragment_features(positions, 30.0, [slice(0, 150)])
 
 
 @pytest.mark.parametrize("shape, message", [
@@ -111,12 +111,12 @@ def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
 ])
 def test_fragment_features_rejects_the_wrong_shape(shape, message):
     with pytest.raises(SkeletonError, match=message):
-        fragment_features(np.zeros(shape), 30.0, [0], 150)
+        fragment_features(np.zeros(shape), 30.0, [slice(0, 150)])
 
 
 def test_fragment_features_rejects_a_three_frame_fragment():
     with pytest.raises(ValueError, match="need at least 4 frames, got 3"):
-        fragment_features(rest_positions(3), 1.0, [0], 3)
+        fragment_features(rest_positions(3), 1.0, [slice(0, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +593,19 @@ def test_sequence_dispersion_rows_give_the_per_fragment_features(cut):
     # own.
     seq, fragments = _cut(*cut)
     if not fragments:
-        assert fragment_features(seq.positions, seq.fps, [], 150).shape == (0, 110)
+        assert fragment_features(seq.positions, seq.fps, []).shape == (0, 110)
         return
     rows = frame_matrix(seq.positions, seq.fps)
     dispersion = [k for k, name in enumerate(FEATURE_NAMES_110)
                   if name.startswith("dispersion.")]
-    for (start, view), vector in zip(fragments, extract_vectors(seq, fragments)):
-        block = rows[start:start + len(view)].copy()
-        block[:, NET] = np.linalg.norm(view[:, PELVIS] - view[0, PELVIS], axis=1)
+    vectors = fragment_features(seq.positions, seq.fps, fragments)
+    for f, vector in zip(fragments, vectors):
+        block = rows[f].copy()
+        pelvis = seq.positions[f, PELVIS]
+        block[:, NET] = np.linalg.norm(pelvis - pelvis[0], axis=1)
         assert np.array_equal(vector, aggregate(block))
         assert np.array_equal(vector[dispersion],
-                              aggregate(frame_matrix(view, seq.fps))[dispersion])
+                              aggregate(frame_matrix(seq.positions[f], seq.fps))[dispersion])
 
 
 @pytest.mark.parametrize("cut", _SEQUENCE_CUTS.values(), ids=_SEQUENCE_CUTS.keys())
@@ -611,11 +613,9 @@ def test_sequence_dispersion_computes_each_covered_frame_once(cut, monkeypatch):
     # However the fragments overlap or leave frames uncovered, the
     # sequence's matrix, Dispersion block and all, is computed in one call
     # over all of its frames.
-    fps, _, length_s, _ = cut
     seq, fragments = _cut(*cut)
     calls = _record_frame_matrix_calls(monkeypatch)
-    starts = [start for start, _ in fragments]
-    fragment_features(seq.positions, fps, starts, round(length_s * fps))
+    fragment_features(seq.positions, seq.fps, fragments)
     assert calls == [seq.frame_count]
 
 
@@ -626,8 +626,8 @@ def test_descriptor_memory_stays_within_four_positions_arrays(call):
     positions = wiggle_positions(9000)
     run = {
         "frame_matrix": lambda: frame_matrix(positions, 30.0),
-        "fragment_features": lambda: fragment_features(positions, 30.0,
-                                                       range(0, 8851, 15), 150),
+        "fragment_features": lambda: fragment_features(
+            positions, 30.0, [slice(s, s + 150) for s in range(0, 8851, 15)]),
     }[call]
     tracemalloc.start()
     try:
@@ -651,18 +651,18 @@ def test_overlapping_fragments_agree_on_every_shared_frame(cut, monkeypatch):
         return aggregate(matrix)
 
     monkeypatch.setattr(descriptors, "aggregate", recording)
-    vectors = extract_vectors(seq, fragments)
+    vectors = fragment_features(seq.positions, seq.fps, fragments)
     assert len(blocks) == len(fragments) > 2
     others = [k for k in range(55) if k != NET]
-    length = len(fragments[0][1])
-    for (start, view), block, vector in zip(fragments, blocks, vectors):
+    length = fragments[0].stop - fragments[0].start
+    for f, block, vector in zip(fragments, blocks, vectors):
         assert np.array_equal(vector, aggregate(block))
-        assert np.array_equal(block[:, NET],
-                              np.linalg.norm(view[:, PELVIS] - view[0, PELVIS], axis=1))
+        pelvis = seq.positions[f, PELVIS]
+        assert np.array_equal(block[:, NET], np.linalg.norm(pelvis - pelvis[0], axis=1))
     shared_frames = 0
-    for i, (start_i, _) in enumerate(fragments):
+    for i, f in enumerate(fragments):
         for j in range(i + 1, len(fragments)):
-            offset = fragments[j][0] - start_i
+            offset = fragments[j].start - f.start
             if offset >= length:
                 break
             assert np.array_equal(blocks[i][offset:, others], blocks[j][:length - offset, others])
@@ -677,50 +677,76 @@ def test_each_fragment_row_is_the_one_fragment_call_in_either_order(fps, stride_
     # whichever fragments came before, and in either order, each row is the
     # bits that the fragment gets alone.
     seq, fragments = _cut(fps, 9.0, 5.0, stride_s)
-    starts = [start for start, _ in fragments]
-    length = len(fragments[0][1])
-    alone = np.array([fragment_features(seq.positions, fps, [start], length)[0]
-                      for start in starts])
-    forward = fragment_features(seq.positions, fps, starts, length)
-    backward = fragment_features(seq.positions, fps, starts[::-1], length)[::-1]
-    assert len(starts) > 2
+    alone = np.array([fragment_features(seq.positions, fps, [f])[0] for f in fragments])
+    forward = fragment_features(seq.positions, fps, fragments)
+    backward = fragment_features(seq.positions, fps, fragments[::-1])[::-1]
+    assert len(fragments) > 2
     assert np.array_equal(forward.view(np.int64), alone.view(np.int64))
     assert np.array_equal(backward.view(np.int64), alone.view(np.int64))
 
 
+def _refusal(i, fragment, frames=240):
+    """A pattern for the message that refuses fragment i of a sequence."""
+    return re.escape(f"fragment {i} is {fragment!r}, not a slice(start, stop) of integer "
+                     f"frames 0 <= start < stop <= {frames}")
+
+
 @pytest.mark.parametrize("starts, length, message", [
-    ([0], 241, "fragment at frame 0 of 241 frames does not fit in a sequence of 240"),
-    ([240], 1, "fragment at frame 240 of 1 frames does not fit in a sequence of 240"),
-    ([-1], 150, "fragment at frame -1 of 150 frames does not fit in a sequence of 240"),
-    ([0, 91], 150, "fragment at frame 91 of 150 frames does not fit in a sequence of 240"),
-    ([0], 0, "length must be >= 1 frame, got 0"),
-    ([0], -5, "length must be >= 1 frame, got -5"),
+    ([0], 241, "fragment 0 is slice(0, 241, None), not a slice"),  # past the end
+    ([240], 1, "fragment 0 is slice(240, 241, None), not a slice"),  # past the end
+    ([-1], 150, "fragment 0 is slice(-1, 149, None), not a slice"),  # negative
+    ([0, 91], 150, "fragment 1 is slice(91, 241, None), not a slice"),  # past the end
+    ([0], 0, "fragment 0 is slice(0, 0, None), not a slice"),  # empty
+    ([0], -5, "fragment 0 is slice(0, -5, None), not a slice"),  # stop before start
 ])
 def test_fragment_features_rejects_fragments_outside_the_sequence(starts, length, message):
-    with pytest.raises(ValueError, match=message):
-        fragment_features(wiggle_positions(240), 30.0, starts, length)
-
-
-@pytest.mark.parametrize("start", [True, np.True_, 30.0, np.float64(30.0), "30", None],
-                         ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"])
-def test_fragment_features_refuses_a_start_that_is_not_an_integer(start):
-    message = f"fragment start must be an integer frame, got {start!r}"
+    # Fragments of length frames at each start of a 240-frame sequence.
+    fragments = [slice(start, start + length) for start in starts]
     with pytest.raises(ValueError, match=re.escape(message)):
-        fragment_features(wiggle_positions(240), 30.0, [0, start], 150)
+        fragment_features(wiggle_positions(240), 30.0, fragments)
 
 
-@pytest.mark.parametrize("length", [True, np.True_, 150.0, np.float64(150.0), "150", None],
-                         ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"])
-def test_fragment_features_refuses_a_length_that_is_not_an_integer(length):
-    message = f"fragment length must be an integer frame count, got {length!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        fragment_features(wiggle_positions(240), 30.0, [0], length)
+_NOT_INTEGERS = pytest.mark.parametrize(
+    "bound", [True, np.True_, 30.0, np.float64(30.0), "30", None],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"])
+
+
+@_NOT_INTEGERS
+def test_fragment_features_refuses_a_start_that_is_not_an_integer(bound):
+    fragment = slice(bound, 150)
+    with pytest.raises(ValueError, match=_refusal(1, fragment)):
+        fragment_features(wiggle_positions(240), 30.0, [slice(0, 150), fragment])
+
+
+@_NOT_INTEGERS
+def test_fragment_features_refuses_a_length_that_is_not_an_integer(bound):
+    # From frame 0 the stop is the length; a None stop would run to the end.
+    fragment = slice(0, bound)
+    with pytest.raises(ValueError, match=_refusal(0, fragment)):
+        fragment_features(wiggle_positions(240), 30.0, [fragment])
+
+
+@pytest.mark.parametrize("fragment", [slice(0, 150, 1), slice(0, 150, 2), (0, 150),
+                                      range(0, 150), 0],
+                         ids=["step-1", "step-2", "tuple", "range", "int"])
+def test_fragment_features_refuses_an_entry_that_is_not_a_slice_without_step(fragment):
+    with pytest.raises(ValueError, match=_refusal(1, fragment)):
+        fragment_features(wiggle_positions(240), 30.0, [slice(0, 150), fragment])
 
 
 def test_fragment_features_takes_a_numpy_integer_length():
     positions = wiggle_positions(240)
-    assert np.array_equal(fragment_features(positions, 30.0, [0, 90], np.int64(150)),
-                          fragment_features(positions, 30.0, [0, 90], 150))
+    fragments = [slice(np.int64(0), np.int64(150)), slice(np.int32(90), np.uint16(240))]
+    assert np.array_equal(fragment_features(positions, 30.0, fragments),
+                          fragment_features(positions, 30.0, [slice(0, 150), slice(90, 240)]))
+
+
+def test_fragments_of_different_lengths_are_each_described_as_alone():
+    # No length is shared: each window aggregates on its own.
+    positions = wiggle_positions(240)
+    fragments = [slice(0, 150), slice(30, 240), slice(100, 200)]
+    alone = [fragment_features(positions, 30.0, [f])[0] for f in fragments]
+    assert np.array_equal(fragment_features(positions, 30.0, fragments), alone)
 
 
 # ---------------------------------------------------------------------------
@@ -745,28 +771,29 @@ def test_stacked_sequences_are_described_as_each_alone(fps, batch):
     assert {len(p) for p in alone} == {frames}
     stacked = np.stack(alone, axis=1)
     length = round(4.0 * fps)
-    starts = list(range(0, frames - length + 1, 7))
+    fragments = [slice(s, s + length) for s in range(0, frames - length + 1, 7)]
     matrix = frame_matrix(stacked, fps)
-    vectors = fragment_features(stacked, fps, starts, length)
+    vectors = fragment_features(stacked, fps, fragments)
     assert matrix.shape == (frames, batch, 55)
-    assert vectors.shape == (len(starts), batch, 110)
+    assert vectors.shape == (len(fragments), batch, 110)
     whole = aggregate(matrix)
     for k, positions in enumerate(alone):
         rows = frame_matrix(positions, fps)
         assert _same_bits(matrix[:, k], rows)
         assert _same_bits(whole[k], aggregate(rows))
-        assert _same_bits(vectors[:, k], fragment_features(positions, fps, starts, length))
+        assert _same_bits(vectors[:, k], fragment_features(positions, fps, fragments))
     assert _same_bits(frame_matrix(alone[0][:, None], fps)[:, 0], frame_matrix(alone[0], fps))
 
 
 def test_sequences_stacked_on_two_axes_are_described_as_each_alone():
     alone = [wiggle_positions(157, seed=k) for k in range(6)]
     stacked = np.stack(alone, axis=1).reshape(157, 2, 3, 24, 3)
-    vectors = fragment_features(stacked, 30.0, [0, 7], 150)
+    fragments = [slice(0, 150), slice(7, 157)]
+    vectors = fragment_features(stacked, 30.0, fragments)
     assert vectors.shape == (2, 2, 3, 110)
     for k, positions in enumerate(alone):
         assert _same_bits(vectors[:, k // 3, k % 3],
-                          fragment_features(positions, 30.0, [0, 7], 150))
+                          fragment_features(positions, 30.0, fragments))
 
 
 @pytest.mark.parametrize("call", ["frame_matrix", "fragment_features"])
@@ -775,8 +802,8 @@ def test_stacked_descriptor_memory_stays_within_three_positions_arrays(call):
     stacked = np.stack([wiggle_positions(1500, seed=k) for k in range(7)], axis=1)
     run = {
         "frame_matrix": lambda: frame_matrix(stacked, 30.0),
-        "fragment_features": lambda: fragment_features(stacked, 30.0,
-                                                       range(0, 1351, 15), 150),
+        "fragment_features": lambda: fragment_features(
+            stacked, 30.0, [slice(s, s + 150) for s in range(0, 1351, 15)]),
     }[call]
     tracemalloc.start()
     try:
@@ -792,7 +819,7 @@ def test_stacked_sequences_are_checked_by_location():
     stacked[37, 2, 5, 1] = np.nan
     with pytest.raises(SkeletonError,
                        match="non-finite coordinate at frame 37, sequence 2, joint 5"):
-        fragment_features(stacked, 30.0, [0], 150)
+        fragment_features(stacked, 30.0, [slice(0, 150)])
     with pytest.raises(SkeletonError, match="joint count 23 != 24"):
         frame_matrix(np.zeros((150, 2, 23, 3)), 30.0)
     with pytest.raises(SkeletonError, match=r"shape \(T, 24, 3\), with any stacked axes"):
@@ -805,7 +832,7 @@ def test_five_feature_means_are_linear_in_the_others():
     fps = 30.0
     vectors = np.concatenate([
         fragment_features(wiggle_positions(300, fps=fps, seed=seed), fps,
-                          np.arange(0, 151, 5), 150)
+                          [slice(s, s + 150) for s in range(0, 151, 5)])
         for seed in (1, 2, 3, 4)])
     mean = {name: vectors[:, j] for j, name in enumerate(FEATURE_NAMES_110)
             if name.endswith(".mean")}

@@ -35,7 +35,7 @@ _SPECS = ((0, 30.0, 0.0), (1, 30.0, 0.6), (2, 30.0, 0.0), (3, 60.0, 0.0))
 
 
 def _one_fragment(seq):
-    return fragment_features(seq.positions, seq.fps, [0], seq.frame_count)[0]
+    return fragment_features(seq.positions, seq.fps, [slice(0, seq.frame_count)])[0]
 
 
 def _whole_clip(seq):
@@ -50,10 +50,9 @@ def write_golden(path, whole=_one_fragment) -> None:
         seq = generate(RegimeSpec(regime, duration_s=8.0, fps=fps, blend=blend,
                                   seed=100 + regime), source_id=f"golden_r{regime}")
         fragments = slice_fragments(seq, length_s=5.0, stride_s=1.0)
-        starts = [start for start, _ in fragments]
-        vectors = fragment_features(seq.positions, seq.fps, starts, len(fragments[0][1]))
-        rows += [(seq.source_id, start, regime, vector)
-                 for start, vector in zip(starts, vectors)]
+        vectors = fragment_features(seq.positions, seq.fps, fragments)
+        rows += [(seq.source_id, f.start, regime, vector)
+                 for f, vector in zip(fragments, vectors)]
         rows.append((f"{seq.source_id}_whole", 0, regime, whole(seq)))
     write_features_csv(path, FEATURE_NAMES_110, rows)
 

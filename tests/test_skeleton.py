@@ -304,13 +304,13 @@ def test_sequence_and_fragment_reject_bad_fps(fps):
 def test_slice_exact_tiling():
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
     frags = slice_fragments(seq, length_s=5.0, stride_s=5.0)
-    assert [(start, start + len(view)) for start, view in frags] == [(0, 150), (150, 300)]
+    assert frags == [slice(0, 150), slice(150, 300)]
 
 
 def test_slice_overlapping_stride():
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
     frags = slice_fragments(seq, length_s=5.0, stride_s=2.5)
-    assert [start for start, _ in frags] == [0, 75, 150]
+    assert frags == [slice(0, 150), slice(75, 225), slice(150, 300)]
 
 
 def test_slice_too_short_sequence_gives_empty_list():
@@ -335,11 +335,22 @@ def test_slice_rejects_bad_parameters():
             slice_fragments(seq, length_s=length_s, stride_s=stride_s)
 
 
+@pytest.mark.parametrize("name", ["length_s", "stride_s"])
+@pytest.mark.parametrize("value", [True, False, np.True_, "5", None],
+                         ids=["bool", "false", "numpy-bool", "str", "none"])
+def test_slice_refuses_a_length_or_stride_that_is_not_a_number(name, value):
+    # True would otherwise cut 1 s strides, and np.True_ converts to 1.0.
+    seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} must be a number of seconds, got {value!r}")):
+        slice_fragments(seq, **{"length_s": 5.0, "stride_s": 5.0, name: value})
+
+
 def test_slice_concat_reproduces_parent_bits():
     rng = np.random.default_rng(5)
     seq = SkeletonSequence("s", 30.0, rng.normal(size=(300, 24, 3)), tier=1)
     frags = slice_fragments(seq, length_s=5.0, stride_s=5.0)
-    joined = np.concatenate([view for _, view in frags], axis=0)
+    joined = np.concatenate([seq.positions[f] for f in frags], axis=0)
     assert np.array_equal(joined, seq.positions)
 
 
@@ -353,11 +364,11 @@ def test_slice_gives_read_only_views_of_the_parent(fps, frames, length_s, stride
     rng = np.random.default_rng(9)
     seq = SkeletonSequence("s", fps, rng.normal(size=(frames, 24, 3)), tier=None)
     frags = slice_fragments(seq, length_s=length_s, stride_s=stride_s)
-    assert [start for start, _ in frags] == starts
-    for start, view in frags:
+    assert frags == [slice(start, start + n) for start in starts]
+    for f in frags:
+        view = seq.positions[f]
         assert view.shape == (n, 24, 3)
         assert np.shares_memory(view, seq.positions)
-        assert np.array_equal(view, seq.positions[start:start + n])
         assert not view.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             view[0, 0, 0] = 1.0

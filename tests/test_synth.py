@@ -6,20 +6,21 @@ import pytest
 from labankit import (
     FEATURE_NAMES_110,
     RegimeSpec,
+    fragment_features,
     generate,
     slice_fragments,
 )
 from labankit import synth
 
 import oracles
-from conftest import extract_vectors
 
 NAMES = list(FEATURE_NAMES_110)
 
 
 def regime_feature(regime, seed, name, **kwargs):
     seq = generate(RegimeSpec(regime, seed=seed, **kwargs))
-    return extract_vectors(seq, slice_fragments(seq))[0, NAMES.index(name)]
+    vectors = fragment_features(seq.positions, seq.fps, slice_fragments(seq))
+    return vectors[0, NAMES.index(name)]
 
 
 def regime_features(regime, seeds, name, **kwargs):
@@ -64,6 +65,13 @@ def test_invalid_specs_rejected():
         RegimeSpec(0, noise_amp=-0.1)
     with pytest.raises(ValueError, match="seed"):
         RegimeSpec(0, seed=-1)
+    # bool is an int subclass and np.bool_ compares as a number.
+    for noise_amp in (True, np.True_):
+        with pytest.raises(ValueError, match=f"^noise_amp must be .*, got {noise_amp}$"):
+            RegimeSpec(0, noise_amp=noise_amp)
+    for blend in (False, np.False_):
+        with pytest.raises(ValueError, match=rf"^blend must be in \[0, 1\), got {blend}$"):
+            RegimeSpec(0, blend=blend)
 
 
 @pytest.mark.parametrize("field, value", [
