@@ -90,6 +90,7 @@ class LinearModel:
             raise ValueError(f"task must be a string, got {self.task!r}")
         if not (_is_real(self.l2_lambda) and 0 <= self.l2_lambda < math.inf):  # NaN fails
             raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        object.__setattr__(self, "l2_lambda", float(self.l2_lambda))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "biases", np.asarray(self.biases, dtype=np.float64))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -107,15 +108,19 @@ class LinearModel:
                              f"for {len(self.feature_names)} features")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of (N, C) logits and its log-sum-exp, from one max-shifted exp."""
+    zmax = logits.max(axis=1)
+    exp = np.exp(logits - zmax[:, None])
+    sums = exp.sum(axis=1)
+    exp /= sums[:, None]
+    return exp, np.log(sums) + zmax
 
 
 def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                      l2_lambda: float) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy + (lambda/2) ||W||^2 and its exact gradient.
+                      l2_lambda: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy + (lambda/2) ||W||^2, its exact gradient, and the
+    (N, C) class probabilities they come from, which Newton's Hessian reuses.
 
     params is (C, d + 1): the first d columns are class weights, the last
     column is the bias. X is the standardized (N, d) design matrix and
@@ -136,20 +141,16 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     weights = params[:, :-1]
     biases = params[:, -1]
     logits = X @ weights.T + biases
-
-    # log-sum-exp and softmax from one max-shifted (overflow-safe) exponential.
-    zmax = logits.max(axis=1)
-    exp = np.exp(logits - zmax[:, None])
-    sums = exp.sum(axis=1)
-    nll = (np.log(sums) + zmax - logits[np.arange(n), y]).mean()
+    probs, lse = _softmax(logits)
+    nll = (lse - logits[np.arange(n), y]).mean()
     loss = nll + 0.5 * l2_lambda * (weights ** 2).sum()
 
-    delta = exp / sums[:, None]
+    delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grad_w = delta.T @ X + l2_lambda * weights
     grad_b = delta.sum(axis=0)
-    return float(loss), np.concatenate([grad_w, grad_b[:, None]], axis=1)
+    return float(loss), np.concatenate([grad_w, grad_b[:, None]], axis=1), probs
 
 
 def _sum_zero_basis(class_count: int) -> np.ndarray:
@@ -162,19 +163,19 @@ def _sum_zero_basis(class_count: int) -> np.ndarray:
     return basis
 
 
-def _hessian(params: np.ndarray, basis: np.ndarray, X: np.ndarray,
-             design: np.ndarray, diagonal: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _hessian(probs: np.ndarray, basis: np.ndarray, design: np.ndarray,
+             diagonal: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Exact Hessian over the flattened (C-1, d+1) coordinates theta of
-    params = basis @ theta, given the fit's fixed design matrix [X, 1] and
-    diagonal (L2 penalty plus Newton ridge). Block (a, b) weighs the design
-    rows by (p @ (P[:, a] * P[:, b]) - q[:, a] * q[:, b]) / N, q = p @ P.
+    params = basis @ theta, given loss_and_gradient's class probabilities p
+    at those params, the fit's fixed design matrix [X, 1] and diagonal (L2
+    penalty plus Newton ridge). Block (a, b) weighs the design rows by
+    (p @ (P[:, a] * P[:, b]) - q[:, a] * q[:, b]) / N, q = p @ P.
 
     out is the fit's Hessian buffer, overwritten and returned: a fit
     allocates it once instead of faulting in fresh pages every iteration.
     """
     n, da = design.shape
     k = basis.shape[1]
-    probs = _softmax(X @ params[:, :-1].T + params[:, -1])
     q = probs @ basis
     blocks = out.reshape(k, da, k, da)  # a view of out
     for a in range(k):
@@ -216,45 +217,41 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     loss history.
 
     The parameters are fitted, from zero, in the row space of Z and on the
-    sum-to-zero class subspace (see the module docstring). The stopping
-    test is on the full-space gradient.
+    sum-to-zero class subspace (see the module docstring). One softmax per
+    iterate, in its loss_and_gradient call, feeds its gradient and Hessian.
+    The stopping test is on the full-space gradient [grad_W @ V.T, grad_b].
     """
     V, ZV = _row_space(Z)
     n, r = ZV.shape
     basis = _sum_zero_basis(class_count)
-
-    def full_space(p):  # (k, r + 1) -> (k, d + 1)
-        return np.concatenate([p[:, :-1] @ V.T, p[:, -1:]], axis=1)
-
     theta = np.zeros((class_count - 1, r + 1))
     design = np.concatenate([ZV, np.ones((n, 1))], axis=1)
     penalty = np.append(np.full(r, config.l2_lambda), 0.0)  # biases unpenalized
     diagonal = np.tile(penalty, class_count - 1) + _NEWTON_RIDGE
     hess_buffer = np.empty((diagonal.size, diagonal.size))
-    params = basis @ theta
-    loss, grad = loss_and_gradient(params, ZV, y, config.l2_lambda)
+    loss, grad, probs = loss_and_gradient(basis @ theta, ZV, y, config.l2_lambda)
     history = [loss]
     for _ in range(config.max_iters):
-        if np.abs(full_space(grad)).max() <= config.grad_tol:
+        if max(np.abs(grad[:, :-1] @ V.T).max(initial=0.0),
+               np.abs(grad[:, -1]).max()) <= config.grad_tol:
             break
-        hess = _hessian(params, basis, ZV, design, diagonal, hess_buffer)
+        hess = _hessian(probs, basis, design, diagonal, hess_buffer)
         reduced = basis.T @ grad
         step = np.linalg.solve(hess, reduced.reshape(-1)).reshape(theta.shape)
         descent = float((reduced * step).sum())
         scale = 1.0
         for _ in range(_MAX_BACKTRACKS):
             candidate = theta - scale * step
-            cand_params = basis @ candidate
-            cand_loss, cand_grad = loss_and_gradient(cand_params, ZV, y, config.l2_lambda)
-            if cand_loss <= loss - _ARMIJO_C1 * scale * descent:
+            evaluated = loss_and_gradient(basis @ candidate, ZV, y, config.l2_lambda)
+            if evaluated[0] <= loss - _ARMIJO_C1 * scale * descent:
                 break
             scale *= 0.5
         else:
             # Numerically flat: no step length improves the objective.
             break
-        theta, params, loss, grad = candidate, cand_params, cand_loss, cand_grad
+        theta, (loss, grad, probs) = candidate, evaluated
         history.append(loss)
-    return basis @ full_space(theta), history
+    return basis @ np.concatenate([theta[:, :-1] @ V.T, theta[:, -1:]], axis=1), history
 
 
 def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,
@@ -321,7 +318,7 @@ def predict_proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"non-finite feature value in row {np.argmin(finite)}")
     z = model.standardizer.transform(X)
-    return _softmax(z @ model.weights.T + model.biases)
+    return _softmax(z @ model.weights.T + model.biases)[0]
 
 
 def predict(model: LinearModel, X: np.ndarray) -> np.ndarray:

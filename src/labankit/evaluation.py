@@ -83,6 +83,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     labels = np.asarray(labels)
     if not _is_integer(k) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     folds = np.empty(labels.shape[0], dtype=np.int64)
     for c in np.unique(labels):
@@ -194,8 +196,8 @@ def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
 
     return EvalReport(
         task=task.kind,
-        k=k,
-        seed=seed,
+        k=int(k),
+        seed=int(seed),
         n_rows=int(labels.size),
         class_count=c,
         accuracy=float(np.trace(confusion) / labels.size),

@@ -145,15 +145,15 @@ def test_optimizer_correctness():
         y[:c] = np.arange(c)
         params = rng.normal(scale=0.5, size=(c, d + 1))
         l2 = float(rng.uniform(0.0, 2.0))
-        _, analytic = loss_and_gradient(params, X, y, l2)
+        _, analytic, _ = loss_and_gradient(params, X, y, l2)
         numeric = np.zeros_like(params)
         h = 1e-6
         flat = params.ravel()
         for i in range(flat.size):
             bump = np.zeros_like(flat)
             bump[i] = h
-            up, _ = loss_and_gradient((flat + bump).reshape(params.shape), X, y, l2)
-            down, _ = loss_and_gradient((flat - bump).reshape(params.shape), X, y, l2)
+            up, _, _ = loss_and_gradient((flat + bump).reshape(params.shape), X, y, l2)
+            down, _, _ = loss_and_gradient((flat - bump).reshape(params.shape), X, y, l2)
             numeric.ravel()[i] = (up - down) / (2 * h)
         rel = np.abs(analytic - numeric) / np.maximum(
             np.abs(analytic) + np.abs(numeric), 1e-6)
@@ -172,7 +172,7 @@ def test_optimizer_correctness():
     newton_obj = history[-1]
 
     def fun(flat):
-        loss, grad = loss_and_gradient(flat.reshape(3, 9), Z, y, 1.0)
+        loss, grad, _ = loss_and_gradient(flat.reshape(3, 9), Z, y, 1.0)
         return loss, grad.ravel()
     lbfgs = scipy.optimize.minimize(fun, rng.normal(scale=0.3, size=27),
                                     jac=True, method="L-BFGS-B",
@@ -185,7 +185,7 @@ def test_optimizer_correctness():
     for c in (2, 3, 4):
         Xc = rng.normal(size=(4 * c, 5))
         yc = np.tile(np.arange(c), 4)
-        loss, _ = loss_and_gradient(np.zeros((c, 6)), Xc, yc, 0.0)
+        loss, _, _ = loss_and_gradient(np.zeros((c, 6)), Xc, yc, 0.0)
         assert loss == pytest.approx(math.log(c), abs=1e-12)
 
     print(f"PASS optimizer correctness: gradient worst rel {worst_rel:.2e}, "

@@ -54,10 +54,10 @@ def test_zero_weights_give_log_c_loss():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(64, 6))
     y = np.tile([0, 1], 32)
-    loss, _ = loss_and_gradient(np.zeros((2, 7)), X, y, l2_lambda=0.0)
+    loss, _, _ = loss_and_gradient(np.zeros((2, 7)), X, y, l2_lambda=0.0)
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
     y4 = np.tile([0, 1, 2, 3], 16)
-    loss4, _ = loss_and_gradient(np.zeros((4, 7)), X, y4, l2_lambda=0.0)
+    loss4, _, _ = loss_and_gradient(np.zeros((4, 7)), X, y4, l2_lambda=0.0)
     assert loss4 == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -67,8 +67,8 @@ def central_difference_gradient(params, X, y, l2, h=1e-6):
     for i in range(flat.size):
         bump = np.zeros_like(flat)
         bump[i] = h
-        plus, _ = loss_and_gradient((flat + bump).reshape(params.shape), X, y, l2)
-        minus, _ = loss_and_gradient((flat - bump).reshape(params.shape), X, y, l2)
+        plus, _, _ = loss_and_gradient((flat + bump).reshape(params.shape), X, y, l2)
+        minus, _, _ = loss_and_gradient((flat - bump).reshape(params.shape), X, y, l2)
         grad.ravel()[i] = (plus - minus) / (2 * h)
     return grad
 
@@ -79,7 +79,7 @@ def test_gradient_matches_central_differences():
         X, y, c, d = random_problem(rng)
         params = rng.normal(scale=0.5, size=(c, d + 1))
         l2 = float(rng.uniform(0.0, 2.0))
-        _, analytic = loss_and_gradient(params, X, y, l2)
+        _, analytic, _ = loss_and_gradient(params, X, y, l2)
         numeric = central_difference_gradient(params, X, y, l2)
         rel = np.abs(analytic - numeric) / np.maximum(
             np.abs(analytic) + np.abs(numeric), 1e-6)
@@ -99,7 +99,7 @@ def test_loss_rejects_non_finite():
 def test_softmax_overflow_safety():
     X = np.array([[1e3, -1e3], [-1e3, 1e3]])
     params = np.array([[5.0, -5.0, 0.0], [-5.0, 5.0, 0.0]])
-    loss, grad = loss_and_gradient(params, X, np.array([0, 1]), 0.0)
+    loss, grad, _ = loss_and_gradient(params, X, np.array([0, 1]), 0.0)
     assert np.isfinite(loss) and np.isfinite(grad).all()
 
 
@@ -112,7 +112,7 @@ def test_loss_and_gradient_equal_the_two_softmax_reference_bit_for_bit(c, l2):
     X, y, c, d = random_problem(rng, n=90, c=c, d=7)
     for scale in (0.0, 0.5, 3.0):
         params = rng.normal(scale=scale, size=(c, d + 1))
-        loss, grad = loss_and_gradient(params, X, y, l2)
+        loss, grad, _ = loss_and_gradient(params, X, y, l2)
         ref_loss, ref_grad = oracles.loss_and_gradient(params, X, y, l2)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
@@ -125,7 +125,7 @@ def test_loss_and_gradient_equal_the_reference_with_logits_above_700():
     params[:, -1] = [750.0, 720.0, 705.0]
     logits = X @ params[:, :-1].T + params[:, -1]
     assert logits.max() > 700  # np.exp(logits) itself would overflow
-    loss, grad = loss_and_gradient(params, X, y, 0.01)
+    loss, grad, _ = loss_and_gradient(params, X, y, 0.01)
     ref_loss, ref_grad = oracles.loss_and_gradient(params, X, y, 0.01)
     assert np.isfinite(loss) and loss == ref_loss
     assert np.array_equal(grad, ref_grad)
@@ -140,17 +140,27 @@ def test_newton_hessians_equal_the_rebuilding_reference_bit_for_bit(c, l2, monke
     rng = np.random.default_rng(200 + 10 * c + int(100 * l2))
     X, y = blobs(rng, per_class=15, c=c, d=5, spread=1.0)
     Z = (X - X.mean(0)) / X.std(0)
-    real_hessian = classifier._hessian
+    # Each Hessian is fed the very probabilities array that the objective
+    # returned for its iterate.
+    real_objective, real_hessian = classifier.loss_and_gradient, classifier._hessian
+    evaluated = []  # (probs, params, X) of every objective call
     built, projected = [], []
 
-    def checked(params, basis, X, design, diagonal, out):
-        hess = real_hessian(params, basis, X, design, diagonal, out)
+    def recorded(params, X, y, l2_lambda):
+        loss, grad, probs = real_objective(params, X, y, l2_lambda)
+        evaluated.append((probs, params, X))
+        return loss, grad, probs
+
+    def checked(probs, basis, design, diagonal, out):
+        params, X = next((p, x) for fed, p, x in evaluated if fed is probs)
+        hess = real_hessian(probs, basis, design, diagonal, out)
         built.append(np.array_equal(hess, oracles.reduced_hessian(params, basis, X, l2)))
         lift = np.kron(basis, np.eye(X.shape[1] + 1))
         full = lift.T @ oracles.hessian(params, X, l2) @ lift
         projected.append(np.abs(hess - full).max() / np.abs(full).max())
         return hess
 
+    monkeypatch.setattr(classifier, "loss_and_gradient", recorded)
     monkeypatch.setattr(classifier, "_hessian", checked)
     _newton_minimize(Z, y, c, TrainConfig(l2_lambda=l2, max_iters=4))
     assert built and all(built)
@@ -203,7 +213,7 @@ def test_objective_matches_independent_convex_solver():
         return loss_and_gradient(flat.reshape(3, Z.shape[1] + 1), Z, y,
                                  config.l2_lambda)
     def fun(flat):
-        loss, grad = objective(flat)
+        loss, grad, _ = objective(flat)
         return loss, grad.ravel()
     x0 = rng.normal(scale=0.1, size=3 * (Z.shape[1] + 1))
     result = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
@@ -308,6 +318,18 @@ def test_a_numpy_integer_class_count_is_taken_and_saved_as_an_int(tmp_path):
     assert load_model(tmp_path / "numpy.json").class_count == 4
 
 
+def test_a_numpy_float_penalty_trains_a_model_that_saves_like_the_float_one(tmp_path):
+    # The model used to keep the np.float32, which json.dumps refuses.
+    rng = np.random.default_rng(4)
+    X, y = blobs(rng, per_class=10)
+    numpy = train(X, y, TASKS["three_way"], TrainConfig(l2_lambda=np.float32(0.5)))
+    plain = train(X, y, TASKS["three_way"], TrainConfig(l2_lambda=0.5))
+    assert type(numpy.l2_lambda) is float
+    save_model(numpy, tmp_path / "numpy.json")
+    save_model(plain, tmp_path / "float.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+    assert load_model(tmp_path / "numpy.json").l2_lambda == 0.5
+
 def test_train_config_takes_a_numpy_integer_iteration_cap():
     rng = np.random.default_rng(4)
     X, y = blobs(rng, per_class=10)
@@ -351,8 +373,8 @@ def record_hessian_sides(monkeypatch):
     sides = []
     real_hessian = classifier._hessian
 
-    def recorded(params, basis, X, design, diagonal, out):
-        hess = real_hessian(params, basis, X, design, diagonal, out)
+    def recorded(probs, basis, design, diagonal, out):
+        hess = real_hessian(probs, basis, design, diagonal, out)
         sides.append(hess.shape[0])
         return hess
 
@@ -453,8 +475,39 @@ def test_converged_fit_meets_grad_tol_on_the_full_space_gradient():
     config = TrainConfig(l2_lambda=0.01)
     params, history = _newton_minimize(Z, y, 3, config)
     assert len(history) - 1 < config.max_iters
-    _, grad = loss_and_gradient(params, Z, y, config.l2_lambda)
+    _, grad, _ = loss_and_gradient(params, Z, y, config.l2_lambda)
     assert np.abs(grad).max() <= config.grad_tol
+
+
+
+def test_a_fit_without_backtracking_evaluates_the_objective_once_per_iterate(monkeypatch):
+    # The zero start and every accepted full step take one loss_and_gradient
+    # call each; the Hessian reuses that call's probabilities.
+    rng = np.random.default_rng(6)
+    X, y = blobs(rng, per_class=25, c=4)
+    Z = (X - X.mean(0)) / X.std(0)
+    real_objective = classifier.loss_and_gradient
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_objective(*args)
+
+    monkeypatch.setattr(classifier, "loss_and_gradient", counted)
+    config = TrainConfig()
+    _, history = _newton_minimize(Z, y, 4, config)
+    assert 2 < len(history) <= config.max_iters
+    assert len(calls) == len(history)
+
+
+@pytest.mark.parametrize("c", (2, 3, 4))
+def test_objective_probabilities_equal_predict_proba_bit_for_bit(c):
+    rng = np.random.default_rng(20 + c)
+    X, y, c, _ = random_problem(rng, n=60, c=c, d=6)
+    model = train(X, y, TASK_OF[c], TrainConfig(l2_lambda=0.1))
+    params = np.concatenate([model.weights, model.biases[:, None]], axis=1)
+    _, _, probs = loss_and_gradient(params, model.standardizer.transform(X), y, 0.1)
+    assert np.array_equal(probs, predict_proba(model, X))
 
 
 # ---------------------------------------------------------------------------

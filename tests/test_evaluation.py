@@ -135,6 +135,15 @@ def test_kfold_refuses_a_fold_count_that_is_not_an_integer(k):
                           stratified_kfold(np.zeros(6), 2, 0))
 
 
+
+@pytest.mark.parametrize("seed", [True, np.True_, 2.5, "1"])
+def test_kfold_refuses_a_seed_that_is_not_an_integer(seed):
+    # True used to run as seed 1 and 2.5 to fail inside numpy.
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        stratified_kfold(np.zeros(6), 2, seed)
+    assert np.array_equal(stratified_kfold(np.zeros(6), 2, np.int64(1)),
+                          stratified_kfold(np.zeros(6), 2, 1))
+
 # ---------------------------------------------------------------------------
 # confusion matrix and macro F1
 # ---------------------------------------------------------------------------
@@ -315,6 +324,20 @@ def test_cross_validate_refuses_a_fold_count_that_is_not_an_integer():
     with pytest.raises(ValueError, match="k must be an integer >= 2, got 2.5"):
         cross_validate(X, tiers, TASKS["four_way"], k=2.5, seed=0)
 
+
+
+def test_cross_validate_refuses_a_seed_that_is_not_an_integer():
+    X, tiers = separable_blobs(np.random.default_rng(6), per_class=6)
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        cross_validate(X, tiers, TASKS["four_way"], k=2, seed=True)
+
+
+def test_numpy_integer_fold_count_and_seed_report_like_ints():
+    # The report used to keep the np.int64s, which json.dumps refuses.
+    X, tiers = separable_blobs(np.random.default_rng(6), per_class=6)
+    numpy = cross_validate(X, tiers, TASKS["binary"], k=np.int64(3), seed=np.int64(7))
+    plain = cross_validate(X, tiers, TASKS["binary"], k=3, seed=7)
+    assert json.dumps(numpy.to_dict()) == json.dumps(plain.to_dict())
 
 def test_report_shapes_and_rendering():
     rng = np.random.default_rng(7)
