@@ -22,6 +22,15 @@ parameters are P @ theta, with P an orthonormal (C, C - 1) Helmert basis of
 invariant, so Newton gives the same iterates as on all C classes, with a
 Hessian of side (C - 1) * (rank + 1). The fitted biases sum to zero by
 construction, so the saved model does not depend on the solver's path.
+
+Training sets of one row count can be fitted as one stack, as
+cross-validation fits its folds: the solver's arrays take a leading axis
+over the sets, and numpy's stacked matmul, solve and eigh make one call for
+the stack that runs every set with its own BLAS/LAPACK call. Each set's
+slices have the memory order its arrays get alone, and its Newton steps,
+stop test and line search are its own, so every model of a stack is bit
+for bit the one its set trains alone. Small fits gain most: their time goes
+to the fixed cost of each call.
 """
 
 from __future__ import annotations
@@ -109,22 +118,25 @@ class LinearModel:
 
 
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of (N, C) logits and its log-sum-exp, from one max-shifted exp."""
-    zmax = logits.max(axis=1)
-    exp = np.exp(logits - zmax[:, None])
-    sums = exp.sum(axis=1)
-    exp /= sums[:, None]
+    """Softmax over the classes of (..., N, C) logits and its log-sum-exp,
+    from one max-shifted exp."""
+    zmax = logits.max(axis=-1)
+    exp = np.exp(logits - zmax[..., None])
+    sums = exp.sum(axis=-1)
+    exp /= sums[..., None]
     return exp, np.log(sums) + zmax
 
 
 def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                      l2_lambda: float) -> tuple[float, np.ndarray, np.ndarray]:
+                      l2_lambda: float) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy + (lambda/2) ||W||^2, its exact gradient, and the
     (N, C) class probabilities they come from, which Newton's Hessian reuses.
 
     params is (C, d + 1): the first d columns are class weights, the last
     column is the bias. X is the standardized (N, d) design matrix and
-    y holds class ids in [0, C).
+    y holds class ids in [0, C). A stack of fits puts one more leading axis
+    on all three, (S, C, d + 1), (S, N, d) and (S, N); the loss is then an
+    (S,) array, and every fit gets the bits it gets alone.
     """
     params = np.asarray(params, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -133,24 +145,24 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
         raise ValueError("non-finite parameters")
     if not np.isfinite(X).all():
         raise ValueError("non-finite features")
-    n = X.shape[0]
-    c = params.shape[0]
+    n = X.shape[-2]
+    c = params.shape[-2]
     if y.min() < 0 or y.max() >= c:
         raise ValueError(f"labels must lie in [0, {c})")
 
-    weights = params[:, :-1]
-    biases = params[:, -1]
-    logits = X @ weights.T + biases
+    weights = params[..., :-1]
+    logits = X @ weights.mT + params[..., None, :, -1]
     probs, lse = _softmax(logits)
-    nll = (lse - logits[np.arange(n), y]).mean()
-    loss = nll + 0.5 * l2_lambda * (weights ** 2).sum()
+    truth = np.arange(y.size).reshape(y.shape) * c + y  # flat index of each row's label
+    nll = (lse - logits.reshape(-1)[truth]).mean(axis=-1)
+    loss = nll + 0.5 * l2_lambda * (weights ** 2).sum(axis=(-2, -1))
 
     delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta.reshape(-1)[truth] -= 1.0
     delta /= n
-    grad_w = delta.T @ X + l2_lambda * weights
-    grad_b = delta.sum(axis=0)
-    return float(loss), np.concatenate([grad_w, grad_b[:, None]], axis=1), probs
+    grad_w = delta.mT @ X + l2_lambda * weights
+    grad_b = delta.sum(axis=-2)
+    return loss, np.concatenate([grad_w, grad_b[..., None]], axis=-1), probs
 
 
 def _sum_zero_basis(class_count: int) -> np.ndarray:
@@ -169,28 +181,33 @@ def _hessian(probs: np.ndarray, basis: np.ndarray, design: np.ndarray,
     params = basis @ theta, given loss_and_gradient's class probabilities p
     at those params, the fit's fixed design matrix [X, 1] and diagonal (L2
     penalty plus Newton ridge). Block (a, b) weighs the design rows by
-    (p @ (P[:, a] * P[:, b]) - q[:, a] * q[:, b]) / N, q = p @ P.
+    (p @ (P[:, a] * P[:, b]) - q[:, a] * q[:, b]) / N, q = p @ P. A stack
+    of fits puts one more leading axis on p, the design and out.
 
     out is the fit's Hessian buffer, overwritten and returned: a fit
     allocates it once instead of faulting in fresh pages every iteration.
     """
-    n, da = design.shape
+    n, da = design.shape[-2:]
     k = basis.shape[1]
     q = probs @ basis
-    blocks = out.reshape(k, da, k, da)  # a view of out
+    blocks = out.reshape(out.shape[:-2] + (k, da, k, da))  # a view of out
     for a in range(k):
         for b in range(a, k):
-            w = (probs @ (basis[:, a] * basis[:, b]) - q[:, a] * q[:, b]) / n
-            block = design.T @ (w[:, None] * design)
-            blocks[a, :, b, :] = block
+            w = (probs @ (basis[:, a] * basis[:, b]) - q[..., a] * q[..., b]) / n
+            block = design.mT @ (w[..., None] * design)
+            blocks[..., a, :, b, :] = block
             if b != a:
-                blocks[b, :, a, :] = block
-    out.flat[::out.shape[0] + 1] += diagonal
+                blocks[..., b, :, a, :] = block
+    out.reshape(out.shape[:-2] + (-1,))[..., ::out.shape[-1] + 1] += diagonal
     return out
 
 
-def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal (d, r) basis V of the span of Z's rows, and Z @ V.
+def _row_space(Z: np.ndarray) -> list[tuple]:
+    """Orthonormal (d, r) bases V of the span of the rows of standardized
+    (n, d) rows Z, or of each set of a stack (S, n, d), and Z @ V, grouped
+    by the rank r: a list of (sets, V, ZV), one per rank. sets is ... (all
+    of Z) when every set has one rank, as an unstacked Z always does, and
+    otherwise the indices of the sets of rank r.
 
     The basis comes from the eigenvectors of the smaller Gram matrix. With
     fewer rows than features, Z = U S V.T gives Z @ Z.T = U S^2 U.T, so
@@ -199,63 +216,114 @@ def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the 110 LMA features are: each Effort mean is a mean or sum of per-joint
     kinematic means, and the six Initiation means sum to one.
     """
-    n, d = Z.shape
-    evals, evecs = np.linalg.eigh(Z @ Z.T if n < d else Z.T @ Z)
-    kept = evals > d * _ROW_SPACE_RTOL * evals.max(initial=0.0)
-    if n >= d:
-        V = evecs[:, kept]
-        return V, Z @ V
-    sigma = np.sqrt(evals[kept])
-    U = evecs[:, kept]
-    return (Z.T @ U) / sigma, U * sigma
+    n, d = Z.shape[-2:]
+    evals, evecs = np.linalg.eigh(Z @ Z.mT if n < d else Z.mT @ Z)
+    m = evals.shape[-1]
+    kept = evals > d * _ROW_SPACE_RTOL * evals.max(axis=-1, keepdims=True, initial=0.0)
+    ranks = kept.sum(axis=-1)  # eigh sorts ascending: a set keeps its last r
+    found = np.unique(ranks)
+    if found.size == 1:
+        groups = [(..., int(found[0]))]
+    else:
+        groups = [(np.flatnonzero(ranks == r), int(r)) for r in found]
+    spaces = []
+    for sets, r in groups:
+        # Each set's columns in the Fortran order that a boolean column
+        # index gives one set, so that its products are its bits alone.
+        U = evecs[sets][..., m - r:].mT.copy().mT
+        if n >= d:
+            spaces.append((sets, U, Z[sets] @ U))
+        else:
+            sigma = np.sqrt(evals[sets][..., None, m - r:])
+            spaces.append((sets, (Z[sets].mT @ U) / sigma, U * sigma))
+    return spaces
 
 
 def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
-                     config: TrainConfig) -> tuple[np.ndarray, list[float]]:
+                     config: TrainConfig) -> tuple[np.ndarray, list]:
     """Damped Newton descent on the convex objective; returns the (C, d+1)
     params, whose weights and biases sum to zero over the classes, and the
-    loss history.
+    loss history. A stack of S fits, Z (S, n, d) and y (S, n), returns
+    (S, C, d+1) params and a list of S histories.
 
     The parameters are fitted, from zero, in the row space of Z and on the
-    sum-to-zero class subspace (see the module docstring). One softmax per
-    iterate, in its loss_and_gradient call, feeds its gradient and Hessian.
-    The stopping test is on the full-space gradient [grad_W @ V.T, grad_b].
+    sum-to-zero class subspace (see the module docstring). The fits of a
+    stack whose row spaces have one rank run as one stacked problem, in
+    lockstep; those of another rank run as another.
     """
-    V, ZV = _row_space(Z)
-    n, r = ZV.shape
+    lead = Z.shape[:-2]
+    params = np.empty(lead + (class_count, Z.shape[-1] + 1))
+    order = np.arange(math.prod(lead)).reshape(lead)  # each set's place in histories
+    histories = [None] * order.size
+    for sets, V, ZV in _row_space(Z):
+        params[sets], found = _newton_lockstep(V, ZV, y[sets], class_count, config)
+        for i, history in zip(order[sets].flat, found):
+            histories[i] = history
+    return params, histories if lead else histories[0]
+
+
+def _newton_lockstep(V: np.ndarray, ZV: np.ndarray, y: np.ndarray, class_count: int,
+                     config: TrainConfig) -> tuple[np.ndarray, list[list[float]]]:
+    """_newton_minimize on one basis V, or a stack of bases of one rank, and
+    the rows ZV in it: the full-space params and each fit's loss history.
+
+    The fits of a stack take their Newton steps together, so that each
+    Hessian build, solve and objective makes one call for the stack, but
+    every fit keeps its own stop test, Armijo halving and flat exit. A fit
+    that stops stops moving, so each fit goes through exactly the iterates,
+    and ends at the bits, it would alone. One softmax per iterate, in its
+    loss_and_gradient call, feeds its gradient and Hessian. The stopping
+    test is on the full-space gradient [grad_W @ V.T, grad_b].
+    """
+    lead = ZV.shape[:-2]
+    n, r = ZV.shape[-2:]
     basis = _sum_zero_basis(class_count)
-    theta = np.zeros((class_count - 1, r + 1))
-    design = np.concatenate([ZV, np.ones((n, 1))], axis=1)
+    theta = np.zeros(lead + (class_count - 1, r + 1))
+    design = np.concatenate([ZV, np.ones(lead + (n, 1))], axis=-1)
     penalty = np.append(np.full(r, config.l2_lambda), 0.0)  # biases unpenalized
     diagonal = np.tile(penalty, class_count - 1) + _NEWTON_RIDGE
-    hess_buffer = np.empty((diagonal.size, diagonal.size))
+    hess_buffer = np.empty(lead + (diagonal.size, diagonal.size))
     loss, grad, probs = loss_and_gradient(basis @ theta, ZV, y, config.l2_lambda)
-    history = [loss]
+    histories = [[value] for value in np.ravel(loss).tolist()]
+    running = np.ones(lead, dtype=bool)
     for _ in range(config.max_iters):
-        if max(np.abs(grad[:, :-1] @ V.T).max(initial=0.0),
-               np.abs(grad[:, -1]).max()) <= config.grad_tol:
+        running &= ~(np.maximum(np.abs(grad[..., :-1] @ V.mT).max(axis=(-2, -1), initial=0.0),
+                                np.abs(grad[..., -1]).max(axis=-1)) <= config.grad_tol)
+        if not running.any():
             break
         hess = _hessian(probs, basis, design, diagonal, hess_buffer)
         reduced = basis.T @ grad
-        step = np.linalg.solve(hess, reduced.reshape(-1)).reshape(theta.shape)
-        descent = float((reduced * step).sum())
-        scale = 1.0
+        step = np.linalg.solve(hess, reduced.reshape(lead + (-1, 1))).reshape(theta.shape)
+        descent = (reduced * step).reshape(lead + (-1,)).sum(axis=-1)
+        scale = np.ones(lead)
+        pending = running.copy()
         for _ in range(_MAX_BACKTRACKS):
-            candidate = theta - scale * step
+            candidate = theta - scale[..., None, None] * step
             evaluated = loss_and_gradient(basis @ candidate, ZV, y, config.l2_lambda)
-            if evaluated[0] <= loss - _ARMIJO_C1 * scale * descent:
+            accepted = pending & (evaluated[0] <= loss - _ARMIJO_C1 * scale * descent)
+            if accepted.all():  # every fit moves, as one fit always does
+                theta, (loss, grad, probs) = candidate, evaluated
+            elif accepted.any():
+                moving = accepted[..., None, None]
+                for state, new in ((theta, candidate), (grad, evaluated[1]),
+                                   (probs, evaluated[2])):
+                    np.copyto(state, new, where=moving)
+                loss = np.where(accepted, evaluated[0], loss)
+            pending ^= accepted  # accepted fits were pending
+            if not pending.any():
                 break
-            scale *= 0.5
-        else:
-            # Numerically flat: no step length improves the objective.
-            break
-        theta, (loss, grad, probs) = candidate, evaluated
-        history.append(loss)
-    return basis @ np.concatenate([theta[:, :-1] @ V.T, theta[:, -1:]], axis=1), history
+            scale[pending] *= 0.5
+        # A fit still pending is numerically flat, as no step length improves
+        # it, and stops (pending fits were running).
+        running ^= pending
+        losses = np.ravel(loss).tolist()
+        for i in np.flatnonzero(running):
+            histories[i].append(losses[i])
+    return basis @ np.concatenate([theta[..., :-1] @ V.mT, theta[..., -1:]], axis=-1), histories
 
 
 def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,
-          feature_names=None) -> LinearModel:
+          feature_names=None) -> LinearModel | list[LinearModel]:
     """Fit a multinomial logistic regression on raw feature rows.
 
     task owns the class structure: its class_count sets the number of
@@ -264,46 +332,62 @@ def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,
     evaluation.TaskSpec (not imported here: evaluation imports this module).
     The standardizer is fitted here, on exactly the rows given,
     and travels with the model; callers never standardize themselves.
+
+    X (N, d) and y (N,) give one model. S training sets of N rows each,
+    stacked as X (S, N, d) and y (S, N), give a list of S models, each with
+    its own standardizer and each bit for bit the model its set gives
+    alone; they are fitted as one stacked Newton problem, so each
+    BLAS/LAPACK call of a Newton step is made once for the stack.
     """
     config = config or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
+    if X.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D feature matrix or a 3-D stack of them, "
+                         f"got shape {X.shape}")
+    stacked = X.ndim == 3
+    if y.shape != X.shape[:-1]:
+        if stacked:
+            raise ValueError(f"labels of shape {y.shape} for {X.shape[0]} sets of "
+                             f"{X.shape[1]} rows: each set needs one label per row")
         raise ValueError("labels must be one per row")
-    if not np.isfinite(X).all():
-        raise ValueError("non-finite training data")
+    finite = np.isfinite(X).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError("non-finite training data"
+                         + (f" in set {np.argmin(finite)}" if stacked else ""))
     if y.dtype.kind not in "iu":  # bool is kind "b"
         raise ValueError(f"task {task.kind!r}: labels must be integers, got dtype {y.dtype}")
     class_count = task.class_count
-    outside = (y < 0) | (y >= class_count)
-    if outside.any():
-        raise ValueError(f"task {task.kind!r}: label {y[outside][0]} is outside "
-                         f"[0, {class_count})")
-    counts = np.bincount(y, minlength=class_count)
-    if not counts.all():
-        raise ValueError(f"task {task.kind!r}: class {np.argmin(counts)} "
-                         f"has no training rows")
+    n, d = X.shape[-2:]
+    for i, labels in enumerate(np.atleast_2d(y)):  # one set, or each of a stack
+        where = f"task {task.kind!r}" + (f", set {i}" if stacked else "")
+        outside = (labels < 0) | (labels >= class_count)
+        if outside.any():
+            raise ValueError(f"{where}: label {labels[outside][0]} is outside "
+                             f"[0, {class_count})")
+        counts = np.bincount(labels, minlength=class_count)
+        if not counts.all():
+            raise ValueError(f"{where}: class {np.argmin(counts)} has no training rows")
     if feature_names is None:
-        feature_names = tuple(f"x{j}" for j in range(X.shape[1]))
-    elif len(feature_names) != X.shape[1]:
-        raise ValueError(
-            f"{len(feature_names)} feature names for {X.shape[1]} columns"
-        )
+        feature_names = tuple(f"x{j}" for j in range(d))
+    elif len(feature_names) != d:
+        raise ValueError(f"{len(feature_names)} feature names for {d} columns")
 
-    standardizer = fit_standardizer(X)
-    Z = standardizer.transform(X)
+    standardizers = [fit_standardizer(rows) for rows in X.reshape(-1, n, d)]
+    shape = X.shape[:-2] + (1, d)
+    Z = ((X - np.stack([s.means for s in standardizers]).reshape(shape))
+         / np.stack([s.stds for s in standardizers]).reshape(shape))
     params, _ = _newton_minimize(Z, y, class_count, config)
-    return LinearModel(
+    models = [LinearModel(
         task=task.kind,
         class_count=class_count,
-        weights=params[:, :-1],
-        biases=params[:, -1],
+        weights=fit[:, :-1],
+        biases=fit[:, -1],
         standardizer=standardizer,
         feature_names=tuple(feature_names),
         l2_lambda=config.l2_lambda,
-    )
+    ) for fit, standardizer in zip(params.reshape(-1, class_count, d + 1), standardizers)]
+    return models if stacked else models[0]
 
 
 def predict_proba(model: LinearModel, X: np.ndarray) -> np.ndarray:

@@ -10,6 +10,16 @@ from .classifier import TrainConfig, predict, train
 from .skeleton import VALID_TIERS, _is_integer
 
 
+# cross_validate fits the folds of one training-row count in stacks of at
+# most this many rows. A stack saves the fixed cost of each BLAS/LAPACK
+# call, most of a small fit's time, but a big stack's arrays outgrow the
+# cache. On a 2-core VM at one BLAS thread, 5-fold 110-feature CV took
+# 0.64 / 0.83 / 0.94 / 0.98 of its fold-by-fold time at 32 / 54 / 80 / 128
+# rows a fold with this cap, and stacks of five 640- or 1,280-row folds
+# took 1.10 / 1.24 of it.
+_STACK_ROWS = 384
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Maps the four ordinal tiers onto a classification task's labels.
@@ -163,6 +173,18 @@ class EvalReport:
         return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in items}
 
 
+def _fold_stacks(folds: np.ndarray, k: int) -> list[list[int]]:
+    """The folds in stacks of one training-row count, at most _STACK_ROWS
+    training rows to a stack, each stack in ascending fold order."""
+    training_rows = folds.size - np.bincount(folds, minlength=k)
+    stacks = []
+    for size in dict.fromkeys(training_rows.tolist()):  # in order of first fold
+        same = np.flatnonzero(training_rows == size).tolist()
+        per_stack = max(1, _STACK_ROWS // size)
+        stacks += [same[i:i + per_stack] for i in range(0, len(same), per_stack)]
+    return stacks
+
+
 def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
                    config: TrainConfig | None = None, seed: int = 0) -> EvalReport:
     """Stratified k-fold cross-validation of the logistic classifier.
@@ -170,24 +192,31 @@ def cross_validate(X, tiers, task: TaskSpec, k: int = 5,
     Each fold's model is trained purely on its training rows (the
     standardizer is fitted inside train precisely so that no held-out
     statistics can leak), and every row is predicted exactly once, by
-    the model that never saw it.
+    the model that never saw it. Folds with one training-row count are
+    fitted in one stacked train call of at most _STACK_ROWS rows (a fold
+    with more rows is a stack of one); each fold's model is bit for bit
+    the one train gives for its rows alone.
     """
     config = config or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
     labels, mask = remap_task(tiers, task)
+    if X.ndim != 2 or X.shape[0] != mask.size:
+        raise ValueError(f"expected an (N, d) feature matrix of one row per tier, "
+                         f"got shape {X.shape} for {mask.size} tiers")
     kept = X[mask]
     if labels.size == 0:
         raise ValueError(f"task {task.kind!r} keeps no rows")
     folds = stratified_kfold(labels, k, seed)
 
     predictions = np.empty(labels.size, dtype=np.int64)
-    fold_accuracies = []
-    for f in range(k):
-        test = folds == f
-        model = train(kept[~test], labels[~test], task, config)
-        fold_pred = predict(model, kept[test])
-        predictions[test] = fold_pred
-        fold_accuracies.append(float((fold_pred == labels[test]).mean()))
+    fold_accuracies = [0.0] * k
+    for stack in _fold_stacks(folds, k):
+        rows = np.stack([np.flatnonzero(folds != f) for f in stack])
+        for f, model in zip(stack, train(kept[rows], labels[rows], task, config)):
+            test = folds == f
+            fold_pred = predict(model, kept[test])
+            predictions[test] = fold_pred
+            fold_accuracies[f] = float((fold_pred == labels[test]).mean())
 
     c = task.class_count
     confusion = confusion_matrix(labels, predictions, c)

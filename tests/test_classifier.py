@@ -279,6 +279,45 @@ def test_train_validates_inputs():
             train(X, labels, TASKS["binary"])
 
 
+def stacked_three_way_sets(rng, sets=3, rows=9, d=2):
+    """sets training sets of rows rows each, stacked: (sets, rows, d), (sets, rows)."""
+    return (rng.normal(size=(sets, rows, d)),
+            np.tile(np.arange(rows) % 3, (sets, 1)))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda X, y: (X, y[:, :8]), "labels of shape (3, 8) for 3 sets of 9 rows"),
+    (lambda X, y: (X, y[:2]), "labels of shape (2, 9) for 3 sets of 9 rows"),
+    (lambda X, y: (X, np.concatenate([y[:1], y[1:2] % 2, y[2:]])),
+     "task 'three_way', set 1: class 2 has no training rows"),
+    (lambda X, y: (X, np.concatenate([y[:2], y[2:] + 1])),
+     "task 'three_way', set 2: label 3 is outside [0, 3)"),
+    (lambda X, y: (np.concatenate([X[:1], X[1:] * np.inf]), y),
+     "non-finite training data in set 1"),
+])
+def test_train_refuses_a_stacked_set_naming_it(spoil, message):
+    X, y = spoil(*stacked_three_way_sets(np.random.default_rng(40)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(X, y, TASKS["three_way"])
+
+
+def test_train_refuses_a_feature_array_of_neither_two_nor_three_axes():
+    with pytest.raises(ValueError, match=re.escape("got shape (9,)")):
+        train(np.zeros(9), np.arange(9) % 3, TASKS["three_way"])
+
+
+def test_a_stack_trains_each_set_to_its_own_model_bit_for_bit():
+    X, y = stacked_three_way_sets(np.random.default_rng(41), sets=4, rows=12, d=20)
+    models = train(X, y, TASKS["three_way"], TrainConfig(l2_lambda=0.1))
+    assert len(models) == 4
+    for rows, labels, model in zip(X, y, models):
+        alone = train(rows, labels, TASKS["three_way"], TrainConfig(l2_lambda=0.1))
+        for got, want in ((model.weights, alone.weights), (model.biases, alone.biases),
+                          (model.standardizer.means, alone.standardizer.means),
+                          (model.standardizer.stds, alone.standardizer.stds)):
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"l2_lambda": math.nan}, "l2_lambda must be finite and >= 0"),
     ({"l2_lambda": math.inf}, "l2_lambda must be finite and >= 0"),
@@ -414,13 +453,42 @@ def test_the_row_space_comes_from_the_smaller_gram_matrix(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     Z = fit_standardizer(X).transform(X)
-    V, ZV = classifier._row_space(Z)
+    [(_, V, ZV)] = classifier._row_space(Z)
     side = min(X.shape)
     assert grams == [(side, side)]
     rank = np.linalg.matrix_rank(Z)
     assert V.shape == (X.shape[1], rank) and ZV.shape == (X.shape[0], rank)
     assert np.abs(V.T @ V - np.eye(rank)).max() <= 1e-12
     assert np.abs(Z @ V - ZV).max() <= 1e-12 * np.abs(ZV).max()
+
+
+def boolean_index_row_space(Z):
+    """One set's row space built with a boolean index of the kept
+    eigenvectors, whose copy is in Fortran order."""
+    n, d = Z.shape
+    evals, evecs = np.linalg.eigh(Z @ Z.T if n < d else Z.T @ Z)
+    kept = evals > d * np.finfo(np.float64).eps * evals.max(initial=0.0)
+    if n >= d:
+        return evecs[:, kept], Z @ evecs[:, kept]
+    sigma = np.sqrt(evals[kept])
+    return (Z.T @ evecs[:, kept]) / sigma, evecs[:, kept] * sigma
+
+
+@pytest.mark.parametrize("kind", ["wide", "tall", "duplicated"])
+def test_row_spaces_of_a_stack_and_of_one_set_equal_the_boolean_index_bit_for_bit(kind):
+    # The products of each set's basis must see its eigenvectors in the
+    # memory order that a boolean index leaves them in, stacked or not.
+    rng = np.random.default_rng(17)
+    sets = [fit_standardizer(X).transform(X)
+            for X, _ in (shaped_problem(kind, 3, rng) for _ in range(3))]
+    [(stack_sets, V, ZV)] = classifier._row_space(np.stack(sets))
+    assert stack_sets is Ellipsis
+    for i, Z in enumerate(sets):
+        [(_, V_alone, ZV_alone)] = classifier._row_space(Z)
+        V_ref, ZV_ref = boolean_index_row_space(Z)
+        for got, want in ((V[i], V_ref), (V_alone, V_ref), (ZV[i], ZV_ref),
+                          (ZV_alone, ZV_ref)):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 def test_wide_fit_builds_hessians_of_the_row_space(monkeypatch):

@@ -299,8 +299,9 @@ def test_every_fold_model_carries_its_tasks_kind_and_class_count(monkeypatch):
     models = []
 
     def recorded(*args, **kwargs):
-        models.append(real_train(*args, **kwargs))
-        return models[-1]
+        fitted = real_train(*args, **kwargs)
+        models.extend(fitted)  # one model per fold of the stack
+        return fitted
 
     monkeypatch.setattr(evaluation, "train", recorded)
     rng = np.random.default_rng(8)
@@ -310,6 +311,139 @@ def test_every_fold_model_carries_its_tasks_kind_and_class_count(monkeypatch):
         cross_validate(X, tiers, task, k=3, seed=0)
         assert [(m.task, m.class_count) for m in models] == [
             (task.kind, task.class_count)] * 3, task.kind
+
+
+def overlapping_blobs(per_class, d=6):
+    return separable_blobs(np.random.default_rng(1), per_class=per_class, d=d, spread=1.0)
+
+
+def record_train_calls(monkeypatch):
+    """The (X shape, models) of each train call cross_validate makes."""
+    from labankit import evaluation
+    real_train = evaluation.train
+    calls = []
+
+    def recorded(X, *args, **kwargs):
+        models = real_train(X, *args, **kwargs)
+        calls.append((np.shape(X), models))
+        return models
+
+    monkeypatch.setattr(evaluation, "train", recorded)
+    return calls
+
+
+def assert_fold_models_are_train_on_their_rows(monkeypatch, X, tiers, config):
+    """Every fold's model of a 5-fold CV equals train on that fold's rows
+    alone, bit for bit; returns the X shapes of cross_validate's train calls."""
+    from labankit import classifier, evaluation
+    task, k = TASKS["four_way"], 5
+    calls = record_train_calls(monkeypatch)
+    report = cross_validate(X, tiers, task, k=k, config=config, seed=0)
+    fold_order = [f for stack in evaluation._fold_stacks(report.folds, k) for f in stack]
+    fitted = dict(zip(fold_order, [m for _, models in calls for m in models]))
+    labels, mask = remap_task(tiers, task)
+    for f in range(k):
+        rows = report.folds != f
+        alone = classifier.train(X[mask][rows], labels[rows], task, config)
+        model = fitted[f]
+        for got, want in ((model.weights, alone.weights), (model.biases, alone.biases),
+                          (model.standardizer.means, alone.standardizer.means),
+                          (model.standardizer.stds, alone.standardizer.stds)):
+            assert got.tobytes() == want.tobytes(), f"fold {f}"
+    return [shape for shape, _ in calls]
+
+
+def test_equal_folds_fit_as_one_stack_each_model_as_train_alone(monkeypatch):
+    X, tiers = overlapping_blobs(per_class=10)
+    shapes = assert_fold_models_are_train_on_their_rows(monkeypatch, X, tiers,
+                                                        TrainConfig())
+    assert shapes == [(5, 32, 6)]
+
+
+def test_unequal_folds_fit_as_one_stack_per_size_each_model_as_train_alone(monkeypatch):
+    # 21 rows per class deal 5 to fold 0 and 4 to each other fold.
+    X, tiers = overlapping_blobs(per_class=21)
+    shapes = assert_fold_models_are_train_on_their_rows(monkeypatch, X, tiers,
+                                                        TrainConfig(l2_lambda=0.1))
+    assert shapes == [(1, 64, 6), (4, 68, 6)]
+
+
+def test_fits_that_stop_apart_and_backtrack_end_as_they_would_alone(monkeypatch):
+    # Unpenalized on overlapping blobs, the folds take 7 to 21 Newton steps,
+    # and some halve their step.
+    from labankit import classifier
+    real_newton, real_objective = classifier._newton_minimize, classifier.loss_and_gradient
+    steps, evaluations = [], []
+
+    def newton(Z, *args):
+        params, histories = real_newton(Z, *args)
+        if Z.ndim == 3:
+            steps.append([len(history) - 1 for history in histories])
+        return params, histories
+
+    def objective(params, *args):
+        evaluations.append(params.shape[:-2])
+        return real_objective(params, *args)
+
+    monkeypatch.setattr(classifier, "_newton_minimize", newton)
+    monkeypatch.setattr(classifier, "loss_and_gradient", objective)
+    X, tiers = overlapping_blobs(per_class=10)
+    assert_fold_models_are_train_on_their_rows(monkeypatch, X, tiers,
+                                               TrainConfig(l2_lambda=0.0))
+    [stack_steps] = steps
+    assert len(set(stack_steps)) > 1
+    stacked_evaluations = evaluations.count((5,))
+    assert stacked_evaluations > max(stack_steps) + 1  # some step was halved
+
+
+def test_folds_of_another_rank_fit_in_their_own_stack(monkeypatch):
+    # Wide folds: a fold that trains on both copies of a duplicated row spans
+    # one dimension fewer than a fold that holds one copy out.
+    from labankit import classifier
+    real_row_space = classifier._row_space
+    ranks = []
+
+    def recorded(Z):
+        spaces = real_row_space(Z)
+        ranks.append(sorted(V.shape[-1] for _, V, _ in spaces))
+        return spaces
+
+    monkeypatch.setattr(classifier, "_row_space", recorded)
+    X, tiers = overlapping_blobs(per_class=10, d=60)
+    X[1] = X[0]
+    shapes = assert_fold_models_are_train_on_their_rows(monkeypatch, X, tiers,
+                                                        TrainConfig())
+    assert shapes == [(5, 32, 60)]
+    assert ranks[0] == [30, 31]
+
+
+@pytest.mark.parametrize("cap, shapes", [
+    (40, [(1, 32, 6)] * 5),
+    (64, [(2, 32, 6), (2, 32, 6), (1, 32, 6)]),
+])
+def test_folds_over_the_stack_cap_are_fitted_in_smaller_stacks(monkeypatch, cap, shapes):
+    from labankit import evaluation
+    X, tiers = overlapping_blobs(per_class=10)
+    whole = cross_validate(X, tiers, TASKS["four_way"], k=5, seed=3)
+    monkeypatch.setattr(evaluation, "_STACK_ROWS", cap)
+    calls = record_train_calls(monkeypatch)
+    capped = cross_validate(X, tiers, TASKS["four_way"], k=5, seed=3)
+    assert [shape for shape, _ in calls] == shapes
+    assert json.dumps(capped.to_dict()) == json.dumps(whole.to_dict())
+
+
+@pytest.mark.parametrize("rows", [43, 37])
+def test_cross_validate_refuses_another_row_count_than_the_tiers(rows):
+    _, tiers = separable_blobs(np.random.default_rng(6), per_class=10)
+    X = np.random.default_rng(7).normal(size=(rows, 6))
+    with pytest.raises(ValueError, match=re.escape(f"got shape ({rows}, 6) for 40 tiers")):
+        cross_validate(X, tiers, TASKS["three_way"], k=5, seed=0)
+
+
+def test_cross_validate_names_the_shape_of_a_one_dimensional_input():
+    _, tiers = separable_blobs(np.random.default_rng(6), per_class=10)
+    with pytest.raises(ValueError, match=re.escape("got shape (40,) for 40 tiers")):
+        cross_validate(np.zeros(40), tiers, TASKS["three_way"], k=5, seed=0)
 
 
 def test_cross_validate_rejects_small_class():
