@@ -103,6 +103,13 @@ class LinearModel:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "biases", np.asarray(self.biases, dtype=np.float64))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        seen = set()
+        for name in self.feature_names:  # predict aligns table columns by name
+            if not isinstance(name, str):
+                raise ValueError(f"feature_names must hold only strings, got {name!r}")
+            if name in seen:
+                raise ValueError(f"feature_names must be distinct, got {name!r} twice")
+            seen.add(name)
         if self.weights.shape != (self.class_count, len(self.feature_names)):
             raise ValueError(
                 f"weights shape {self.weights.shape} does not match "
@@ -202,12 +209,11 @@ def _hessian(probs: np.ndarray, basis: np.ndarray, design: np.ndarray,
     return out
 
 
-def _row_space(Z: np.ndarray) -> list[tuple]:
-    """Orthonormal (d, r) bases V of the span of the rows of standardized
-    (n, d) rows Z, or of each set of a stack (S, n, d), and Z @ V, grouped
-    by the rank r: a list of (sets, V, ZV), one per rank. sets is ... (all
-    of Z) when every set has one rank, as an unstacked Z always does, and
-    otherwise the indices of the sets of rank r.
+def _row_space(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Orthonormal (d, r) basis V of the span of the rows of standardized
+    (n, d) rows Z, and Z @ V. A stack (S, n, d) whose sets all span r
+    dimensions gives the (S, d, r) bases and their (S, n, r) products; a
+    stack whose sets differ in rank gives None.
 
     The basis comes from the eigenvectors of the smaller Gram matrix. With
     fewer rows than features, Z = U S V.T gives Z @ Z.T = U S^2 U.T, so
@@ -220,23 +226,17 @@ def _row_space(Z: np.ndarray) -> list[tuple]:
     evals, evecs = np.linalg.eigh(Z @ Z.mT if n < d else Z.mT @ Z)
     m = evals.shape[-1]
     kept = evals > d * _ROW_SPACE_RTOL * evals.max(axis=-1, keepdims=True, initial=0.0)
-    ranks = kept.sum(axis=-1)  # eigh sorts ascending: a set keeps its last r
-    found = np.unique(ranks)
-    if found.size == 1:
-        groups = [(..., int(found[0]))]
-    else:
-        groups = [(np.flatnonzero(ranks == r), int(r)) for r in found]
-    spaces = []
-    for sets, r in groups:
-        # Each set's columns in the Fortran order that a boolean column
-        # index gives one set, so that its products are its bits alone.
-        U = evecs[sets][..., m - r:].mT.copy().mT
-        if n >= d:
-            spaces.append((sets, U, Z[sets] @ U))
-        else:
-            sigma = np.sqrt(evals[sets][..., None, m - r:])
-            spaces.append((sets, (Z[sets].mT @ U) / sigma, U * sigma))
-    return spaces
+    ranks = np.unique(kept.sum(axis=-1))  # eigh sorts ascending: a set keeps its last r
+    if ranks.size > 1:
+        return None
+    r = int(ranks[0])
+    # Each set's columns in the Fortran order that a boolean column
+    # index gives one set, so that its products are its bits alone.
+    U = evecs[..., m - r:].mT.copy().mT
+    if n >= d:
+        return U, Z @ U
+    sigma = np.sqrt(evals[..., None, m - r:])
+    return (Z.mT @ U) / sigma, U * sigma
 
 
 def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
@@ -248,33 +248,20 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
 
     The parameters are fitted, from zero, in the row space of Z and on the
     sum-to-zero class subspace (see the module docstring). The fits of a
-    stack whose row spaces have one rank run as one stacked problem, in
-    lockstep; those of another rank run as another.
+    stack take their Newton steps together, so that each Hessian build,
+    solve and objective makes one call for the stack, but every fit keeps
+    its own stop test, Armijo halving and flat exit. A fit that stops stops
+    moving, so each fit goes through exactly the iterates, and ends at the
+    bits, it would alone. A stack whose row spaces differ in rank is fitted
+    set by set. One softmax per iterate, in its loss_and_gradient call,
+    feeds its gradient and Hessian. The stopping test is on the full-space
+    gradient [grad_W @ V.T, grad_b].
     """
-    lead = Z.shape[:-2]
-    params = np.empty(lead + (class_count, Z.shape[-1] + 1))
-    order = np.arange(math.prod(lead)).reshape(lead)  # each set's place in histories
-    histories = [None] * order.size
-    for sets, V, ZV in _row_space(Z):
-        params[sets], found = _newton_lockstep(V, ZV, y[sets], class_count, config)
-        for i, history in zip(order[sets].flat, found):
-            histories[i] = history
-    return params, histories if lead else histories[0]
-
-
-def _newton_lockstep(V: np.ndarray, ZV: np.ndarray, y: np.ndarray, class_count: int,
-                     config: TrainConfig) -> tuple[np.ndarray, list[list[float]]]:
-    """_newton_minimize on one basis V, or a stack of bases of one rank, and
-    the rows ZV in it: the full-space params and each fit's loss history.
-
-    The fits of a stack take their Newton steps together, so that each
-    Hessian build, solve and objective makes one call for the stack, but
-    every fit keeps its own stop test, Armijo halving and flat exit. A fit
-    that stops stops moving, so each fit goes through exactly the iterates,
-    and ends at the bits, it would alone. One softmax per iterate, in its
-    loss_and_gradient call, feeds its gradient and Hessian. The stopping
-    test is on the full-space gradient [grad_W @ V.T, grad_b].
-    """
+    space = _row_space(Z)
+    if space is None:
+        fits = [_newton_minimize(z, labels, class_count, config) for z, labels in zip(Z, y)]
+        return np.stack([params for params, _ in fits]), [history for _, history in fits]
+    V, ZV = space
     lead = ZV.shape[:-2]
     n, r = ZV.shape[-2:]
     basis = _sum_zero_basis(class_count)
@@ -319,7 +306,8 @@ def _newton_lockstep(V: np.ndarray, ZV: np.ndarray, y: np.ndarray, class_count: 
         losses = np.ravel(loss).tolist()
         for i in np.flatnonzero(running):
             histories[i].append(losses[i])
-    return basis @ np.concatenate([theta[..., :-1] @ V.mT, theta[..., -1:]], axis=-1), histories
+    params = basis @ np.concatenate([theta[..., :-1] @ V.mT, theta[..., -1:]], axis=-1)
+    return params, histories if lead else histories[0]
 
 
 def train(X: np.ndarray, y: np.ndarray, task, config: TrainConfig | None = None,

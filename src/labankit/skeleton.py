@@ -396,8 +396,10 @@ def balance_dataset(manifest: DatasetManifest, per_class: int, seed: int) -> Dat
     Selected entries keep their original manifest order, which makes the
     operation idempotent on an already-balanced manifest.
     """
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
+    if not _is_integer(per_class) or per_class < 1:
+        raise ValueError(f"per_class must be an integer >= 1, got {per_class!r}")
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not manifest.entries:
         raise SkeletonError("manifest has no entries")
     by_tier: dict[int, list[int]] = {}

@@ -105,11 +105,12 @@ class RegimeSpec:
         if not _is_integer(self.regime) or self.regime not in range(N_REGIMES):
             raise ValueError(f"regime must be an integer in 0..{N_REGIMES - 1}, "
                              f"got {self.regime!r}")
-        if not MIN_FRAGMENT_SECONDS <= self.duration_s < math.inf:  # NaN fails too
+        if not (_is_real(self.duration_s)
+                and MIN_FRAGMENT_SECONDS <= self.duration_s < math.inf):  # NaN fails too
             raise ValueError(f"duration must be finite and >= "
-                             f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s}")
-        if not 10.0 <= self.fps <= 120.0:
-            raise ValueError(f"fps must be in [10, 120], got {self.fps}")
+                             f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s!r}")
+        if not (_is_real(self.fps) and 10.0 <= self.fps <= 120.0):
+            raise ValueError(f"fps must be in [10, 120], got {self.fps!r}")
         if not (_is_real(self.noise_amp) and 0.0 <= self.noise_amp < math.inf):
             raise ValueError(f"noise_amp must be finite and >= 0, got {self.noise_amp}")
         if not (_is_real(self.blend) and 0.0 <= self.blend < 1.0):

@@ -306,6 +306,18 @@ def test_train_refuses_a_feature_array_of_neither_two_nor_three_axes():
         train(np.zeros(9), np.arange(9) % 3, TASKS["three_way"])
 
 
+@pytest.mark.parametrize("names, message", [
+    ([0, 1, 2], "feature_names must hold only strings, got 0"),
+    (("a", "a", "b"), "feature_names must be distinct, got 'a' twice"),
+], ids=["int", "duplicate"])
+def test_train_refuses_feature_names_that_are_not_distinct_strings(names, message):
+    # Both used to train: save_model wrote the int names and load_model refused
+    # them, and predict aligned a table's column 'a' to both duplicate names.
+    X, y = stacked_three_way_sets(np.random.default_rng(42), sets=1, d=3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(X[0], y[0], TASKS["three_way"], feature_names=names)
+
+
 def test_a_stack_trains_each_set_to_its_own_model_bit_for_bit():
     X, y = stacked_three_way_sets(np.random.default_rng(41), sets=4, rows=12, d=20)
     models = train(X, y, TASKS["three_way"], TrainConfig(l2_lambda=0.1))
@@ -453,7 +465,7 @@ def test_the_row_space_comes_from_the_smaller_gram_matrix(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     Z = fit_standardizer(X).transform(X)
-    [(_, V, ZV)] = classifier._row_space(Z)
+    V, ZV = classifier._row_space(Z)
     side = min(X.shape)
     assert grams == [(side, side)]
     rank = np.linalg.matrix_rank(Z)
@@ -481,10 +493,9 @@ def test_row_spaces_of_a_stack_and_of_one_set_equal_the_boolean_index_bit_for_bi
     rng = np.random.default_rng(17)
     sets = [fit_standardizer(X).transform(X)
             for X, _ in (shaped_problem(kind, 3, rng) for _ in range(3))]
-    [(stack_sets, V, ZV)] = classifier._row_space(np.stack(sets))
-    assert stack_sets is Ellipsis
+    V, ZV = classifier._row_space(np.stack(sets))
     for i, Z in enumerate(sets):
-        [(_, V_alone, ZV_alone)] = classifier._row_space(Z)
+        V_alone, ZV_alone = classifier._row_space(Z)
         V_ref, ZV_ref = boolean_index_row_space(Z)
         for got, want in ((V[i], V_ref), (V_alone, V_ref), (ZV[i], ZV_ref),
                           (ZV_alone, ZV_ref)):

@@ -1001,12 +1001,20 @@ def _one_column_standardizer(payload):
     return payload
 
 
+def _duplicate_feature_name(payload):
+    payload["feature_names"][1] = payload["feature_names"][0]
+    return payload
+
+
 @pytest.mark.parametrize("edit, message", [
     (_nan_std, "means and stds must be finite"),
     (_drop_weights, "missing key 'weights'"),
     (lambda payload: [1], "expected a JSON object"),
     (_one_column_standardizer, "standardizer of 1 columns for 110 features"),
-], ids=["nan-std", "missing-key", "top-level-list", "one-column-standardizer"])
+    (_duplicate_feature_name,
+     f"feature_names must be distinct, got {labankit.FEATURE_NAMES_110[0]!r} twice"),
+], ids=["nan-std", "missing-key", "top-level-list", "one-column-standardizer",
+        "duplicate-feature-name"])
 def test_predict_with_a_broken_model_exits_2_naming_it(small_dataset, tmp_path,
                                                        capsys, edit, message):
     _, features = small_dataset

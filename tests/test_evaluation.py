@@ -398,15 +398,16 @@ def test_fits_that_stop_apart_and_backtrack_end_as_they_would_alone(monkeypatch)
 
 def test_folds_of_another_rank_fit_in_their_own_stack(monkeypatch):
     # Wide folds: a fold that trains on both copies of a duplicated row spans
-    # one dimension fewer than a fold that holds one copy out.
+    # one dimension fewer than a fold that holds one copy out, so the stack
+    # of folds is fitted set by set.
     from labankit import classifier
     real_row_space = classifier._row_space
     ranks = []
 
     def recorded(Z):
-        spaces = real_row_space(Z)
-        ranks.append(sorted(V.shape[-1] for _, V, _ in spaces))
-        return spaces
+        space = real_row_space(Z)
+        ranks.append(None if space is None else space[0].shape[-1])
+        return space
 
     monkeypatch.setattr(classifier, "_row_space", recorded)
     X, tiers = overlapping_blobs(per_class=10, d=60)
@@ -414,7 +415,8 @@ def test_folds_of_another_rank_fit_in_their_own_stack(monkeypatch):
     shapes = assert_fold_models_are_train_on_their_rows(monkeypatch, X, tiers,
                                                         TrainConfig())
     assert shapes == [(5, 32, 60)]
-    assert ranks[0] == [30, 31]
+    assert ranks[0] is None
+    assert sorted(set(ranks[1:6])) == [30, 31]
 
 
 @pytest.mark.parametrize("cap, shapes", [

@@ -415,6 +415,25 @@ def test_balance_error_names_small_tier():
         balance_dataset(manifest, per_class=20, seed=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"per_class": 1.5}, "per_class must be an integer >= 1, got 1.5"),
+    ({"per_class": True}, "per_class must be an integer >= 1, got True"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+], ids=["per-class-float", "per-class-bool", "seed-float", "seed-bool"])
+def test_balance_refuses_a_count_or_seed_that_is_not_an_integer(kwargs, message):
+    # seed=True used to run as seed 1, and the floats failed inside numpy.
+    manifest = make_manifest({0: 4, 1: 4, 2: 4, 3: 4})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        balance_dataset(manifest, **{"per_class": 2, "seed": 0, **kwargs})
+
+
+def test_balance_takes_numpy_integers():
+    manifest = make_manifest({0: 4, 1: 4, 2: 4, 3: 4})
+    assert (balance_dataset(manifest, per_class=np.int64(2), seed=np.uint8(3))
+            == balance_dataset(manifest, per_class=2, seed=3))
+
+
 def test_manifest_rejects_duplicates_and_bad_tiers():
     entry = ManifestEntry(path=__import__("pathlib").Path("/a.json"),
                           source_id="a", tier=0)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ def test_regime_and_seed_must_be_integers(field, value):
     kwargs = {"regime": 0, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be .*integer"):
         RegimeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("duration_s", "5"), ("duration_s", None), ("duration_s", True), ("fps", "30"),
+    ("fps", None),
+], ids=["duration-str", "duration-none", "duration-bool", "fps-str", "fps-none"])
+def test_duration_and_fps_must_be_numbers(field, value):
+    # A string or None used to fail with a bare TypeError from the range comparison.
+    with pytest.raises(ValueError, match=f"^{field.removesuffix('_s')} must be .*, "
+                                         f"got {re.escape(repr(value))}$"):
+        RegimeSpec(0, **{field: value})
+
+
+def test_numpy_float_duration_and_fps_are_accepted():
+    spec = RegimeSpec(0, duration_s=np.float32(4.0), fps=np.float64(30.0))
+    assert generate(spec).positions.shape[0] == 120
 
 
 def test_numpy_integer_regime_and_seed_are_accepted():
