@@ -75,7 +75,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option("fps", float, 30.0, "frame rate"),
         _Option("noise", float, 0.005, "position jitter std in meters"),
         _Option("blend", float, 0.0, "adjacent-regime overlap half-width in [0, 1)"),
-        _Option("seed", int, 0, "base seed"),
+        _Option("seed", int, 0, "base seed", bound=(">=", 0)),
     )),
     "extract": ("compute 110-dim fragment features from a manifest", (
         _Option("manifest", str, _REQUIRED, "JSON-lines manifest of skeleton files"),
@@ -103,7 +103,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _TASK,
         _Option("k", int, 5, "fold count", bound=(">=", 2)),
         *_SOLVER,
-        _Option("seed", int, 0, "fold assignment seed"),
+        _Option("seed", int, 0, "fold assignment seed", bound=(">=", 0)),
     )),
     "rank-features": ("Kruskal-Wallis feature ranking for a task", (
         _FEATURES,
@@ -115,7 +115,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option("out", str, _REQUIRED, "output manifest"),
         _Option("per_class", int, _REQUIRED, "entries to keep per tier",
                 bound=(">=", 1)),
-        _Option("seed", int, 0, "subsampling seed"),
+        _Option("seed", int, 0, "subsampling seed", bound=(">=", 0)),
     )),
 }
 

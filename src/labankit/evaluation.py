@@ -95,6 +95,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if not _is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     folds = np.empty(labels.shape[0], dtype=np.int64)
     for c in np.unique(labels):

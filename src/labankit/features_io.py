@@ -64,43 +64,39 @@ class FeatureTable:
         return self.values[:, order]
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 class _Rows(list):
     """A csv.writer target that keeps each written row as a string."""
 
     write = list.append
 
 
-def write_features_csv(path, feature_names, rows) -> None:
-    """Write fragment rows as CSV.
-
-    rows yields (source_id, start_frame, tier, vector) tuples; the vector is
-    any float sequence in feature_names order, and one of another length
-    raises ValueError naming its source_id and start_frame.
-    """
-    # csv.writer quotes the metadata; the feature values never need quoting,
-    # so each row's values are formatted by one call.
-    values = f",{_VALUE_FORMAT}" * len(feature_names)
+def _write_rows(path, header, width, rows) -> None:
+    """Write the header, then each row: its metadata cells, which csv.writer
+    quotes, followed by its vector, any sequence of width floats, which one
+    call formats, as a float never needs quoting. A vector of another shape,
+    or metadata of another cell count, raises ValueError naming the row's
+    metadata."""
+    values = f",{_VALUE_FORMAT}" * width
     eol = csv.excel.lineterminator
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([*METADATA_COLUMNS, *feature_names])
-        metadata = _Rows()
-        writer = csv.writer(metadata)
-        for source_id, start_frame, tier, vector in rows:
+        csv.writer(fh).writerow(header)
+        lines = _Rows()
+        writer = csv.writer(lines)
+        for *metadata, vector in rows:
             vector = np.asarray(vector, dtype=np.float64)
-            if vector.shape != (len(feature_names),):
-                raise ValueError(
-                    f"row {source_id!r} at frame {start_frame}: vector of shape "
-                    f"{vector.shape}, expected ({len(feature_names)},)")
-            writer.writerow((source_id, start_frame, tier))
-            fh.write(metadata.pop().removesuffix(eol)
+            if vector.shape != (width,) or len(metadata) != len(header) - width:
+                raise ValueError(f"row {tuple(metadata)}: vector of shape {vector.shape}, "
+                                 f"expected ({width},) after {len(header) - width} "
+                                 f"metadata cells")
+            writer.writerow(metadata)
+            fh.write(lines.pop().removesuffix(eol)
                      + values.format(*vector.tolist()) + eol)
+
+
+def write_features_csv(path, feature_names, rows) -> None:
+    """Write fragment rows, (source_id, start_frame, tier, vector) tuples
+    whose vector is any float sequence in feature_names order, as CSV."""
+    _write_rows(path, [*METADATA_COLUMNS, *feature_names], len(feature_names), rows)
 
 
 def read_features_csv(path) -> FeatureTable:
@@ -241,17 +237,13 @@ def write_predictions_csv(path, table: FeatureTable, probs) -> None:
     if probs.shape[0] != len(table):
         raise ValueError(f"{probs.shape[0]} probability rows for a table "
                          f"of {len(table)} rows")
-    _write_csv(path, [*METADATA_COLUMNS, "predicted_class",
-                      *(f"prob_{c}" for c in range(probs.shape[1]))],
-               ([source_id, start, tier, int(c),
-                 *map(_VALUE_FORMAT.format, row.tolist())]
-                for source_id, start, tier, c, row in zip(
-                    table.source_ids, table.start_frames, table.tiers,
-                    np.argmax(probs, axis=1), probs)))
+    _write_rows(path, [*METADATA_COLUMNS, "predicted_class",
+                       *(f"prob_{c}" for c in range(probs.shape[1]))], probs.shape[1],
+                zip(table.source_ids, table.start_frames, table.tiers,
+                    np.argmax(probs, axis=1), probs))
 
 
 def write_ranking_csv(path, ranking) -> None:
     """Write a (rank, feature, H) table, rank starting at 1."""
-    _write_csv(path, ["rank", "feature", "H"],
-               ([rank, name, _VALUE_FORMAT.format(h)]
-                for rank, (name, h) in enumerate(ranking, start=1)))
+    _write_rows(path, ["rank", "feature", "H"], 1,
+                ((rank, name, (h,)) for rank, (name, h) in enumerate(ranking, start=1)))

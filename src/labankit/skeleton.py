@@ -280,7 +280,8 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
 
     Fragments are round(length_s * fps) frames at stride round(stride_s * fps);
     a trailing remainder shorter than one fragment is discarded. A sequence
-    shorter than one fragment yields an empty list.
+    shorter than one fragment yields an empty list, and a stride longer than
+    the sequence yields its first fragment only.
     """
     for name, value in (("length_s", length_s), ("stride_s", stride_s)):
         if not _is_real(value):
@@ -294,11 +295,14 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
     if stride_s <= 0:
         raise ValueError(f"stride must be positive, got {stride_s}")
 
-    n_frames = int(round(length_s * seq.fps))
+    # Each frame count is capped one past the sequence, where any longer
+    # count, an infinite product's included, cuts the same slices.
+    cap = seq.frame_count + 1
+    n_frames = int(round(min(length_s * seq.fps, cap)))
     # round() can land half a frame under the 3 s floor at fractional fps.
-    min_frames = math.ceil(MIN_FRAGMENT_SECONDS * seq.fps - _DURATION_TOL)
+    min_frames = math.ceil(min(MIN_FRAGMENT_SECONDS * seq.fps - _DURATION_TOL, cap))
     n_frames = max(n_frames, min_frames)
-    stride = max(1, int(round(stride_s * seq.fps)))
+    stride = max(1, int(round(min(stride_s * seq.fps, cap))))
     return [slice(start, start + n_frames)
             for start in range(0, seq.frame_count - n_frames + 1, stride)]
 
@@ -400,6 +404,8 @@ def balance_dataset(manifest: DatasetManifest, per_class: int, seed: int) -> Dat
         raise ValueError(f"per_class must be an integer >= 1, got {per_class!r}")
     if not _is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not manifest.entries:
         raise SkeletonError("manifest has no entries")
     by_tier: dict[int, list[int]] = {}

@@ -111,6 +111,9 @@ class RegimeSpec:
                              f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s!r}")
         if not (_is_real(self.fps) and 10.0 <= self.fps <= 120.0):
             raise ValueError(f"fps must be in [10, 120], got {self.fps!r}")
+        if not math.isfinite(self.duration_s * self.fps):
+            raise ValueError(f"duration_s * fps must be finite, got "
+                             f"{self.duration_s!r} * {self.fps!r}")
         if not (_is_real(self.noise_amp) and 0.0 <= self.noise_amp < math.inf):
             raise ValueError(f"noise_amp must be finite and >= 0, got {self.noise_amp}")
         if not (_is_real(self.blend) and 0.0 <= self.blend < 1.0):

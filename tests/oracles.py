@@ -19,9 +19,14 @@ rebuilding hessian above and no centring of the biases. The library runs
 it in the row space of the training rows and on the sum-to-zero class
 subspace, which must give the same model in as many iterations.
 
-write_features_csv is the feature CSV written cell by cell through
-csv.writer. The library formats each row's values in one call, which
-must give the same bytes.
+slice_fragments is the fragment cut with uncapped frame counts, which
+overflow at an infinite seconds x fps product. The library caps each count
+one frame past the sequence, which must give the same slices wherever
+the products are finite.
+
+write_features_csv, write_predictions_csv and write_ranking_csv are the
+three CSVs written cell by cell through csv.writer. The library formats
+each row's floats in one call, which must give the same bytes.
 
 kruskal_wallis is the one-column H: average ranks from np.unique, one
 boolean mask per class and tie counts from a second np.unique. The
@@ -40,12 +45,13 @@ positions bit for bit.
 """
 
 import csv
+import math
 
 import numpy as np
 
 from labankit.classifier import _ARMIJO_C1, _MAX_BACKTRACKS, _NEWTON_RIDGE
 
-from labankit.skeleton import VALID_TIERS
+from labankit.skeleton import _DURATION_TOL, MIN_FRAGMENT_SECONDS, VALID_TIERS
 from labankit.synth import (
     _ARM_L,
     _ARM_R,
@@ -297,6 +303,17 @@ def newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
     return params, history
 
 
+def slice_fragments(frame_count: int, fps: float, length_s: float,
+                    stride_s: float) -> list[slice]:
+    """Fragments of round(length_s * fps) frames, at least the 3 s floor's,
+    at stride round(stride_s * fps), never below one frame."""
+    n_frames = max(round(length_s * fps),
+                   math.ceil(MIN_FRAGMENT_SECONDS * fps - _DURATION_TOL))
+    stride = max(1, round(stride_s * fps))
+    return [slice(start, start + n_frames)
+            for start in range(0, frame_count - n_frames + 1, stride)]
+
+
 def write_features_csv(path, feature_names, rows) -> None:
     """A feature CSV whose every cell goes through csv.writer, each value
     formatted with "{:.9g}"."""
@@ -305,6 +322,29 @@ def write_features_csv(path, feature_names, rows) -> None:
         writer.writerow(["source_id", "start_frame", "tier", *feature_names])
         writer.writerows([source_id, start_frame, tier, *map("{:.9g}".format, vector)]
                          for source_id, start_frame, tier, vector in rows)
+
+
+def write_predictions_csv(path, table, probs) -> None:
+    """A prediction CSV whose every cell goes through csv.writer, each
+    probability formatted with "{:.9g}"."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["source_id", "start_frame", "tier", "predicted_class",
+                         *(f"prob_{c}" for c in range(probs.shape[1]))])
+        writer.writerows([source_id, start, tier, int(np.argmax(row)),
+                          *map("{:.9g}".format, row)]
+                         for source_id, start, tier, row in zip(
+                             table.source_ids, table.start_frames, table.tiers, probs))
+
+
+def write_ranking_csv(path, ranking) -> None:
+    """A ranking CSV whose every cell goes through csv.writer, each H
+    formatted with "{:.9g}"."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "feature", "H"])
+        writer.writerows([rank, name, "{:.9g}".format(h)]
+                         for rank, (name, h) in enumerate(ranking, start=1))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

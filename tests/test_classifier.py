@@ -579,6 +579,40 @@ def test_a_fit_without_backtracking_evaluates_the_objective_once_per_iterate(mon
     assert len(calls) == len(history)
 
 
+def test_a_fit_that_no_step_improves_stops_flat_while_its_stack_moves_on(monkeypatch):
+    # From the stack's fourth objective call on, set 1 sees an infinite loss
+    # at every candidate, so no step length passes its Armijo test.
+    rng = np.random.default_rng(8)
+    sets = [blobs(rng, per_class=15, c=3, d=4, spread=1.0) for _ in range(3)]
+    Z = np.stack([(X - X.mean(0)) / X.std(0) for X, _ in sets])
+    y = np.stack([labels for _, labels in sets])
+    config = TrainConfig(l2_lambda=0.01)
+    alone = [_newton_minimize(z, labels, 3, config) for z, labels in zip(Z, y)]
+    real_objective = classifier.loss_and_gradient
+    calls = []
+
+    def spoiled(*args):
+        loss, grad, probs = real_objective(*args)
+        calls.append(args)
+        if len(calls) > 3:
+            loss = np.where(np.arange(loss.size) == 1, np.inf, loss)
+        return loss, grad, probs
+
+    monkeypatch.setattr(classifier, "loss_and_gradient", spoiled)
+    params, histories = _newton_minimize(Z, y, 3, config)
+    monkeypatch.undo()
+    count = len(histories[1]) - 1  # the iterates set 1 accepted
+    assert 0 < count < len(alone[1][1]) - 1
+    assert len(histories[1]) < min(len(histories[0]), len(histories[2]))
+    flat, flat_history = _newton_minimize(Z[1], y[1], 3,
+                                          TrainConfig(l2_lambda=0.01, max_iters=count))
+    assert params[1].tobytes() == flat.tobytes()
+    assert histories[1] == flat_history
+    for i in (0, 2):
+        assert params[i].tobytes() == alone[i][0].tobytes()
+        assert histories[i] == alone[i][1]
+
+
 @pytest.mark.parametrize("c", (2, 3, 4))
 def test_objective_probabilities_equal_predict_proba_bit_for_bit(c):
     rng = np.random.default_rng(20 + c)

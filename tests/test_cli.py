@@ -16,6 +16,8 @@ import labankit
 from labankit import load_manifest, read_features_csv
 from labankit.cli import main
 
+from conftest import rest_positions
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -919,6 +921,58 @@ def test_out_of_range_values_exit_2_before_any_output(small_dataset, tmp_path,
     assert run(*argv, *paths[argv[0]]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ["synth", "evaluate", "balance"])
+def test_a_negative_seed_exits_2_naming_the_flag_before_any_output(
+        small_dataset, tmp_path, capsys, subcommand):
+    # numpy refused it as a bare "expected non-negative integer".
+    root, features = small_dataset
+    out = tmp_path / "out"
+    args = {"synth": ["--out-dir", out],
+            "evaluate": ["--features", features, "--out", out],
+            "balance": ["--manifest", root / "manifest.jsonl", "--out", out,
+                        "--per-class", 1]}
+    assert run(subcommand, *args[subcommand], "--seed", -1) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_of_an_infinite_frame_count_exits_2_before_making_its_directory(
+        tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("synth", "--out-dir", out, "--duration", "1e308") == 2
+    assert "duration_s * fps must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--length", "--stride"])
+def test_extract_cuts_an_infinite_fragment_or_stride_as_one_past_each_file(
+        small_dataset, tmp_path, capsys, flag):
+    # Each 5 s file is one fragment: an infinite stride keeps it, an
+    # infinite length leaves none.
+    root, features = small_dataset
+    out = tmp_path / "features.csv"
+    assert run("extract", "--manifest", root / "manifest.jsonl", "--out", out,
+               flag, "1e308") == 0
+    if flag == "--stride":
+        assert out.read_bytes() == features.read_bytes()
+    else:
+        assert len(read_features_csv(out)) == 0
+        assert "24 file(s) shorter than one 1e+308 s fragment" in capsys.readouterr().err
+
+
+def test_extract_gives_no_rows_for_a_file_whose_3_s_floor_is_infinite_frames(
+        tmp_path, capsys):
+    (tmp_path / "fast.json").write_text(json.dumps({
+        "source_id": "fast", "fps": 1e308, "tier": 0,
+        "frames": rest_positions(4).tolist()}))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"path": "fast.json", "tier": 0}) + "\n")
+    out = tmp_path / "features.csv"
+    assert run("extract", "--manifest", manifest, "--out", out) == 0
+    assert len(read_features_csv(out)) == 0
+    assert "1 file(s) shorter than one 5 s fragment" in capsys.readouterr().err
 
 
 def test_out_of_range_config_value_exits_2_naming_the_flag(small_dataset, tmp_path,

@@ -144,6 +144,16 @@ def test_kfold_refuses_a_seed_that_is_not_an_integer(seed):
     assert np.array_equal(stratified_kfold(np.zeros(6), 2, np.int64(1)),
                           stratified_kfold(np.zeros(6), 2, 1))
 
+def test_kfold_and_cross_validate_refuse_a_negative_seed_naming_it():
+    # numpy refused it without naming the seed.
+    message = "seed must be a non-negative integer, got -1"
+    with pytest.raises(ValueError, match=message):
+        stratified_kfold(np.zeros(6), 2, -1)
+    X, tiers = separable_blobs(np.random.default_rng(6), per_class=6)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(X, tiers, TASKS["four_way"], k=2, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # confusion matrix and macro F1
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from labankit import (FEATURE_NAMES_110, FeatureTable, read_features_csv,
                       write_features_csv)
 from labankit import features_io
-from labankit.features_io import write_predictions_csv
+from labankit.features_io import write_predictions_csv, write_ranking_csv
 
 import oracles
 
@@ -49,8 +50,33 @@ def test_feature_rows_have_the_bytes_of_the_cell_by_cell_writer(tmp_path, names)
 @pytest.mark.parametrize("shape", [(109,), (111,), (1, 110), ()])
 def test_a_vector_of_another_length_is_refused_with_its_row(tmp_path, shape):
     rows = [("ok", 0, 1, np.zeros(110)), ("clip_7", 45, 2, np.zeros(shape))]
-    with pytest.raises(ValueError, match=r"'clip_7' at frame 45: vector of shape"):
+    with pytest.raises(ValueError, match=r"row \('clip_7', 45, 2\): vector of shape"):
         write_features_csv(tmp_path / "features.csv", FEATURE_NAMES_110, rows)
+
+
+@pytest.mark.parametrize("cells", [("clip_7", 45), ("clip_7", 45, 2, "extra")],
+                         ids=["2", "4"])
+def test_a_row_of_another_metadata_count_is_refused_with_its_row(tmp_path, cells):
+    rows = [("ok", 0, 1, np.zeros(110)), (*cells, np.zeros(110))]
+    with pytest.raises(ValueError, match=re.escape(
+            f"row {cells}: vector of shape (110,), expected (110,) after 3 metadata cells")):
+        write_features_csv(tmp_path / "features.csv", FEATURE_NAMES_110, rows)
+
+
+def test_prediction_and_ranking_rows_have_the_bytes_of_the_cell_by_cell_writer(tmp_path):
+    rows = _rows(4)
+    table = FeatureTable(names=("x",), values=np.zeros((len(rows), 1)),
+                         tiers=np.array([t for _, _, t, _ in rows]),
+                         source_ids=tuple(s for s, _, _, _ in rows),
+                         start_frames=np.array([f for _, f, _, _ in rows]))
+    probs = np.array([v for _, _, _, v in rows])
+    ranking = [(_SOURCE_IDS[i % len(_SOURCE_IDS)], h) for i, h in enumerate(_EDGE_VALUES)]
+    for write, args in ((write_predictions_csv, (table, probs)),
+                        (write_ranking_csv, (ranking,))):
+        expected, out = tmp_path / "reference.csv", tmp_path / "out.csv"
+        getattr(oracles, write.__name__)(expected, *args)
+        write(out, *args)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("prob_rows", [2, 4])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from labankit import (
     slice_fragments,
 )
 
+import oracles
 from conftest import rest_positions
 
 
@@ -318,6 +320,30 @@ def test_slice_too_short_sequence_gives_empty_list():
     assert slice_fragments(seq, length_s=3.0, stride_s=3.0) == []
 
 
+@pytest.mark.parametrize("fps, length_s, stride_s, expected", [
+    (30.0, 1e308, 5.0, []),               # the fragment's frame count is inf
+    (1e308, 5.0, 5.0, []),                # so is the 3 s floor's
+    (30.0, 5.0, 1e308, [slice(0, 150)]),  # a stride of inf frames: one fragment
+], ids=["length", "floor", "stride"])
+def test_slice_takes_an_infinite_frame_count_as_longer_than_the_sequence(
+        fps, length_s, stride_s, expected):
+    seq = SkeletonSequence("s", fps, rest_positions(300), tier=0)
+    assert slice_fragments(seq, length_s=length_s, stride_s=stride_s) == expected
+
+
+@pytest.mark.parametrize("fps", [0.5, 10.0, 29.97, 30.0, 59.94, 1e300])
+def test_slice_cuts_finite_products_as_the_uncapped_counts_do(fps):
+    # Lengths and strides run from one frame to far past the sequence.
+    seconds = [1e-300, 0.5 / fps, 1.0, 2.5, 3.0, 3.01, 5.0, 150.5 / fps,
+               299.5 / fps, 301 / fps, 1e300 / fps, 1e300]
+    for frame_count in (2, 89, 90, 150, 151, 300):
+        seq = SkeletonSequence("s", fps, rest_positions(frame_count), tier=0)
+        for length_s, stride_s in itertools.product(seconds, seconds):
+            if length_s >= 3.0 and math.isfinite(max(length_s, stride_s) * fps):
+                assert slice_fragments(seq, length_s, stride_s) == \
+                    oracles.slice_fragments(frame_count, fps, length_s, stride_s)
+
+
 def test_slice_rejects_bad_parameters():
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
     with pytest.raises(ValueError, match="3.0 s floor"):
@@ -407,6 +433,12 @@ def test_balance_deterministic_and_idempotent():
     assert once == again
     rebalanced = balance_dataset(once, per_class=25, seed=9)
     assert rebalanced == once
+
+
+def test_balance_refuses_a_negative_seed_naming_it():
+    manifest = make_manifest({0: 4, 1: 4, 2: 4, 3: 4})
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        balance_dataset(manifest, per_class=2, seed=-1)
 
 
 def test_balance_error_names_small_tier():

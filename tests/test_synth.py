@@ -75,6 +75,13 @@ def test_invalid_specs_rejected():
             RegimeSpec(0, blend=blend)
 
 
+@pytest.mark.parametrize("duration_s, fps", [(1e308, 30.0), (1.6e306, 120.0)])
+def test_a_spec_whose_frame_count_is_infinite_is_refused_naming_duration(duration_s, fps):
+    # generate() would round duration_s * fps = inf to a frame count.
+    with pytest.raises(ValueError, match=r"^duration_s \* fps must be finite"):
+        RegimeSpec(0, duration_s=duration_s, fps=fps)
+
+
 @pytest.mark.parametrize("field, value", [
     ("regime", 1.0), ("regime", True), ("regime", np.bool_(True)), ("regime", "1"),
     ("seed", True), ("seed", np.bool_(False)), ("seed", 3.0),
