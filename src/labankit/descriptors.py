@@ -28,6 +28,16 @@ all of them, which is most of the work on a 5 s clip. A single sequence
 is the case with no stacked axes. The working arrays of a call are a few
 times its positions, so callers cap how many frames they stack.
 
+frame_matrix describes its frames from one float64 copy of the positions
+laid out as joint-major coordinate planes (3, 24, n), n being the frames
+of every stacked sequence, so Dispersion's elementwise steps and its
+reductions over joints run along rows of n contiguous values. Integer and
+float32 positions are described from their float64 values. The mean and
+std of the 24 joint-to-centroid distances stay frame-major (n, 24)
+reductions: numpy sums 8 or more contiguous values pairwise, and a sum
+down the joint rows would round differently. The six tracked joints go
+back to frame-major (T, ..., 6, 3) for their kinematics and Directness.
+
 All quantities are in meters and seconds. Distances and speeds are
 translation-invariant except the pelvis world height; everything is
 invariant to rotation about a vertical axis.
@@ -38,6 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .skeleton import SMPL_JOINT_NAMES, _check_fps, _check_positions, _is_integer
+from .stats import mean_std
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
 
@@ -171,8 +182,9 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _horizontal_extent(pos: np.ndarray) -> np.ndarray:
-    """Each frame's widest xz distance between two of its joints.
+def _horizontal_extent(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each frame's widest xz distance between two of its joints, from the
+    (24, frames) x and z coordinate planes.
 
     Joint j is compared with joint j - k for every offset k, so each of the
     unordered pairs is visited once without building a (T, pairs) array.
@@ -180,13 +192,13 @@ def _horizontal_extent(pos: np.ndarray) -> np.ndarray:
     and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
     sqrt(dx*dx + dz*dz).
     """
-    x = np.ascontiguousarray(pos[:, :, 0].T)
-    z = np.ascontiguousarray(pos[:, :, 2].T)
-    widest = np.zeros(pos.shape[0])
-    for k in range(1, pos.shape[1]):
-        d = x[k:] - x[:-k]
+    widest = np.zeros(x.shape[1])
+    buffers = np.empty((2, x.shape[0] - 1, x.shape[1]))
+    for k in range(1, x.shape[0]):
+        d, dz = buffers[:, k - 1:]
+        np.subtract(x[k:], x[:-k], out=d)
         d *= d
-        dz = z[k:] - z[:-k]
+        np.subtract(z[k:], z[:-k], out=dz)
         dz *= dz
         d += dz
         np.maximum(widest, d.max(axis=0), out=widest)
@@ -211,32 +223,50 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     pos = np.asarray(positions)
     _check_positions(pos, "fragment", stacked=True)
     out = np.empty((*pos.shape[:-2], len(FRAME_FEATURE_NAMES)))
+    # The one float64 copy: joint-major coordinate planes, planes[c, j] the
+    # coordinate c of joint j at each of the n frames of every sequence.
+    planes = np.ascontiguousarray(pos.reshape(-1, *pos.shape[-2:]).T, dtype=np.float64)
+    n = planes.shape[-1]
 
     # Dispersion: limb reach, centroid spread, extents, hand and foot
-    # spans, pelvis height. Each frame of each sequence is one row here.
-    frames = pos.reshape(-1, *pos.shape[-2:])
-    dispersion = out.reshape(-1, out.shape[-1])[:, :_EFFORT_AT]
-    root = frames[:, PELVIS]
-    dispersion[:, :5] = _norm3(frames[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
-                               - root[:, None])
-    # _norm3 of the offsets from the centroid, squared in place: a second
-    # (frames, 24, 3) array would be this function's peak.
-    offsets = frames - frames.mean(axis=1)[:, None, :]
-    offsets *= offsets
-    to_centroid = np.sqrt((offsets[..., 0] + offsets[..., 1]) + offsets[..., 2])
-    del offsets
-    dispersion[:, 5] = to_centroid.mean(axis=1)
-    dispersion[:, 8] = to_centroid.std(axis=1)
-    del to_centroid  # (frames, 24): not kept alive through the horizontal extent
-    dispersion[:, 6] = frames[:, :, 1].max(axis=1) - frames[:, :, 1].min(axis=1)
-    dispersion[:, 7] = _horizontal_extent(frames)
-    dispersion[:, 9] = _norm3(frames[:, HAND_L] - frames[:, HAND_R])
-    dispersion[:, 10] = _norm3(frames[:, FOOT_L] - frames[:, FOOT_R])
-    dispersion[:, 11] = root[:, 1]
+    # spans, pelvis height, written through a (12, n) view of their columns.
+    dispersion = out.reshape(n, -1)[:, :_EFFORT_AT].T
+    dispersion[:5] = _norm3(np.moveaxis(
+        planes[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]] - planes[:, PELVIS, None], 0, -1))
+    # Summing the 24 joint rows adds them in joint order, as a frame-major
+    # mean over joints does. The squared offsets add up in _norm3's order
+    # in two (24, n) arrays.
+    centroid = np.add.reduce(planes, axis=1)
+    centroid /= planes.shape[1]
+    to_centroid = planes[0] - centroid[0, None]
+    to_centroid *= to_centroid
+    square = np.empty_like(to_centroid)
+    for c in (1, 2):
+        np.subtract(planes[c], centroid[c, None], out=square)
+        square *= square
+        to_centroid += square
+    del square
+    np.sqrt(to_centroid, out=to_centroid)
+    # numpy sums 8 or more contiguous values pairwise, so the mean and std
+    # over the 24 joints keep their frame-major (n, 24) reduction.
+    to_centroid = np.ascontiguousarray(to_centroid.T)
+    dispersion[5], dispersion[8] = mean_std(to_centroid, axis=1)
+    del to_centroid
+    dispersion[6] = planes[1].max(axis=0) - planes[1].min(axis=0)
+    dispersion[7] = _horizontal_extent(planes[0], planes[2])
+    dispersion[9] = _norm3(np.moveaxis(planes[:, HAND_L] - planes[:, HAND_R], 0, -1))
+    dispersion[10] = _norm3(np.moveaxis(planes[:, FOOT_L] - planes[:, FOOT_R], 0, -1))
+    dispersion[11] = planes[1, PELVIS]
 
     # Only the tracked joints' kinematics are used, so only they are
-    # differentiated.
-    tracked = pos[..., list(TRACKED_JOINT_INDICES), :]
+    # differentiated, from a frame-major (T, ..., 6, 3) copy of their
+    # planes: np.gradient and the Directness gathers along time run faster
+    # on it than on a view of the planes.
+    tracked = np.ascontiguousarray(np.moveaxis(
+        planes[:, list(TRACKED_JOINT_INDICES)].reshape(3, len(TRACKED_JOINT_INDICES),
+                                                        *pos.shape[:-2]),
+        (0, 1), (-1, -2)))
+    del planes
     velocity, acceleration, jerk = differentiate(tracked, fps)
     fps = float(fps)  # checked by differentiate
 
@@ -270,7 +300,7 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
 
     # Trajectory, pelvis reference. The path increment is the step to the
     # next frame in m/s; the last frame repeats the step that reached it.
-    pelvis = pos[..., PELVIS, :]
+    pelvis = tracked[..., _TRACKED_PELVIS, :]
     steps = _norm3(np.diff(pelvis, axis=0)) * fps
     out[:-1, ..., _TRAJECTORY_AT] = steps
     out[-1, ..., _TRAJECTORY_AT] = steps[-1]
@@ -290,7 +320,7 @@ def aggregate(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim < 2 or matrix.shape[0] < 1 or matrix.shape[-1] != len(FRAME_FEATURE_NAMES):
         raise ValueError(f"expected a non-empty (T, ..., {len(FRAME_FEATURE_NAMES)}) "
                          f"matrix, got shape {matrix.shape}")
-    return np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)], axis=-1)
+    return np.concatenate(mean_std(matrix), axis=-1)
 
 
 def fragment_features(positions: np.ndarray, fps: float, fragments) -> np.ndarray:
@@ -306,6 +336,7 @@ def fragment_features(positions: np.ndarray, fps: float, fragments) -> np.ndarra
     """
     pos = np.asarray(positions)
     rows = frame_matrix(pos, fps)
+    pelvis = pos[..., PELVIS, :].astype(np.float64)
     out = np.empty((len(fragments), *rows.shape[1:-1], len(FEATURE_NAMES_110)))
     for i, f in enumerate(fragments):
         if not (isinstance(f, slice) and f.step is None and _is_integer(f.start)
@@ -315,7 +346,7 @@ def fragment_features(positions: np.ndarray, fps: float, fragments) -> np.ndarra
         # Each fragment rewrites its whole window's net displacement before
         # aggregating it, so overlapping windows never see another's column.
         window = rows[f]
-        window[..., _NET_DISPLACEMENT] = _net_displacement(pos[f, ..., PELVIS, :])
+        window[..., _NET_DISPLACEMENT] = _net_displacement(pelvis[f])
         out[i] = aggregate(window)
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):

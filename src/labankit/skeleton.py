@@ -77,8 +77,12 @@ def _check_fps(fps, context: str) -> float:
 
 
 def _check_positions(positions: np.ndarray, context: str, stacked: bool = False):
-    """Refuse positions that are not a finite (T, 24, 3) array; stacked
-    admits axes of stacked sequences between time and joints."""
+    """Refuse positions that are not a finite (T, 24, 3) array of integers
+    or floats; stacked admits axes of stacked sequences between time and
+    joints."""
+    if positions.dtype.kind not in "iuf":
+        raise SkeletonError(f"{context}: positions must be integers or floats, "
+                            f"got dtype {positions.dtype}")
     if (positions.ndim < 3 if stacked else positions.ndim != 3) or positions.shape[-1] != 3:
         axes = ", with any stacked axes between T and the joints" if stacked else ""
         raise SkeletonError(f"{context}: positions must have shape "
@@ -111,11 +115,12 @@ class SkeletonSequence:
 
     def __post_init__(self):
         _check_str(self.source_id, "sequence source_id")
-        positions = np.array(self.positions, dtype=np.float64)
-        object.__setattr__(self, "positions", positions)
         context = f"sequence {self.source_id!r}"
         object.__setattr__(self, "fps", _check_fps(self.fps, context))
+        positions = np.asarray(self.positions)
         _check_positions(positions, context)
+        positions = positions.astype(np.float64)
+        object.__setattr__(self, "positions", positions)
         if positions.shape[0] < 2:
             raise SkeletonError(f"{context}: need at least 2 frames, got {positions.shape[0]}")
         if self.tier is not None:

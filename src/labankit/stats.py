@@ -1,4 +1,5 @@
-"""Feature standardization and Kruskal-Wallis discriminativeness ranking."""
+"""Feature standardization, column means and stds, and Kruskal-Wallis
+discriminativeness ranking."""
 
 from __future__ import annotations
 
@@ -40,6 +41,19 @@ class Standardizer:
         return (np.asarray(X, dtype=np.float64) - self.means) / self.stds
 
 
+def mean_std(X: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The means and population standard deviations of a float64 array
+    along an axis, the bits of X.mean(axis) and X.std(axis) with the mean
+    computed once: the std's deviations are taken from the same sums,
+    divided by the same count, in numpy's own steps."""
+    count = X.shape[axis]
+    means = np.add.reduce(X, axis=axis, keepdims=True)
+    means /= count
+    deviations = X - means
+    deviations *= deviations
+    return means.squeeze(axis), np.sqrt(np.add.reduce(deviations, axis=axis) / count)
+
+
 def fit_standardizer(X: np.ndarray) -> Standardizer:
     """Fit per-column mean and population std, with std floored at STD_FLOOR."""
     X = np.asarray(X, dtype=np.float64)
@@ -47,10 +61,8 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 rows to fit a standardizer, got {X.shape[0]}")
-    return Standardizer(
-        means=X.mean(axis=0),
-        stds=np.maximum(X.std(axis=0), STD_FLOOR),
-    )
+    means, stds = mean_std(X)
+    return Standardizer(means=means, stds=np.maximum(stds, STD_FLOOR))
 
 
 def _column_ranks(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

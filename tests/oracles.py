@@ -5,6 +5,11 @@ frame, independently of the vectorized labankit.descriptors.frame_matrix.
 A `positions` argument is a (T, 24, 3) sequence; a `state` argument is the (velocity, acceleration, jerk) triple that
 labankit.descriptors.differentiate returns.
 
+frame_matrix is the frame-major descriptor matrix: every family computed
+on (frames, joints, 3) arrays, one frame's joints and coordinates
+innermost. The library computes it on joint-major coordinate planes,
+which must give the same matrix bit for bit.
+
 loss_and_gradient and hessian are the straightforward classifier
 objective: two separate softmax exponentials, and a Hessian over all
 C * (d + 1) parameters that rebuilds its design matrix and penalty on
@@ -62,17 +67,28 @@ from labankit.synth import (
     _rest_pose,
 )
 from labankit.descriptors import (
+    _EFFORT_AT,
+    _INITIATION_AT,
+    _KIN_SUFFIXES,
+    _KINEMATICS_AT,
+    _NET_DISPLACEMENT,
+    _TRACKED_PELVIS,
+    _TRAJECTORY_AT,
     CURVATURE_CAP,
     DIRECTNESS_HALF_WINDOW_S,
     EPS_PATH,
     EPS_SPEED,
     FOOT_L,
     FOOT_R,
+    FRAME_FEATURE_NAMES,
     HAND_L,
     HAND_R,
     HEAD,
     PELVIS,
     TRACKED_JOINT_INDICES,
+    _norm3,
+    differentiate,
+    windowed_directness,
 )
 
 
@@ -182,6 +198,81 @@ def trajectory_frame(positions, state, t: int, fps: float) -> np.ndarray:
                         CURVATURE_CAP)
     net = float(np.linalg.norm(track[t] - track[0]))
     return np.array([increment, curvature, net])
+
+
+def _horizontal_extent(pos: np.ndarray) -> np.ndarray:
+    """Each frame's widest xz distance between two of its joints, one joint
+    index offset at a time on transposed (24, frames) copies."""
+    x = np.ascontiguousarray(pos[:, :, 0].T)
+    z = np.ascontiguousarray(pos[:, :, 2].T)
+    widest = np.zeros(pos.shape[0])
+    for k in range(1, pos.shape[1]):
+        d = x[k:] - x[:-k]
+        d *= d
+        dz = z[k:] - z[:-k]
+        dz *= dz
+        d += dz
+        np.maximum(widest, d.max(axis=0), out=widest)
+    return np.sqrt(widest)
+
+
+def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
+    """The (T, ..., 55) descriptor matrix of finite (T, ..., 24, 3) float
+    positions, each family computed frame-major."""
+    pos = np.asarray(positions, dtype=np.float64)
+    out = np.empty((*pos.shape[:-2], len(FRAME_FEATURE_NAMES)))
+
+    frames = pos.reshape(-1, *pos.shape[-2:])
+    dispersion = out.reshape(-1, out.shape[-1])[:, :_EFFORT_AT]
+    root = frames[:, PELVIS]
+    dispersion[:, :5] = _norm3(frames[:, [HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R]]
+                               - root[:, None])
+    offsets = frames - frames.mean(axis=1)[:, None, :]
+    offsets *= offsets
+    to_centroid = np.sqrt((offsets[..., 0] + offsets[..., 1]) + offsets[..., 2])
+    dispersion[:, 5] = to_centroid.mean(axis=1)
+    dispersion[:, 8] = to_centroid.std(axis=1)
+    dispersion[:, 6] = frames[:, :, 1].max(axis=1) - frames[:, :, 1].min(axis=1)
+    dispersion[:, 7] = _horizontal_extent(frames)
+    dispersion[:, 9] = _norm3(frames[:, HAND_L] - frames[:, HAND_R])
+    dispersion[:, 10] = _norm3(frames[:, FOOT_L] - frames[:, FOOT_R])
+    dispersion[:, 11] = root[:, 1]
+
+    tracked = pos[..., list(TRACKED_JOINT_INDICES), :]
+    velocity, acceleration, jerk = differentiate(tracked, fps)
+    fps = float(fps)
+    speeds = _norm3(velocity)
+    accels = _norm3(acceleration)
+    jerks = _norm3(jerk)
+    cross = _norm3(np.cross(velocity[..., _TRACKED_PELVIS, :],
+                            acceleration[..., _TRACKED_PELVIS, :]))
+    energies = 0.5 * speeds ** 2
+    direct = windowed_directness(tracked, half_window(fps))
+    for k, block in enumerate((speeds, accels, jerks, energies, direct)):
+        out[..., _KINEMATICS_AT + k:_INITIATION_AT:len(_KIN_SUFFIXES)] = block
+
+    out[..., _EFFORT_AT] = jerks.mean(axis=-1)
+    out[..., _EFFORT_AT + 1] = direct.mean(axis=-1)
+    out[..., _EFFORT_AT + 2] = accels.mean(axis=-1)
+    out[..., _EFFORT_AT + 3] = energies.sum(axis=-1)
+
+    total = speeds.sum(axis=-1)
+    resting = total < EPS_SPEED
+    shares = speeds / np.where(resting, 1.0, total)[..., None]
+    shares[resting] = 1.0 / len(TRACKED_JOINT_INDICES)
+    out[..., _INITIATION_AT:_TRAJECTORY_AT] = shares
+
+    pelvis = pos[..., PELVIS, :]
+    steps = _norm3(np.diff(pelvis, axis=0)) * fps
+    out[:-1, ..., _TRAJECTORY_AT] = steps
+    out[-1, ..., _TRAJECTORY_AT] = steps[-1]
+    speed = speeds[..., _TRACKED_PELVIS]
+    curvature = np.zeros(speed.shape)
+    moving = speed >= EPS_SPEED
+    curvature[moving] = np.minimum(cross[moving] / speed[moving] ** 3, CURVATURE_CAP)
+    out[..., _TRAJECTORY_AT + 1] = curvature
+    out[..., _NET_DISPLACEMENT] = _norm3(pelvis - pelvis[0])
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from labankit import descriptors
 from labankit.descriptors import differentiate, windowed_directness
 
 from conftest import rest_positions, wiggle_positions
+import oracles
 from oracles import (
     directness,
     dispersion_frame,
@@ -422,6 +423,67 @@ def test_horizontal_extent_of_coincident_xz_pose_is_exactly_zero():
     positions[:, :, 1] = np.linspace(0.0, 1.8, 24)
     extent = frame_matrix(positions, 30.0)[:, column("dispersion.horizontal_extent")]
     assert np.all(extent == 0.0)
+
+
+def _oracle_case(name):
+    """(positions, fps) of one named input of the frame-major oracle check."""
+    kind, _, arg = name.partition(" ")
+    if kind == "regime":
+        regime, blend = arg.split("@")
+        return generate(RegimeSpec(int(regime), duration_s=5.0, fps=30.0,
+                                   blend=float(blend), seed=int(regime))).positions, 30.0
+    if kind == "fps":
+        fps = float(arg)
+        return generate(RegimeSpec(1, duration_s=4.0, fps=fps, blend=0.3, seed=5)).positions, fps
+    if kind == "stacked":
+        alone = [generate(RegimeSpec(k, duration_s=4.0, fps=30.0, blend=0.6, seed=k)).positions
+                 for k in range(N_REGIMES)]
+        stacked = np.stack(alone, axis=1)
+        return (stacked if arg == "1" else stacked.reshape(120, 2, 2, 24, 3)), 30.0
+    if kind == "still":
+        return rest_positions(100), 30.0
+    if kind == "coincident-xz":
+        positions = wiggle_positions(100)
+        positions[:, :, 0] = positions[:, :1, 0]
+        positions[:, :, 2] = positions[:, :1, 2]
+        return positions, 30.0
+    positions = generate(RegimeSpec(2, duration_s=4.0, fps=60.0, blend=0.6, seed=9)).positions
+    return {"offset": positions + 1e3, "scaled": positions * 1e-3}[kind], 60.0
+
+
+@pytest.mark.parametrize("name", [
+    *(f"regime {r}@{blend}" for r in range(N_REGIMES) for blend in (0.0, 0.6)),
+    *(f"fps {fps}" for fps in (24, 29.97, 30, 60, 120)),
+    "stacked 1", "stacked 2", "still", "coincident-xz", "offset", "scaled",
+])
+def test_frame_matrix_is_the_frame_major_oracle_bit_for_bit(name):
+    # The golden CSV pins 9 significant digits; this pins every bit.
+    positions, fps = _oracle_case(name)
+    matrix = frame_matrix(positions, fps)
+    assert matrix.tobytes() == oracles.frame_matrix(positions, fps).tobytes()
+    if name == "still":
+        assert np.all(matrix[:, column("initiation.pelvis"):column("initiation.foot_r") + 1]
+                      == 1.0 / 6)
+        assert np.all(matrix[:, column("trajectory.curvature")] == 0.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_fragment_features_are_numpy_mean_and_std_of_the_oracle_rows(stacked):
+    # Dense cuts: 15 s at 60 fps, 5 s fragments every 0.5 s.
+    alone = [generate(RegimeSpec(k, duration_s=15.0, fps=60.0, blend=0.6, seed=k)).positions
+             for k in range(2 if stacked else 1)]
+    positions = np.stack(alone, axis=1) if stacked else alone[0]
+    fragments = [slice(s, s + 300) for s in range(0, 601, 30)]
+    rows = oracles.frame_matrix(positions, 60.0)
+    pelvis = positions[..., PELVIS, :]
+    expected = []
+    for f in fragments:
+        window = rows[f].copy()
+        window[..., column("trajectory.net_displacement")] = np.linalg.norm(
+            pelvis[f] - pelvis[f.start], axis=-1)
+        expected.append(np.concatenate([window.mean(axis=0), window.std(axis=0)], axis=-1))
+    assert (fragment_features(positions, 60.0, fragments).tobytes()
+            == np.stack(expected).tobytes())
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided", "last-axis-strided"])

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from labankit import (
     SkeletonError,
     SkeletonSequence,
     balance_dataset,
+    fragment_features,
     frame_matrix,
     generate,
     load_manifest,
@@ -25,7 +27,7 @@ from labankit import (
 )
 
 import oracles
-from conftest import rest_positions
+from conftest import rest_positions, wiggle_positions
 
 
 def write_skeleton(path, frames, fps=30.0, tier=0, source_id="clip"):
@@ -301,6 +303,47 @@ def test_sequence_and_fragment_reject_bad_fps(fps):
         SkeletonSequence("s", fps, rest_positions(200), tier=1)
     with pytest.raises(SkeletonError, match="fps must be positive and finite"):
         frame_matrix(rest_positions(200), fps)
+
+
+# Arrays whose dtype is not an integer or a float, each from the same values.
+NOT_REAL_POSITIONS = {
+    "bool": lambda p: p > 0.5,
+    "complex": lambda p: p + 1j,
+    "str": lambda p: p.astype(str),
+    "object": lambda p: p.astype(object),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL_POSITIONS))
+def test_sequence_and_fragment_refuse_positions_that_are_not_real_numbers(kind):
+    # complex used to lose its imaginary part to a ComplexWarning, and bool
+    # and numeric strings became numbers.
+    positions = NOT_REAL_POSITIONS[kind](rest_positions(200))
+    message = re.escape(f"positions must be integers or floats, got dtype {positions.dtype}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SkeletonError, match=f"sequence 's': {message}"):
+            SkeletonSequence("s", 30.0, positions, tier=1)
+        for describe in (lambda: frame_matrix(positions, 30.0),
+                         lambda: fragment_features(positions, 30.0, [slice(0, 150)])):
+            with pytest.raises(SkeletonError, match=f"fragment: {message}"):
+                describe()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.float32])
+def test_integer_and_float32_positions_are_described_in_float64(dtype):
+    # Millimetre integers, or float32 meters: the sequence holds them as
+    # float64, and the descriptors give the bits of their float64 values.
+    scale = 1.0 if dtype == np.float32 else 1000.0
+    positions = (wiggle_positions(200) * scale).astype(dtype)
+    values = positions.astype(np.float64)
+    seq = SkeletonSequence("s", 30.0, positions, tier=1)
+    assert seq.positions.dtype == np.float64
+    assert seq.positions.tobytes() == values.tobytes()
+    fragments = [slice(0, 150), slice(25, 175), slice(50, 200)]
+    assert frame_matrix(positions, 30.0).tobytes() == frame_matrix(values, 30.0).tobytes()
+    assert (fragment_features(positions, 30.0, fragments).tobytes()
+            == fragment_features(values, 30.0, fragments).tobytes())
 
 
 def test_slice_exact_tiling():

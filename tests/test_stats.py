@@ -9,6 +9,7 @@ from labankit import stats
 from labankit import (
     FEATURE_NAMES_110,
     Standardizer,
+    aggregate,
     kruskal_wallis,
     rank_features,
 )
@@ -101,6 +102,57 @@ def test_standardizer_needs_two_rows():
 def test_standardizer_rejects_non_finite_means_and_stds(means, stds):
     with pytest.raises(ValueError, match="finite"):
         Standardizer(means=np.array(means), stds=np.array(stds))
+
+
+def _columns(shape, top_exponent, seed):
+    """Values of the given shape whose columns hold -0.0, constants, a mix
+    of +-0.0 and magnitudes from 1e-300 to 10**top_exponent."""
+    rng = np.random.default_rng(seed)
+    X = (rng.normal(size=shape)
+         * 10.0 ** rng.uniform(-300, top_exponent, size=shape[-1])
+         * 10.0 ** rng.uniform(-3, 3, size=shape))
+    X[..., 0] = -0.0
+    X[..., 1] = 2.5
+    X[..., 5] = 0.1  # constant, but its mean rounds
+    X[..., 2] = rng.choice([0.0, -0.0], size=shape[:-1])
+    X[..., 3] = rng.uniform(-1.0, 1.0, size=shape[:-1]) * 1e-300
+    X[..., 4] = rng.uniform(-1.0, 1.0, size=shape[:-1]) * 10.0 ** top_exponent
+    return X
+
+
+MEAN_STD_SHAPES = [(1, 55), (2, 55), (300, 55), (150, 3, 55), (150, 2, 3, 55)]
+
+
+@pytest.mark.parametrize("shape", MEAN_STD_SHAPES)
+def test_mean_std_and_aggregate_are_numpy_mean_and_std_bit_for_bit(shape):
+    X = _columns(shape, 300, seed=len(shape) * 7 + shape[0])
+    with np.errstate(over="ignore", under="ignore"):  # 1e300 squared is inf in both
+        means, stds = stats.mean_std(X)
+        expected_means, expected_stds = X.mean(axis=0), X.std(axis=0)
+    assert means.tobytes() == expected_means.tobytes()
+    assert stds.tobytes() == expected_stds.tobytes()
+    assert (np.isinf(stds[..., 4]) == (shape[0] > 1)).all() and (stds[..., :3] == 0.0).all()
+    with np.errstate(over="ignore", under="ignore"):
+        vector = aggregate(X)
+    assert vector.tobytes() == np.concatenate([expected_means, expected_stds], axis=-1).tobytes()
+    # Along another axis too, as for the 24 joints of a centroid distance.
+    moved = np.moveaxis(X, 0, -1).copy()
+    with np.errstate(over="ignore", under="ignore"):
+        means, stds = stats.mean_std(moved, axis=-1)
+        assert means.tobytes() == moved.mean(axis=-1).tobytes()
+        assert stds.tobytes() == moved.std(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("shape", [s for s in MEAN_STD_SHAPES if len(s) == 2 and s[0] > 1])
+def test_fit_standardizer_is_numpy_mean_and_floored_std_bit_for_bit(shape):
+    # Magnitudes up to 1e150, so that every std is finite.
+    X = _columns(shape, 150, seed=shape[0])
+    with np.errstate(under="ignore"):
+        standardizer = fit_standardizer(X)
+        expected_stds = np.maximum(X.std(axis=0), stats.STD_FLOOR)
+    assert standardizer.means.tobytes() == X.mean(axis=0).tobytes()
+    assert standardizer.stds.tobytes() == expected_stds.tobytes()
+    assert (standardizer.stds[:3] == stats.STD_FLOOR).all() and standardizer.stds[4] > 1e140
 
 
 # ---------------------------------------------------------------------------
