@@ -57,6 +57,12 @@ TRACKED_JOINT_INDICES = (PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R)
 TRACKED_JOINT_NAMES = tuple(SMPL_JOINT_NAMES[j] for j in TRACKED_JOINT_INDICES)
 _TRACKED_PELVIS = TRACKED_JOINT_INDICES.index(PELVIS)
 
+# Joints that end a frame's widest horizontal pair in ordinary poses: head,
+# knees, ankles, feet, elbows, wrists and hands. _horizontal_extent starts
+# from their pairs and bounds the other, inner joints.
+_REACHING_JOINTS = np.array([4, 5, 7, 8, 10, 11, 15, 18, 19, 20, 21, 22, 23])
+_INNER_JOINTS = np.setdiff1d(np.arange(len(SMPL_JOINT_NAMES)), _REACHING_JOINTS)
+
 # Half-window of windowed Directness in seconds; frame_matrix rounds it to
 # max(1, round(DIRECTNESS_HALF_WINDOW_S * fps)) frames.
 DIRECTNESS_HALF_WINDOW_S = 0.5
@@ -138,6 +144,14 @@ def differentiate(track: np.ndarray,
     differences at interior frames and second-order one-sided differences
     at the two ends; each derivative order applies the same operator to the
     previous one.
+
+    Each order is bit for bit np.gradient(g, 1 / fps, axis=0, edge_order=2)
+    of its input g minus g's first frame, without np.gradient's per-call
+    argument handling: the same output dtype (integers become float64,
+    other floats keep theirs) and np.gradient's uniform-spacing formulas,
+    evaluated in its order with the same Python-float coefficients, so in
+    that dtype. The interior difference is divided in the output array,
+    which has the dtype of numpy's temporary and so rounds the same.
     """
     track = np.asarray(track)
     dt = 1.0 / _check_fps(fps, "fragment")
@@ -151,9 +165,20 @@ def differentiate(track: np.ndarray,
     # Each order is taken of its input minus the first frame: the end
     # weights of edge_order=2 do not sum to exactly 0 in floating point, and
     # a still joint must differentiate to exact zeros.
-    velocity = np.gradient(track - track[0], dt, axis=0, edge_order=2)
-    acceleration = np.gradient(velocity - velocity[0], dt, axis=0, edge_order=2)
-    jerk = np.gradient(acceleration - acceleration[0], dt, axis=0, edge_order=2)
+    f = track - track[0]
+    if not np.issubdtype(f.dtype, np.inexact):
+        f = f.astype(np.float64)
+    derivatives = []
+    for order in range(3):
+        d = np.empty_like(f)
+        np.subtract(f[2:], f[:-2], out=d[1:-1])
+        d[1:-1] /= 2.0 * dt
+        d[0] = (-1.5 / dt) * f[0] + (2.0 / dt) * f[1] + (-0.5 / dt) * f[2]
+        d[-1] = (0.5 / dt) * f[-3] + (-2.0 / dt) * f[-2] + (1.5 / dt) * f[-1]
+        derivatives.append(d)
+        if order < 2:
+            np.subtract(d, d[0], out=f)
+    velocity, acceleration, jerk = derivatives
     return velocity, acceleration, jerk
 
 
@@ -163,11 +188,15 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     a = max(0, t - w), b = min(T - 1, t + w), via the cumulative path along
     time and norms on the last axis; the result has shape (T, ...). A window
     whose path is shorter than EPS_PATH counts as fully Direct (1.0).
+
+    Any w >= T - 1 makes every window the whole track, so w is capped at T,
+    which keeps t - w an int64 at any frame rate.
     """
     if not _is_integer(w) or w < 1:
         raise ValueError(f"half-window w must be an integer frame count >= 1, got {w!r}")
     track = np.asarray(track, dtype=np.float64)
     n = track.shape[0]
+    w = min(w, n)
     steps = _norm3(np.diff(track, axis=0))
     cumulative = np.concatenate([np.zeros((1, *steps.shape[1:])),
                                  np.cumsum(steps, axis=0)])
@@ -182,15 +211,13 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _horizontal_extent(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each frame's widest xz distance between two of its joints, from the
-    (24, frames) x and z coordinate planes.
+def _widest_squared(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each column's largest dx*dx + dz*dz over the pairs of rows of the
+    (joints, frames) x and z planes.
 
-    Joint j is compared with joint j - k for every offset k, so each of the
-    unordered pairs is visited once without building a (T, pairs) array.
-    Bit-identical to the max of the full 24x24 norm matrix: sqrt is monotone
-    and correctly rounded, (a-b)**2 == (b-a)**2, and the 2-axis norm is
-    sqrt(dx*dx + dz*dz).
+    Row j is compared with row j - k for every offset k, so each of the
+    unordered pairs is visited once without building a (frames, pairs)
+    array.
     """
     widest = np.zeros(x.shape[1])
     buffers = np.empty((2, x.shape[0] - 1, x.shape[1]))
@@ -202,7 +229,45 @@ def _horizontal_extent(x: np.ndarray, z: np.ndarray) -> np.ndarray:
         dz *= dz
         d += dz
         np.maximum(widest, d.max(axis=0), out=widest)
+    return widest
+
+
+def _horizontal_extent(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each frame's widest xz distance between two of its joints, from the
+    (24, frames) x and z coordinate planes.
+
+    The widest pair among the reaching joints comes first. Each inner
+    joint is then bounded by its squared distance to the farthest corner
+    of the frame's xz bounding box, max(x - xmin, xmax - x)**2 +
+    max(z - zmin, zmax - z)**2, computed as a pair's dx*dx + dz*dz is; only
+    the frames where a bound exceeds the reaching maximum are compared over
+    all 276 pairs. The result is bit-identical to the max of the full 24x24
+    norm matrix. Rounding is monotone, and fl(a-b)**2 == fl(b-a)**2, so no
+    computed pair with an inner endpoint exceeds that joint's computed
+    bound; a max is exact, sqrt is monotone and correctly rounded, and the
+    2-axis norm is sqrt(dx*dx + dz*dz). The choice of reaching joints only
+    decides how many frames take the all-pairs pass, never a bit.
+    """
+    widest = _widest_squared(x[_REACHING_JOINTS], z[_REACHING_JOINTS])
+    bound = _far_side_squared(x)
+    bound += _far_side_squared(z)
+    redo = np.flatnonzero(bound.max(axis=0) > widest)
+    del bound
+    if len(redo):
+        widest[redo] = _widest_squared(x[:, redo], z[:, redo])
     return np.sqrt(widest)
+
+
+def _far_side_squared(plane: np.ndarray) -> np.ndarray:
+    """The (inner joints, frames) squared distances, along one coordinate
+    plane of 24 joint rows, from each inner joint to the farther end of its
+    frame's range."""
+    inner = plane[_INNER_JOINTS]
+    far = inner - plane.min(axis=0)
+    np.subtract(plane.max(axis=0), inner, out=inner)
+    np.maximum(far, inner, out=far)
+    far *= far
+    return far
 
 
 def _net_displacement(pelvis: np.ndarray) -> np.ndarray:
@@ -222,11 +287,15 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     """
     pos = np.asarray(positions)
     _check_positions(pos, "fragment", stacked=True)
-    out = np.empty((*pos.shape[:-2], len(FRAME_FEATURE_NAMES)))
     # The one float64 copy: joint-major coordinate planes, planes[c, j] the
     # coordinate c of joint j at each of the n frames of every sequence.
     planes = np.ascontiguousarray(pos.reshape(-1, *pos.shape[-2:]).T, dtype=np.float64)
     n = planes.shape[-1]
+    # The horizontal extent is taken before the output is allocated: it
+    # copies the x and z planes of the frames that fail its bound, and on
+    # unstructured poses every frame does.
+    extent = _horizontal_extent(planes[0], planes[2])
+    out = np.empty((*pos.shape[:-2], len(FRAME_FEATURE_NAMES)))
 
     # Dispersion: limb reach, centroid spread, extents, hand and foot
     # spans, pelvis height, written through a (12, n) view of their columns.
@@ -253,7 +322,8 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     dispersion[5], dispersion[8] = mean_std(to_centroid, axis=1)
     del to_centroid
     dispersion[6] = planes[1].max(axis=0) - planes[1].min(axis=0)
-    dispersion[7] = _horizontal_extent(planes[0], planes[2])
+    dispersion[7] = extent
+    del extent
     dispersion[9] = _norm3(np.moveaxis(planes[:, HAND_L] - planes[:, HAND_R], 0, -1))
     dispersion[10] = _norm3(np.moveaxis(planes[:, FOOT_L] - planes[:, FOOT_R], 0, -1))
     dispersion[11] = planes[1, PELVIS]

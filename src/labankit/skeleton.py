@@ -91,6 +91,9 @@ def _check_positions(positions: np.ndarray, context: str, stacked: bool = False)
         raise SkeletonError(
             f"{context}: joint count {positions.shape[-2]} != {SMPL_JOINT_COUNT}"
         )
+    if 0 in positions.shape[1:-2]:
+        raise SkeletonError(f"{context}: positions have an empty stacked axis, "
+                            f"shape {positions.shape}")
     if not np.isfinite(positions).all():
         t, *sequence, j = np.argwhere(~np.isfinite(positions).all(axis=-1))[0]
         where = f", sequence {', '.join(map(str, sequence))}" if sequence else ""

@@ -5,10 +5,16 @@ frame, independently of the vectorized labankit.descriptors.frame_matrix.
 A `positions` argument is a (T, 24, 3) sequence; a `state` argument is the (velocity, acceleration, jerk) triple that
 labankit.descriptors.differentiate returns.
 
+differentiate is three np.gradient calls, one per derivative order. The
+library evaluates np.gradient's uniform-spacing formulas itself, which
+must give the same arrays bit for bit, in the same dtype.
+
 frame_matrix is the frame-major descriptor matrix: every family computed
 on (frames, joints, 3) arrays, one frame's joints and coordinates
-innermost. The library computes it on joint-major coordinate planes,
-which must give the same matrix bit for bit.
+innermost, with the horizontal extent over all 276 joint pairs and the
+derivatives from this module's differentiate. The library computes it on
+joint-major coordinate planes, with the extent first over the reaching
+joints, which must give the same matrix bit for bit.
 
 loss_and_gradient and hessian are the straightforward classifier
 objective: two separate softmax exponentials, and a Hessian over all
@@ -87,9 +93,19 @@ from labankit.descriptors import (
     PELVIS,
     TRACKED_JOINT_INDICES,
     _norm3,
-    differentiate,
     windowed_directness,
 )
+
+
+def differentiate(track: np.ndarray, fps: float):
+    """(velocity, acceleration, jerk) of a (T, ..., 3) track: each order is
+    np.gradient at 1 / fps, second-order at the ends, of the previous one
+    minus its first frame."""
+    dt = 1.0 / float(fps)
+    velocity = np.gradient(track - track[0], dt, axis=0, edge_order=2)
+    acceleration = np.gradient(velocity - velocity[0], dt, axis=0, edge_order=2)
+    jerk = np.gradient(acceleration - acceleration[0], dt, axis=0, edge_order=2)
+    return velocity, acceleration, jerk
 
 
 def half_window(fps: float) -> int:

@@ -98,6 +98,43 @@ def test_differentiate_rejects_a_track_that_is_not_finite_t_by_3(track):
         differentiate(track, 30.0)
 
 
+def _derivative_case(name):
+    """A named track of the np.gradient pinning test."""
+    kind, _, arg = name.partition(" ")
+    positions = wiggle_positions(60, seed=4)
+    if kind == "minimum":
+        return positions[:4, HAND_L]
+    if kind == "stacked":
+        return np.stack([positions, wiggle_positions(60, seed=5)], axis=1)[:, :, [0, 15, 22]]
+    if kind == "dtype":
+        return {"int64": np.round(positions * 100).astype(np.int64),
+                "int32": np.round(positions * 100).astype(np.int32),
+                "float32": positions.astype(np.float32),
+                "float64": positions}[arg]
+    if kind == "signed-zero":
+        track = np.zeros((12, 6, 3))
+        track[::2, 1::2] = -0.0
+        track[5:, 0, 2] = -0.0
+        track[7:, 3] = positions[7:12, 3]
+        return track
+    rng = np.random.default_rng(6)
+    return positions * float(arg) * rng.choice([-1.0, 1.0], size=positions.shape)
+
+
+@pytest.mark.parametrize("fps", [24, 29.97, 30, 60, 120])
+@pytest.mark.parametrize("name", [
+    "minimum", "stacked", "dtype int64", "dtype int32", "dtype float32", "dtype float64",
+    "signed-zero", "scale 1e-150", "scale 1e150",
+])
+def test_differentiate_is_numpy_gradient_bit_for_bit(name, fps):
+    track = _derivative_case(name)
+    for got, want in zip(differentiate(track, fps), oracles.differentiate(track, fps)):
+        assert got.dtype == want.dtype == (np.float32 if track.dtype == np.float32
+                                           else np.float64)
+        assert got.shape == track.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fragment_features_rejects_a_non_finite_coordinate_by_location():
     positions = wiggle_positions(150)
     positions[37, 5, 1] = np.nan
@@ -181,6 +218,35 @@ def test_windowed_directness_takes_a_numpy_integer_half_window():
     track = wiggle_positions(40, seed=2)[:, 0]
     assert np.array_equal(windowed_directness(track, np.int64(3)),
                           windowed_directness(track, 3))
+
+
+def test_windowed_directness_of_a_huge_half_window_is_whole_track_windows():
+    # A half-window past int64 used to overflow in t - w.
+    track = wiggle_positions(40, seed=2)[:, [0, 22]]
+    whole = windowed_directness(track, len(track))
+    assert np.array_equal(windowed_directness(track, 10**30), whole)
+    assert np.array_equal(windowed_directness(track, len(track) - 1), whole)
+
+
+def test_a_huge_finite_fps_gives_the_features_of_whole_sequence_windows(monkeypatch):
+    # round(0.5 * 1e20) frames is past int64; frame_matrix and
+    # fragment_features used to raise OverflowError.
+    positions = wiggle_positions(100)
+    fragments = [slice(0, 100), slice(10, 60)]
+    huge = fragment_features(positions, 1e20, fragments)
+    matrix = frame_matrix(positions, 1e20)
+    assert np.isfinite(huge).all() and np.isfinite(matrix).all()
+    # The same fps with the half-window set to exactly T frames.
+    monkeypatch.setattr(descriptors, "DIRECTNESS_HALF_WINDOW_S", len(positions) / 1e20)
+    assert round(descriptors.DIRECTNESS_HALF_WINDOW_S * 1e20) == len(positions)
+    assert huge.tobytes() == fragment_features(positions, 1e20, fragments).tobytes()
+    assert matrix.tobytes() == frame_matrix(positions, 1e20).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_fps_whose_derivatives_overflow_fails_naming_the_feature():
+    with pytest.raises(ValueError, match=r"fragment at frame 10: feature \S+ is (inf|nan)"):
+        fragment_features(wiggle_positions(100), 1e300, [slice(10, 60)])
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +489,86 @@ def test_horizontal_extent_of_coincident_xz_pose_is_exactly_zero():
     positions[:, :, 1] = np.linspace(0.0, 1.8, 24)
     extent = frame_matrix(positions, 30.0)[:, column("dispersion.horizontal_extent")]
     assert np.all(extent == 0.0)
+
+
+def _extent_poses():
+    """(T, 2, 3, 24, 3) positions whose frames mix hand-built horizontal
+    extents with smooth motion at scales 1e-100 to 1e100, and the (T, 2, 3)
+    mask of the frames whose one widest xz pair has an inner joint as an
+    endpoint."""
+    base = np.stack([wiggle_positions(12, seed=k) for k in range(6)], axis=1)
+    base[..., [0, 2]] *= 0.2  # every joint within 0.2 m of the origin
+    inner_widest = np.zeros(base.shape[:2], dtype=bool)
+
+    def place(t, joint, x, z):
+        base[t, :, joint, 0] = x
+        base[t, :, joint, 2] = z
+
+    # Pelvis 0 to right hand 23, spine 9 to shoulder 16, pelvis 0 to spine 9.
+    for t, (a, b) in zip((1, 4, 7), ((PELVIS, HAND_R), (9, 16), (PELVIS, 9))):
+        place(t, a, 1.5, -0.5)
+        place(t, b, -1.25, 0.75)
+        inner_widest[t] = True
+    # A tie: hands 22-23 and pelvis 0 to shoulder 16 are both 4 m apart.
+    for joint, x, z in ((HAND_L, -2.0, 0.0), (HAND_R, 2.0, 0.0),
+                        (PELVIS, 0.0, -2.0), (16, 0.0, 2.0)):
+        place(9, joint, x, z)
+    # Coincident xz.
+    base[10, ..., 0] = 0.3
+    base[10, ..., 2] = -0.7
+    scales = 10.0 ** np.array([-100, -50, 0, 0, 50, 100])
+    return (base * scales[:, None, None]).reshape(12, 2, 3, 24, 3), inner_widest.reshape(12, 2, 3)
+
+
+def _xz_norm_matrix(positions):
+    """Each frame's 24x24 matrix of xz distances between its joints."""
+    xz = positions[..., [0, 2]]
+    return np.linalg.norm(xz[..., :, None, :] - xz[..., None, :, :], axis=-1)
+
+
+# At 1e100 m the pelvis's ||v x a|| for curvature overflows; column 7 does not.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_horizontal_extent_is_the_norm_matrix_max_on_both_paths(monkeypatch):
+    positions, inner_widest = _extent_poses()
+    passes = []
+
+    def recording(x, z):
+        passes.append((x.copy(), z.copy()))
+        return widest_squared(x, z)
+
+    widest_squared = descriptors._widest_squared
+    monkeypatch.setattr(descriptors, "_widest_squared", recording)
+    extent = frame_matrix(positions, 30.0)[..., column("dispersion.horizontal_extent")]
+    norms = _xz_norm_matrix(positions)
+    assert extent.tobytes() == norms.max(axis=(-2, -1)).tobytes()
+    assert np.all(extent[10] == 0.0)
+    # Frames 1, 4 and 7 have one widest pair: pelvis to hand, spine to
+    # shoulder, pelvis to spine.
+    for t, pair in zip((1, 4, 7), ((PELVIS, HAND_R), (9, 16), (PELVIS, 9))):
+        widest = norms[t] == extent[t][..., None, None]
+        assert np.all(widest.sum(axis=(-2, -1)) == 2) and np.all(widest[..., pair[0], pair[1]])
+    assert np.all(norms[9, ..., HAND_L, HAND_R] == norms[9, ..., PELVIS, 16])
+    # The reaching joints first, then all 24 on the frames that need them,
+    # every inner-widest frame among them.
+    (reach_x, _), (all_x, all_z) = passes
+    assert reach_x.shape == (13, 12 * 6) and all_x.shape[0] == 24
+    frames = positions.reshape(-1, 24, 3)
+    taken = {(*x, *z) for x, z in zip(all_x.T, all_z.T)}
+    for c in np.flatnonzero(inner_widest.reshape(-1)):
+        assert (*frames[c, :, 0], *frames[c, :, 2]) in taken
+    assert all_x.shape[1] < len(frames)
+
+
+def test_horizontal_extent_of_a_synth_clip_takes_the_reaching_pass_alone(monkeypatch):
+    positions = generate(RegimeSpec(0, duration_s=5.0, fps=30.0, seed=0)).positions
+    passes = []
+    widest_squared = descriptors._widest_squared
+    monkeypatch.setattr(descriptors, "_widest_squared",
+                        lambda x, z: passes.append(x.shape) or widest_squared(x, z))
+    extent = frame_matrix(positions, 30.0)[:, column("dispersion.horizontal_extent")]
+    assert passes == [(13, 150)]
+    assert extent.tobytes() == _xz_norm_matrix(positions).max(axis=(1, 2)).tobytes()
+    assert extent.tobytes() == oracles._horizontal_extent(positions).tobytes()
 
 
 def _oracle_case(name):
@@ -886,6 +1032,16 @@ def test_stacked_sequences_are_checked_by_location():
         frame_matrix(np.zeros((150, 2, 23, 3)), 30.0)
     with pytest.raises(SkeletonError, match=r"shape \(T, 24, 3\), with any stacked axes"):
         frame_matrix(np.zeros((150, 2, 24, 2)), 30.0)
+
+
+@pytest.mark.parametrize("shape", [(8, 0, 24, 3), (8, 2, 0, 24, 3)])
+def test_an_empty_stacked_axis_is_refused_naming_the_shape(shape):
+    # It used to die in a numpy reshape of a size-0 array.
+    message = re.escape(f"positions have an empty stacked axis, shape {shape}")
+    with pytest.raises(SkeletonError, match=message):
+        frame_matrix(np.zeros(shape), 30.0)
+    with pytest.raises(SkeletonError, match=message):
+        fragment_features(np.zeros(shape), 30.0, [slice(0, 8)])
 
 
 def test_five_feature_means_are_linear_in_the_others():
