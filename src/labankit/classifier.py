@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .skeleton import _is_integer, _is_real
+from .skeleton import _is_integer, _is_real, _json_numbers, _reading
 from .stats import Standardizer, fit_standardizer
 
 MODEL_FORMAT_VERSION = 1
@@ -282,10 +282,11 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
         reduced = basis.T @ grad
         step = np.linalg.solve(hess, reduced.reshape(lead + (-1, 1))).reshape(theta.shape)
         descent = (reduced * step).reshape(lead + (-1,)).sum(axis=-1)
-        scale = np.ones(lead)
         pending = running.copy()
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = theta - scale[..., None, None] * step
+        for halvings in range(_MAX_BACKTRACKS):
+            # Every pending fit has halved as often; powers of two scale exactly.
+            scale = 0.5 ** halvings
+            candidate = theta - scale * step
             evaluated = loss_and_gradient(basis @ candidate, ZV, y, config.l2_lambda)
             accepted = pending & (evaluated[0] <= loss - _ARMIJO_C1 * scale * descent)
             if accepted.all():  # every fit moves, as one fit always does
@@ -299,7 +300,6 @@ def _newton_minimize(Z: np.ndarray, y: np.ndarray, class_count: int,
             pending ^= accepted  # accepted fits were pending
             if not pending.any():
                 break
-            scale[pending] *= 0.5
         # A fit still pending is numerically flat, as no step length improves
         # it, and stops (pending fits were running).
         running ^= pending
@@ -416,27 +416,10 @@ def save_model(model: LinearModel, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
-def _json_array(key: str, value, ndim: int, kinds=(int, float)) -> np.ndarray:
-    """A model file's value as an ndim-D object array whose every cell has
-    one of the types kinds exactly, or ValueError naming the key. A JSON
-    true is a bool, not an int, and "0.5" a string, not a number, though
-    np.asarray would read both as numbers."""
-    cells = np.asarray(value, dtype=object)
-    if cells.ndim != ndim:
-        raise ValueError(f"{key} must be {ndim}-D, got {cells.ndim}-D")
-    for cell in cells.flat:
-        if type(cell) not in kinds:
-            what = "strings" if str in kinds else "numbers"
-            raise ValueError(f"{key} must hold only {what}, got {cell!r}")
-    return cells
-
-
 def load_model(path) -> LinearModel:
     path = Path(path)
-    try:
+    with _reading(path):
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid model JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
@@ -446,19 +429,24 @@ def load_model(path) -> LinearModel:
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     try:
-        standardizer = payload["standardizer"]
+        names, standardizer = payload["feature_names"], payload["standardizer"]
+        if not isinstance(names, list):
+            raise ValueError(f"feature_names must be a list, got {names!r}")
+        for key, value, shape in (
+                ("weights", payload["weights"], (None, len(names))),
+                ("biases", payload["biases"], (None,)),
+                ("standardizer means", standardizer["means"], (None,)),
+                ("standardizer stds", standardizer["stds"], (None,)),
+                ("l2_lambda", payload["l2_lambda"], ())):
+            _json_numbers(value, shape, key)
         return LinearModel(
             task=payload["task"],
             class_count=payload["class_count"],
-            weights=_json_array("weights", payload["weights"], 2),
-            biases=_json_array("biases", payload["biases"], 1),
-            standardizer=Standardizer(
-                means=_json_array("standardizer means", standardizer["means"], 1),
-                stds=_json_array("standardizer stds", standardizer["stds"], 1),
-            ),
-            feature_names=tuple(_json_array("feature_names", payload["feature_names"],
-                                            1, (str,))),
-            l2_lambda=float(_json_array("l2_lambda", payload["l2_lambda"], 0)),
+            weights=payload["weights"],
+            biases=payload["biases"],
+            standardizer=Standardizer(means=standardizer["means"], stds=standardizer["stds"]),
+            feature_names=names,
+            l2_lambda=float(payload["l2_lambda"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None

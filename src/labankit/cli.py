@@ -29,8 +29,8 @@ from .evaluation import TASKS, cross_validate, get_task, remap_task, render_conf
 from .features_io import (read_features_csv, write_features_csv,
                           write_predictions_csv, write_ranking_csv)
 from .skeleton import (MIN_FRAGMENT_SECONDS, SKELETON_SUFFIX, DatasetManifest,
-                       ManifestEntry, balance_dataset, load_manifest, load_sequence,
-                       save_manifest, save_sequence, slice_fragments)
+                       ManifestEntry, _reading, balance_dataset, load_manifest,
+                       load_sequence, save_manifest, save_sequence, slice_fragments)
 from .stats import rank_features
 from .synth import N_REGIMES, RegimeSpec, generate
 
@@ -149,10 +149,8 @@ def _config_value(option: _Option, value, where: str):
 
 def _read_config(path: str, subcommand: str, options) -> dict:
     """The params of a config echo that belong to the subcommand's options."""
-    try:
+    with _reading(path):
         echo = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
     params = echo.get("params", {}) if isinstance(echo, dict) else None
     if not isinstance(params, dict):
         raise UsageError(f"config {path}: expected a JSON object with a params object")
@@ -278,7 +276,7 @@ def _extract_run(entries, length: float, stride: float) -> list:
                 raise ValueError(f"file tier {seq.tier} differs from manifest "
                                  f"tier {entry.tier}")
             fragments = slice_fragments(seq, length_s=length, stride_s=stride)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             results[i] = (entry, None, _message(entry, exc))
             continue
         if not fragments:

@@ -135,6 +135,12 @@ def _norm3(d: np.ndarray) -> np.ndarray:
     return np.sqrt((s[..., 0] + s[..., 1]) + s[..., 2])
 
 
+def _check_jerk_frames(count: int):
+    """Refuse a sequence with too few frames for the jerk's end formulas."""
+    if count < 4:
+        raise ValueError(f"sequence too short for jerk: need at least 4 frames, got {count}")
+
+
 def differentiate(track: np.ndarray,
                   fps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(velocity, acceleration, jerk) of a (T, ..., 3) track by frame
@@ -157,11 +163,7 @@ def differentiate(track: np.ndarray,
     dt = 1.0 / _check_fps(fps, "fragment")
     if track.ndim < 2 or track.shape[-1] != 3 or not np.isfinite(track).all():
         raise ValueError(f"expected a finite (T, ..., 3) track, got shape {track.shape}")
-    if track.shape[0] < 4:
-        raise ValueError(
-            f"sequence too short for jerk: need at least 4 frames, "
-            f"got {track.shape[0]}"
-        )
+    _check_jerk_frames(track.shape[0])
     # Each order is taken of its input minus the first frame: the end
     # weights of edge_order=2 do not sum to exactly 0 in floating point, and
     # a still joint must differentiate to exact zeros.
@@ -287,6 +289,7 @@ def frame_matrix(positions: np.ndarray, fps: float) -> np.ndarray:
     """
     pos = np.asarray(positions)
     _check_positions(pos, "fragment", stacked=True)
+    _check_jerk_frames(pos.shape[0])
     # The one float64 copy: joint-major coordinate planes, planes[c, j] the
     # coordinate c of joint j at each of the n frames of every sequence.
     planes = np.ascontiguousarray(pos.reshape(-1, *pos.shape[-2:]).T, dtype=np.float64)

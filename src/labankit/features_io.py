@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .skeleton import VALID_TIERS, _validate_tier
+from .skeleton import VALID_TIERS, _reading, _validate_tier
 
 METADATA_COLUMNS = ("source_id", "start_frame", "tier")
 
@@ -109,7 +109,7 @@ def read_features_csv(path) -> FeatureTable:
     int() accept and words every error with its file line.
     """
     path = Path(path)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(_rows_of(path, reader), None)
         if header is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,7 +44,44 @@ SKELETON_FORMAT_VERSION = 1
 
 
 class SkeletonError(ValueError):
-    """A skeleton file, sequence, or manifest violates the format contract."""
+    """A skeleton sequence or manifest violates the format contract, or an
+    input file (skeleton, manifest, model, config echo, feature CSV) cannot
+    be read or breaks its format."""
+
+
+@contextmanager
+def _reading(path):
+    """Raise an OSError, a UnicodeDecodeError or a json.JSONDecodeError from
+    reading the file at path as one SkeletonError, "<path>: <reason>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise SkeletonError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SkeletonError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SkeletonError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _json_numbers(value, shape: tuple, where: str):
+    """Refuse a parsed JSON value that is not lists nested to shape (a length
+    per level, None for any) around numbers, naming the first bad entry by
+    its index path from where, as in "frames[4][9][2]". A JSON true is not
+    a number and "0.5" is not one, though np.asarray reads both as numbers,
+    and an integer must fit in 64 bits, as np.asarray reads no larger one
+    as a number."""
+    if shape:
+        length, *inner = shape
+        if not isinstance(value, list) or length not in (None, len(value)):
+            got = f"{len(value)} entries" if isinstance(value, list) else repr(value)
+            want = "a list" if length is None else f"a list of {length} entries"
+            raise SkeletonError(f"{where} must be {want}, got {got}")
+        for i, item in enumerate(value):
+            if inner or type(item) is not float:  # a float leaf is a number
+                _json_numbers(item, inner, f"{where}[{i}]")
+    elif type(value) is not float and not (type(value) is int and -2**63 <= value < 2**64):
+        what = "an integer within 64 bits" if type(value) is int else "a number"
+        raise SkeletonError(f"{where} must be {what}, got {value!r}")
 
 
 def _is_integer(value) -> bool:
@@ -156,15 +194,9 @@ def load_sequence(path) -> SkeletonSequence:
     path = Path(path)
     if path.suffix == SKELETON_SUFFIX:
         return _load_container(path)
-    try:
+    with _reading(path):
         text = path.read_text(encoding="utf-8")
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SkeletonError(f"{path}: invalid JSON: {exc}") from exc
-    except OSError as exc:
-        raise SkeletonError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SkeletonError(f"{path}: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise SkeletonError(f"{path}: top-level value must be a JSON object")
@@ -178,31 +210,25 @@ def load_sequence(path) -> SkeletonSequence:
     # Fast path: a well-formed file converts directly to a (T, 24, 3) array of
     # integers or floats; the dtype is inferred, so a string or bool coordinate
     # is not parsed or cast into a number. Only walk the structure to locate
-    # the offending frame/joint on failure.
+    # the offending entry on failure. Inference promotes a bool mixed with
+    # numbers to a number, so a file whose text holds a JSON true or false is
+    # walked too.
     try:
         positions = np.asarray(frames)
     except (TypeError, ValueError):
         positions = None
-    # Inference promotes a bool mixed with numbers to a number, so a file
-    # whose text holds a JSON true or false is walked to locate it.
-    if "true" in text or "false" in text:
-        _locate_frame_error(path, frames)
-    if (positions is None or positions.dtype.kind not in "iuf" or positions.ndim != 3
+    if ("true" in text or "false" in text or positions is None
+            or positions.dtype.kind not in "iuf"
             or positions.shape[1:] != (SMPL_JOINT_COUNT, 3)):
-        _locate_frame_error(path, frames)
-        raise SkeletonError(
-            f"{path}: frames do not form a (T, {SMPL_JOINT_COUNT}, 3) array of numbers")
+        _json_numbers(frames, (None, SMPL_JOINT_COUNT, 3), f"{path}: frames")
 
     return _sequence_from(path, raw["source_id"], raw["fps"], positions, raw.get("tier"))
 
 
 def _load_container(path: Path) -> SkeletonSequence:
-    try:
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
-            body = fh.read()
-    except OSError as exc:
-        raise SkeletonError(f"{path}: {exc.strerror or exc}") from exc
+    with _reading(path), open(path, "rb") as fh:
+        header_line = fh.readline()
+        body = fh.read()
     try:
         header = json.loads(header_line)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -228,32 +254,6 @@ def _load_container(path: Path) -> SkeletonSequence:
     positions = np.frombuffer(body, "<f8").reshape(shape)
     return _sequence_from(path, header["source_id"], header["fps"], positions,
                           header["tier"])
-
-
-def _locate_frame_error(path: Path, frames: list):
-    for t, frame in enumerate(frames):
-        if not isinstance(frame, list):
-            raise SkeletonError(f"{path}: frame {t} is not a list of joints")
-        if len(frame) != SMPL_JOINT_COUNT:
-            raise SkeletonError(
-                f"{path}: frame {t}: joint count {len(frame)} != {SMPL_JOINT_COUNT}"
-            )
-        for j, joint in enumerate(frame):
-            if not isinstance(joint, list) or len(joint) != 3:
-                raise SkeletonError(
-                    f"{path}: frame {t}, joint {j}: expected 3 coordinates"
-                )
-            for value in joint:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SkeletonError(
-                        f"{path}: frame {t}, joint {j}: non-numeric coordinate {value!r}"
-                    )
-                # Only an integer beyond 64 bits makes the inferred dtype object.
-                if isinstance(value, int) and not -2**63 <= value < 2**64:
-                    raise SkeletonError(
-                        f"{path}: frame {t}, joint {j}: integer coordinate {value} "
-                        f"does not fit in 64 bits"
-                    )
 
 
 def save_sequence(seq: SkeletonSequence, path) -> None:
@@ -359,10 +359,8 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     base = path.parent
     entries = []
-    try:
+    with _reading(path):
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SkeletonError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

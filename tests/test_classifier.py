@@ -777,22 +777,26 @@ def _set(payload, key, value):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("weights", [["1.0", "0", "0"]] * 4, "weights must hold only numbers, got '1.0'"),
-    ("standardizer.stds", ["1", "1", "1"], "standardizer stds must hold only numbers, "
+    ("weights", [["1.0", "0", "0"]] * 4, "weights[0][0] must be a number, got '1.0'"),
+    ("standardizer.stds", ["1", "1", "1"], "standardizer stds[0] must be a number, "
                                            "got '1'"),
-    ("standardizer.means", [0.0, 0.0, None], "standardizer means must hold only numbers, "
+    ("standardizer.means", [0.0, 0.0, None], "standardizer means[2] must be a number, "
                                              "got None"),
-    ("biases", [True, 0.0, 0.0, 0.0], "biases must hold only numbers, got True"),
-    ("biases", [[0.0], [0.0], [0.0], [0.0]], "biases must be 1-D, got 2-D"),
-    ("l2_lambda", "0.5", "l2_lambda must hold only numbers, got '0.5'"),
-    ("l2_lambda", True, "l2_lambda must hold only numbers, got True"),
-    ("l2_lambda", [0.5], "l2_lambda must be 0-D, got 1-D"),
+    ("biases", [True, 0.0, 0.0, 0.0], "biases[0] must be a number, got True"),
+    ("biases", [[0.0], [0.0], [0.0], [0.0]], "biases[0] must be a number, got [0.0]"),
+    ("l2_lambda", "0.5", "l2_lambda must be a number, got '0.5'"),
+    ("l2_lambda", True, "l2_lambda must be a number, got True"),
+    ("l2_lambda", [0.5], "l2_lambda must be a number, got [0.5]"),
     ("feature_names", [0, 1, 2], "feature_names must hold only strings, got 0"),
-    ("feature_names", "abc", "feature_names must be 1-D, got 0-D"),
-    ("weights", [[10 ** 400, 0, 0]] + [[0, 0, 0]] * 3, "int too large to convert"),
+    ("feature_names", "abc", "feature_names must be a list, got 'abc'"),
+    ("weights", [[0, 0, 0], [0, 0], [0, 0, 0], [0, 0, 0]],
+     "weights[1] must be a list of 3 entries, got 2 entries"),
+    ("weights", [[10 ** 400, 0, 0]] + [[0, 0, 0]] * 3,
+     f"weights[0][0] must be an integer within 64 bits, got {10 ** 400}"),
     ("format_version", True, "unsupported model format version True (expected 1)"),
 ], ids=["str-weights", "str-stds", "null-means", "true-biases", "nested-biases", "str-l2",
-        "true-l2", "list-l2", "int-feature-names", "str-feature-names", "huge-int-weight",
+        "true-l2", "list-l2", "int-feature-names", "str-feature-names", "ragged-weights",
+        "huge-int-weight",
         "true-format-version"])
 def test_load_model_refuses_a_mistyped_value_naming_its_key(tmp_path, key, value,
                                                             message):

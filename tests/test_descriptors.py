@@ -1044,6 +1044,24 @@ def test_an_empty_stacked_axis_is_refused_naming_the_shape(shape):
         fragment_features(np.zeros(shape), 30.0, [slice(0, 8)])
 
 
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["one", "stacked"])
+@pytest.mark.parametrize("frames", [0, 3])
+def test_fewer_than_four_frames_are_refused_before_any_descriptor(monkeypatch, frames,
+                                                                   stack):
+    # Zero frames used to die in a numpy reshape; the extent run, which
+    # comes before the kinematics, must not see a sequence too short for them.
+    def no_extent(x, z):
+        raise AssertionError("the horizontal extent ran")
+
+    monkeypatch.setattr(descriptors, "_horizontal_extent", no_extent)
+    positions = np.zeros((frames, *stack, 24, 3))
+    message = f"sequence too short for jerk: need at least 4 frames, got {frames}"
+    with pytest.raises(ValueError, match=message):
+        frame_matrix(positions, 30.0)
+    with pytest.raises(ValueError, match=message):
+        fragment_features(positions, 30.0, [slice(0, 1)])
+
+
 def test_five_feature_means_are_linear_in_the_others():
     # These identities make any feature table rank <= 105, so a fit with
     # more rows than features still has a row space narrower than 110.

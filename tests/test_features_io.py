@@ -210,6 +210,16 @@ def test_refused_rows_keep_their_messages(tmp_path, rows, message):
     assert str(exc.value) == message.format(path=path)
 
 
+def test_an_undecodable_byte_past_the_first_read_is_refused_naming_the_file(tmp_path):
+    # The header decodes; the byte fails the loadtxt pass, which falls back,
+    # and then the row loop, whose error names the file.
+    path = tmp_path / "features.csv"
+    path.write_bytes((_HEADER + "s0,0,1,1.5,2.5\r\n" * 2000).encode() + b"s1,0,1,\xff,2\r\n")
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value).startswith(f"{path}: not UTF-8 text: ")
+
+
 @pytest.mark.parametrize("tail", ["", "\n\r\n\r"], ids=["header-only", "blank-lines"])
 def test_a_file_without_rows_is_an_empty_table_without_a_warning(tmp_path, tail):
     path = tmp_path / "features.csv"
