@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .skeleton import _is_integer, _is_real, _json_numbers, _reading
+from .skeleton import _is_integer, _is_real, _json_numbers, _json_object, _parse_json, _reading
 from .stats import Standardizer, fit_standardizer
 
 MODEL_FORMAT_VERSION = 1
@@ -419,17 +419,18 @@ def save_model(model: LinearModel, path) -> None:
 def load_model(path) -> LinearModel:
     path = Path(path)
     with _reading(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+        text = path.read_text(encoding="utf-8")
+    payload = _parse_json(text, path)
     version = payload.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported model format version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
+        raise ValueError(f"{path}: unsupported model format version {version!r} "
+                         f"(expected {MODEL_FORMAT_VERSION})")
+    _json_object(payload, path, ("task", "class_count", "l2_lambda", "feature_names",
+                                 "standardizer", "weights", "biases"))
+    names = payload["feature_names"]
+    standardizer = _json_object(payload["standardizer"], f"{path}: standardizer",
+                                ("means", "stds"))
     try:
-        names, standardizer = payload["feature_names"], payload["standardizer"]
         if not isinstance(names, list):
             raise ValueError(f"feature_names must be a list, got {names!r}")
         for key, value, shape in (
@@ -448,7 +449,5 @@ def load_model(path) -> LinearModel:
             feature_names=names,
             l2_lambda=float(payload["l2_lambda"]),
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

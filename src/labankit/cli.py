@@ -28,8 +28,8 @@ from .descriptors import FEATURE_NAMES_110, FEATURE_SCHEMA_VERSION, fragment_fea
 from .evaluation import TASKS, cross_validate, get_task, remap_task, render_confusion
 from .features_io import (read_features_csv, write_features_csv,
                           write_predictions_csv, write_ranking_csv)
-from .skeleton import (MIN_FRAGMENT_SECONDS, SKELETON_SUFFIX, DatasetManifest,
-                       ManifestEntry, _reading, balance_dataset, load_manifest,
+from .skeleton import (MIN_FRAGMENT_SECONDS, SKELETON_SUFFIX, DatasetManifest, ManifestEntry,
+                       _json_object, _parse_json, _reading, balance_dataset, load_manifest,
                        load_sequence, save_manifest, save_sequence, slice_fragments)
 from .stats import rank_features
 from .synth import N_REGIMES, RegimeSpec, generate
@@ -150,10 +150,9 @@ def _config_value(option: _Option, value, where: str):
 def _read_config(path: str, subcommand: str, options) -> dict:
     """The params of a config echo that belong to the subcommand's options."""
     with _reading(path):
-        echo = json.loads(Path(path).read_text(encoding="utf-8"))
-    params = echo.get("params", {}) if isinstance(echo, dict) else None
-    if not isinstance(params, dict):
-        raise UsageError(f"config {path}: expected a JSON object with a params object")
+        text = Path(path).read_text(encoding="utf-8")
+    echo = _parse_json(text, path)
+    params = _json_object(echo.get("params", {}), f"{path}: params")
     if echo.get("subcommand") != subcommand:
         raise UsageError(f"config {path} is for {echo.get('subcommand')!r}, "
                          f"not {subcommand!r}")

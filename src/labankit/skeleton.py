@@ -46,21 +46,42 @@ SKELETON_FORMAT_VERSION = 1
 class SkeletonError(ValueError):
     """A skeleton sequence or manifest violates the format contract, or an
     input file (skeleton, manifest, model, config echo, feature CSV) cannot
-    be read or breaks its format."""
+    be read, is not UTF-8 text, is not the JSON object it must hold or
+    breaks its format."""
 
 
 @contextmanager
 def _reading(path):
-    """Raise an OSError, a UnicodeDecodeError or a json.JSONDecodeError from
-    reading the file at path as one SkeletonError, "<path>: <reason>"."""
+    """Raise an OSError or a UnicodeDecodeError from reading the file at
+    path, or from decoding its bytes, as one SkeletonError "<path>: <reason>".
+    Its JSON is parsed after the read, by _parse_json."""
     try:
         yield
     except OSError as exc:
         raise SkeletonError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise SkeletonError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SkeletonError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _json_object(value, where, keys=()) -> dict:
+    """Refuse a parsed JSON value that is not an object, or that lacks one
+    of keys, as "<where>: <reason>"; return it."""
+    if not isinstance(value, dict):
+        raise SkeletonError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise SkeletonError(f"{where}: missing key {key!r}")
+    return value
+
+
+def _parse_json(text: str, where, keys=()) -> dict:
+    """The JSON object in text, holding keys; "<where>: invalid JSON: ..." for
+    any text the parser refuses, too many digits and too deep nesting included."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SkeletonError(f"{where}: invalid JSON: {exc}") from exc
+    return _json_object(value, where, keys)
 
 
 def _json_numbers(value, shape: tuple, where: str):
@@ -196,13 +217,7 @@ def load_sequence(path) -> SkeletonSequence:
         return _load_container(path)
     with _reading(path):
         text = path.read_text(encoding="utf-8")
-        raw = json.loads(text)
-
-    if not isinstance(raw, dict):
-        raise SkeletonError(f"{path}: top-level value must be a JSON object")
-    for key in ("source_id", "fps", "frames"):
-        if key not in raw:
-            raise SkeletonError(f"{path}: missing required key {key!r}")
+    raw = _parse_json(text, path, ("source_id", "fps", "frames"))
     frames = raw["frames"]
     if not isinstance(frames, list) or not frames:
         raise SkeletonError(f"{path}: 'frames' must be a non-empty list")
@@ -227,21 +242,15 @@ def load_sequence(path) -> SkeletonSequence:
 
 def _load_container(path: Path) -> SkeletonSequence:
     with _reading(path), open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline().decode("utf-8")
         body = fh.read()
-    try:
-        header = json.loads(header_line)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise SkeletonError(f"{path}: invalid header line: {exc}") from exc
-    if not isinstance(header, dict):
-        raise SkeletonError(f"{path}: header line must be a JSON object")
+    where = f"{path}: header line"
+    header = _parse_json(header_line, where)
     version = header.get("format_version")
     if version != SKELETON_FORMAT_VERSION:
         raise SkeletonError(f"{path}: unsupported skeleton format version {version!r} "
                             f"(expected {SKELETON_FORMAT_VERSION})")
-    for key in ("source_id", "fps", "tier", "shape"):
-        if key not in header:
-            raise SkeletonError(f"{path}: missing required header key {key!r}")
+    _json_object(header, where, ("source_id", "fps", "tier", "shape"))
     shape = header["shape"]
     if not (isinstance(shape, list) and len(shape) == 3
             and all(type(n) is int and n >= 0 for n in shape)
@@ -364,12 +373,7 @@ def load_manifest(path) -> DatasetManifest:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SkeletonError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "path" not in record or "tier" not in record:
-            raise SkeletonError(f"{path}:{lineno}: expected keys 'path' and 'tier'")
+        record = _parse_json(line, f"{path}:{lineno}", ("path", "tier"))
         # The default id is the path stem; str() only lets a non-string
         # path reach ManifestEntry, which rejects it.
         try:

@@ -794,10 +794,12 @@ def _set(payload, key, value):
     ("weights", [[10 ** 400, 0, 0]] + [[0, 0, 0]] * 3,
      f"weights[0][0] must be an integer within 64 bits, got {10 ** 400}"),
     ("format_version", True, "unsupported model format version True (expected 1)"),
+    ("standardizer", [[0.0] * 3, [1.0] * 3], "standardizer: expected a JSON object, got list"),
+    ("standardizer", {"stds": [1.0] * 3}, "standardizer: missing key 'means'"),
 ], ids=["str-weights", "str-stds", "null-means", "true-biases", "nested-biases", "str-l2",
         "true-l2", "list-l2", "int-feature-names", "str-feature-names", "ragged-weights",
         "huge-int-weight",
-        "true-format-version"])
+        "true-format-version", "list-standardizer", "standardizer-without-means"])
 def test_load_model_refuses_a_mistyped_value_naming_its_key(tmp_path, key, value,
                                                             message):
     path = tmp_path / "model.json"

@@ -876,6 +876,17 @@ def test_config_values_are_checked_against_the_option_type(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("params, got", [([], "list"), ("{}", "str")],
+                         ids=["list", "json-text"])
+def test_config_params_that_are_not_an_object_are_refused(tmp_path, capsys, params, got):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": "train", "params": params}))
+    assert run("train", "--config", config) == 2
+    assert capsys.readouterr().err == (f"error: {config}: params: expected a JSON object, "
+                                       f"got {got}\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_config_int_for_a_float_option_is_taken_as_float(tmp_path):
     data = tmp_path / "data"
     config = tmp_path / "c.json"

@@ -1,8 +1,9 @@
 """Every input file labankit reads is refused the same way when it is
-missing, is not UTF-8 text or is not valid JSON: a ValueError that starts
-with the path and names it once, and, through the command that reads it,
-exit code 2, or for a skeleton file inside extract, a logged failure of
-that file alone."""
+missing, is not UTF-8 text or is not valid JSON (nested past the recursion
+limit or holding an integer past the digit limit included): a ValueError
+that starts with the path and names it once, and, through the command that
+reads it, exit code 2, or for a skeleton file inside extract, a logged
+failure of that file alone."""
 
 import json
 
@@ -23,10 +24,11 @@ def _extract_with(bad, tmp_path):
     return ["extract", "--manifest", manifest, "--out", tmp_path / "out.csv"]
 
 
-# Reader -> (file suffix, reader, reads JSON, command that reads the file).
+# Reader -> (file suffix, reader, reads JSON, command that reads the file);
+# the container's JSON is its header line.
 READERS = {
     "skeleton-json": (".json", load_sequence, True, _extract_with),
-    "skeleton-container": (".skel", load_sequence, False, _extract_with),
+    "skeleton-container": (".skel", load_sequence, True, _extract_with),
     "manifest": (".jsonl", load_manifest, True,
                  lambda bad, tmp: ["extract", "--manifest", bad, "--out", tmp / "out.csv"]),
     "model": (".json", load_model, True,
@@ -43,9 +45,12 @@ CONTENTS = {
     "missing": (None, "No such file or directory"),
     "undecodable": (b"\xff", "not UTF-8 text: "),
     "truncated-json": (b'{"format_version": 1, "sou', "invalid JSON: "),
+    "deeply-nested": (b"[" * 100_000, "invalid JSON: "),
+    "huge-integer": (b'{"a": ' + b"1" * 5000 + b"}", "invalid JSON: "),
 }
+JSON_CONTENTS = ("truncated-json", "deeply-nested", "huge-integer")
 CASES = [(reader, content) for reader in READERS for content in CONTENTS
-         if READERS[reader][2] or content != "truncated-json"]
+         if READERS[reader][2] or content not in JSON_CONTENTS]
 
 
 def _bad_file(tmp_path, reader, content):
@@ -53,8 +58,6 @@ def _bad_file(tmp_path, reader, content):
     data, reason = CONTENTS[content]
     if data is not None:
         path.write_bytes(data)
-    if reader == "skeleton-container" and content == "undecodable":
-        reason = "invalid header line: "  # the header line has its own parse
     return path, reason
 
 

@@ -84,6 +84,15 @@ def test_load_rejects_bad_fps_and_parse_failures(tmp_path):
         load_sequence(partial)
 
 
+@pytest.mark.parametrize("key", ["source_id", "fps", "frames"])
+def test_load_rejects_a_missing_key_naming_it_and_the_path(tmp_path, key):
+    path = write_skeleton(tmp_path / "partial.json", rest_positions(2).tolist())
+    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items()
+                                if k != key}))
+    with pytest.raises(SkeletonError, match=f"^{re.escape(f'{path}: missing key {key!r}')}$"):
+        load_sequence(path)
+
+
 def test_load_rejects_a_file_that_is_not_utf8_naming_it(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"source_id": "caf\u00e9"}'.encode("latin-1"))
@@ -263,14 +272,14 @@ _NAN_BODY = _NAN_POSITIONS.astype("<f8").tobytes()
     ({"shape": [3.0, 24, 3]}, _BODY, "shape must be [T, 24, 3]"),
     ({"shape": [True, 24, 3]}, _BODY[:576], "shape must be [T, 24, 3]"),
     ({"shape": "3x24x3"}, _BODY, "shape must be [T, 24, 3]"),
-    (b"not json", _BODY, "invalid header line"),
-    (b"\xff\xfe", _BODY, "invalid header line"),
-    (b"[3, 24, 3]", _BODY, "header line must be a JSON object"),
+    (b"not json", _BODY, "header line: invalid JSON: "),
+    (b"\xff\xfe", _BODY, "not UTF-8 text: "),
+    (b"[3, 24, 3]", _BODY, "header line: expected a JSON object, got list"),
     ({"format_version": 2}, _BODY, "unsupported skeleton format version 2"),
     ({"format_version": _MISSING}, _BODY, "unsupported skeleton format version None"),
-    ({"fps": _MISSING}, _BODY, "missing required header key 'fps'"),
-    ({"tier": _MISSING}, _BODY, "missing required header key 'tier'"),
-    ({"shape": _MISSING}, _BODY, "missing required header key 'shape'"),
+    ({"fps": _MISSING}, _BODY, "header line: missing key 'fps'"),
+    ({"tier": _MISSING}, _BODY, "header line: missing key 'tier'"),
+    ({"shape": _MISSING}, _BODY, "header line: missing key 'shape'"),
     ({}, _NAN_BODY, "non-finite coordinate at frame 1, joint 4"),
     ({"fps": True}, _BODY, "fps must be positive and finite, got True"),
     ({"source_id": 5}, _BODY, "source_id must be a string, got 5"),
