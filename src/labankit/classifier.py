@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .skeleton import _is_integer, _is_real, _json_numbers, _json_object, _parse_json, _reading
+from .skeleton import _check_number, _json_numbers, _json_object, _parse_json, _reading
 from .stats import Standardizer, fit_standardizer
 
 MODEL_FORMAT_VERSION = 1
@@ -67,12 +67,9 @@ class TrainConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (_is_real(self.l2_lambda) and 0 <= self.l2_lambda < math.inf):  # NaN fails
-            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
-        if not _is_integer(self.max_iters) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (_is_real(self.grad_tol) and 0 < self.grad_tol < math.inf):
-            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
+        _check_number(self.l2_lambda, "l2_lambda", (">=", 0))
+        _check_number(self.max_iters, "max_iters", (">=", 1), integer=True)
+        _check_number(self.grad_tol, "grad_tol", (">", 0))
 
 
 @dataclass(frozen=True)
@@ -92,13 +89,11 @@ class LinearModel:
     l2_lambda: float
 
     def __post_init__(self):
-        if not _is_integer(self.class_count) or self.class_count < 2:
-            raise ValueError(f"class_count must be an int >= 2, got {self.class_count!r}")
+        _check_number(self.class_count, "class_count", (">=", 2), integer=True)
         object.__setattr__(self, "class_count", int(self.class_count))
         if not isinstance(self.task, str):
             raise ValueError(f"task must be a string, got {self.task!r}")
-        if not (_is_real(self.l2_lambda) and 0 <= self.l2_lambda < math.inf):  # NaN fails
-            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        _check_number(self.l2_lambda, "l2_lambda", (">=", 0))
         object.__setattr__(self, "l2_lambda", float(self.l2_lambda))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "biases", np.asarray(self.biases, dtype=np.float64))

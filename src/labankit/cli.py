@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,8 +27,9 @@ from .evaluation import TASKS, cross_validate, get_task, remap_task, render_conf
 from .features_io import (read_features_csv, write_features_csv,
                           write_predictions_csv, write_ranking_csv)
 from .skeleton import (MIN_FRAGMENT_SECONDS, SKELETON_SUFFIX, DatasetManifest, ManifestEntry,
-                       _json_object, _parse_json, _reading, balance_dataset, load_manifest,
-                       load_sequence, save_manifest, save_sequence, slice_fragments)
+                       _check_number, _json_object, _parse_json, _reading, balance_dataset,
+                       load_manifest, load_sequence, save_manifest, save_sequence,
+                       slice_fragments)
 from .stats import rank_features
 from .synth import N_REGIMES, RegimeSpec, generate
 
@@ -40,51 +39,51 @@ ECHO_SUFFIX = ".config.json"
 _SYNTH_SEED_STRIDE = 1_000_000
 
 _REQUIRED = object()
-_BOUNDS = {">=": operator.ge, ">": operator.gt}
 
 
 class _Option(NamedTuple):
     """One subcommand option; its flag is --key with "_" written "-".
 
     default is _REQUIRED, None (optional, unset) or the value used when
-    neither the config echo nor a flag sets one. bound is (">=" or ">", limit).
+    neither the config echo nor a flag sets one. bounds are the (op, limit)
+    pairs that skeleton._check_number checks a number against.
     """
     key: str
     type: type
     default: object
     help: str
     choices: object = None
-    bound: tuple | None = None
+    bounds: tuple = ()
 
 
 _FEATURES = _Option("features", str, _REQUIRED, "input feature CSV")
 _TASK = _Option("task", str, "four_way", "classification task", TASKS)
 _SOLVER = (
-    _Option("l2", float, 1.0, "L2 weight penalty", bound=(">=", 0)),
-    _Option("max_iters", int, 1000, "Newton iteration cap", bound=(">=", 1)),
+    _Option("l2", float, 1.0, "L2 weight penalty", bounds=((">=", 0),)),
+    _Option("max_iters", int, 1000, "Newton iteration cap", bounds=((">=", 1),)),
     _Option("grad_tol", float, 1e-6, "gradient max-norm stopping tolerance",
-            bound=(">", 0)),
+            bounds=((">", 0),)),
 )
 
 # Subcommand -> (help, options). Option order is the config echo key order.
 _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
     "synth": ("generate a synthetic four-regime skeleton dataset", (
         _Option("out_dir", str, _REQUIRED, "output directory"),
-        _Option("per_regime", int, 10, "sequences per regime", bound=(">=", 1)),
+        _Option("per_regime", int, 10, "sequences per regime", bounds=((">=", 1),)),
         _Option("duration", float, 5.0, "sequence length in seconds"),
         _Option("fps", float, 30.0, "frame rate"),
         _Option("noise", float, 0.005, "position jitter std in meters"),
         _Option("blend", float, 0.0, "adjacent-regime overlap half-width in [0, 1)"),
-        _Option("seed", int, 0, "base seed", bound=(">=", 0)),
+        _Option("seed", int, 0, "base seed", bounds=((">=", 0),)),
     )),
     "extract": ("compute 110-dim fragment features from a manifest", (
         _Option("manifest", str, _REQUIRED, "JSON-lines manifest of skeleton files"),
         _Option("out", str, _REQUIRED, "output feature CSV"),
         _Option("length", float, 5.0, "fragment length in seconds",
-                bound=(">=", MIN_FRAGMENT_SECONDS)),
-        _Option("stride", float, 5.0, "fragment stride in seconds", bound=(">", 0)),
+                bounds=((">=", MIN_FRAGMENT_SECONDS),)),
+        _Option("stride", float, 5.0, "fragment stride in seconds", bounds=((">", 0),)),
         _Option("workers", int, 1, "parallel file workers, at most one per file "
-                "and usable CPU", bound=(">=", 1)),
+                "and usable CPU", bounds=((">=", 1),)),
     )),
     "train": ("train a logistic-regression model on a feature CSV", (
         _FEATURES,
@@ -101,9 +100,9 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _FEATURES,
         _Option("out", str, _REQUIRED, "output report JSON"),
         _TASK,
-        _Option("k", int, 5, "fold count", bound=(">=", 2)),
+        _Option("k", int, 5, "fold count", bounds=((">=", 2),)),
         *_SOLVER,
-        _Option("seed", int, 0, "fold assignment seed", bound=(">=", 0)),
+        _Option("seed", int, 0, "fold assignment seed", bounds=((">=", 0),)),
     )),
     "rank-features": ("Kruskal-Wallis feature ranking for a task", (
         _FEATURES,
@@ -114,8 +113,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option("manifest", str, _REQUIRED, "input manifest"),
         _Option("out", str, _REQUIRED, "output manifest"),
         _Option("per_class", int, _REQUIRED, "entries to keep per tier",
-                bound=(">=", 1)),
-        _Option("seed", int, 0, "subsampling seed", bound=(">=", 0)),
+                bounds=((">=", 1),)),
+        _Option("seed", int, 0, "subsampling seed", bounds=((">=", 0),)),
     )),
 }
 
@@ -166,8 +165,8 @@ def _read_config(path: str, subcommand: str, options) -> dict:
 
 
 def _resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
-    """Defaults < --config echo values < flags; then check required flags, that
-    float values are finite, and bounds."""
+    """Defaults < --config echo values < flags; then check required flags and
+    each number, that it is finite and within its bounds."""
     options = _COMMANDS[subcommand][1]
     params = {o.key: None if o.default is _REQUIRED else o.default for o in options}
     if args.config is not None:
@@ -181,11 +180,8 @@ def _resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
         raise UsageError(f"{subcommand}: missing required option(s): "
                          + ", ".join(missing))
     for o in options:
-        if o.type is float and not math.isfinite(params[o.key]):
-            raise UsageError(f"{_flag(o.key)} must be finite, got {params[o.key]}")
-        if o.bound and not _BOUNDS[o.bound[0]](params[o.key], o.bound[1]):
-            raise UsageError(f"{_flag(o.key)} must be {o.bound[0]} {o.bound[1]}, "
-                             f"got {params[o.key]}")
+        if o.type in (int, float):
+            _check_number(params[o.key], _flag(o.key), *o.bounds, integer=o.type is int)
     return params
 
 

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .skeleton import SMPL_JOINT_NAMES, _check_fps, _check_positions, _is_integer
+from .skeleton import (SMPL_JOINT_NAMES, _check_fps, _check_number, _check_positions,
+                       _is_integer)
 from .stats import mean_std
 
 PELVIS, HEAD, HAND_L, HAND_R, FOOT_L, FOOT_R = 0, 15, 22, 23, 10, 11
@@ -194,8 +195,7 @@ def windowed_directness(track: np.ndarray, w: int) -> np.ndarray:
     Any w >= T - 1 makes every window the whole track, so w is capped at T,
     which keeps t - w an int64 at any frame rate.
     """
-    if not _is_integer(w) or w < 1:
-        raise ValueError(f"half-window w must be an integer frame count >= 1, got {w!r}")
+    _check_number(w, "half-window w", (">=", 1), integer=True)
     track = np.asarray(track, dtype=np.float64)
     n = track.shape[0]
     w = min(w, n)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classifier import TrainConfig, predict, train
-from .skeleton import VALID_TIERS, _is_integer
+from .skeleton import VALID_TIERS, _check_number
 
 
 # cross_validate fits the folds of one training-row count in stacks of at
@@ -91,12 +91,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     so per-class fold sizes differ by at most one.
     """
     labels = np.asarray(labels)
-    if not _is_integer(k) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_number(k, "k", (">=", 2), integer=True)
+    _check_number(seed, "seed", (">=", 0), integer=True)
     rng = np.random.default_rng(seed)
     folds = np.empty(labels.shape[0], dtype=np.int64)
     for c in np.unique(labels):
@@ -112,13 +108,14 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
 
 def confusion_matrix(y_true, y_pred, class_count: int) -> np.ndarray:
     """Counts with rows = true class, columns = predicted class."""
-    if not _is_integer(class_count):
-        raise ValueError(f"class_count must be an integer, got {class_count!r}")
+    _check_number(class_count, "class_count", integer=True)
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred must have equal length")
     for name, arr in (("true", y_true), ("predicted", y_pred)):
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} labels must be integers, got dtype {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= class_count):
             raise ValueError(f"{name} label out of range [0, {class_count})")
     matrix = np.zeros((class_count, class_count), dtype=np.int64)

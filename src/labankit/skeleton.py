@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +47,10 @@ SKELETON_FORMAT_VERSION = 1
 
 
 class SkeletonError(ValueError):
-    """A skeleton sequence or manifest violates the format contract, or an
-    input file (skeleton, manifest, model, config echo, feature CSV) cannot
-    be read, is not UTF-8 text, is not the JSON object it must hold or
-    breaks its format."""
+    """A value or an input file breaks labankit's contract: a parameter is
+    not the number it must be, or an input file (skeleton, manifest, model,
+    config echo, feature CSV) cannot be read, is not UTF-8 text, is not the
+    JSON object it must hold or breaks its format."""
 
 
 @contextmanager
@@ -110,9 +113,28 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A Python or NumPy int or float; bool and np.bool_ are not ones here."""
-    return isinstance(value, (float, np.floating)) or _is_integer(value)
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def _check_number(value, name: str, *bounds, integer: bool = False):
+    """Return value if it is an integer (with integer) or a finite number and
+    meets every (op, limit) of bounds, op a key of _BOUNDS; otherwise raise
+    "<name> must be <first broken rule>, got <value!r>". Python and NumPy
+    scalars count, bool does not, and an integer past float64's range is not
+    finite."""
+    real = isinstance(value, (float, np.floating))
+    if not (_is_integer(value) or real and not integer):
+        rule = "an integer" if integer else "a number"
+    # math.isfinite overflows on a huge int, and float32 on float64's max.
+    elif not (math.isfinite(value) if real
+              else integer or -sys.float_info.max <= value <= sys.float_info.max):
+        rule = "finite"
+    else:
+        rule = next((f"{op} {limit}" for op, limit in bounds
+                     if not _BOUNDS[op](value, limit)), None)
+        if rule is None:
+            return value
+    raise SkeletonError(f"{name} must be {rule}, got {value!r}")
 
 
 def _validate_tier(tier, context: str) -> int:
@@ -130,9 +152,7 @@ def _check_str(value, what: str):
 
 
 def _check_fps(fps, context: str) -> float:
-    if not (_is_real(fps) and math.isfinite(fps) and fps > 0):
-        raise SkeletonError(f"{context}: fps must be positive and finite, got {fps!r}")
-    return float(fps)
+    return float(_check_number(fps, f"{context}: fps", (">", 0)))
 
 
 def _check_positions(positions: np.ndarray, context: str, stacked: bool = False):
@@ -226,15 +246,16 @@ def load_sequence(path) -> SkeletonSequence:
     # integers or floats; the dtype is inferred, so a string or bool coordinate
     # is not parsed or cast into a number. Only walk the structure to locate
     # the offending entry on failure. Inference promotes a bool mixed with
-    # numbers to a number, so a file whose text holds a JSON true or false is
-    # walked too.
+    # numbers to a number, so when the text holds a JSON true or false, the
+    # coordinates' types are checked for a bool as well.
     try:
         positions = np.asarray(frames)
     except (TypeError, ValueError):
         positions = None
-    if ("true" in text or "false" in text or positions is None
-            or positions.dtype.kind not in "iuf"
-            or positions.shape[1:] != (SMPL_JOINT_COUNT, 3)):
+    if (positions is None or positions.dtype.kind not in "iuf"
+            or positions.shape[1:] != (SMPL_JOINT_COUNT, 3)
+            or ("true" in text or "false" in text)
+            and bool in set(map(type, chain.from_iterable(chain.from_iterable(frames))))):
         _json_numbers(frames, (None, SMPL_JOINT_COUNT, 3), f"{path}: frames")
 
     return _sequence_from(path, raw["source_id"], raw["fps"], positions, raw.get("tier"))
@@ -300,17 +321,8 @@ def slice_fragments(seq: SkeletonSequence, length_s: float = 5.0,
     shorter than one fragment yields an empty list, and a stride longer than
     the sequence yields its first fragment only.
     """
-    for name, value in (("length_s", length_s), ("stride_s", stride_s)):
-        if not _is_real(value):
-            raise ValueError(f"{name} must be a number of seconds, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if length_s < MIN_FRAGMENT_SECONDS:
-        raise ValueError(
-            f"fragment length {length_s} s is below the {MIN_FRAGMENT_SECONDS} s floor"
-        )
-    if stride_s <= 0:
-        raise ValueError(f"stride must be positive, got {stride_s}")
+    _check_number(length_s, "length_s", (">=", MIN_FRAGMENT_SECONDS))
+    _check_number(stride_s, "stride_s", (">", 0))
 
     # Each frame count is capped one past the sequence, where any longer
     # count, an infinite product's included, cuts the same slices.
@@ -410,12 +422,8 @@ def balance_dataset(manifest: DatasetManifest, per_class: int, seed: int) -> Dat
     Selected entries keep their original manifest order, which makes the
     operation idempotent on an already-balanced manifest.
     """
-    if not _is_integer(per_class) or per_class < 1:
-        raise ValueError(f"per_class must be an integer >= 1, got {per_class!r}")
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_number(per_class, "per_class", (">=", 1), integer=True)
+    _check_number(seed, "seed", (">=", 0), integer=True)
     if not manifest.entries:
         raise SkeletonError("manifest has no entries")
     by_tier: dict[int, list[int]] = {}

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .skeleton import (MIN_FRAGMENT_SECONDS, SkeletonSequence, SMPL_JOINT_COUNT,
-                       _is_integer, _is_real)
+from .skeleton import MIN_FRAGMENT_SECONDS, SMPL_JOINT_COUNT, SkeletonSequence, _check_number
 
 N_REGIMES = 4
 
@@ -102,24 +101,13 @@ class RegimeSpec:
     blend: float = 0.0
 
     def __post_init__(self):
-        if not _is_integer(self.regime) or self.regime not in range(N_REGIMES):
-            raise ValueError(f"regime must be an integer in 0..{N_REGIMES - 1}, "
-                             f"got {self.regime!r}")
-        if not (_is_real(self.duration_s)
-                and MIN_FRAGMENT_SECONDS <= self.duration_s < math.inf):  # NaN fails too
-            raise ValueError(f"duration must be finite and >= "
-                             f"{MIN_FRAGMENT_SECONDS:g} s, got {self.duration_s!r}")
-        if not (_is_real(self.fps) and 10.0 <= self.fps <= 120.0):
-            raise ValueError(f"fps must be in [10, 120], got {self.fps!r}")
-        if not math.isfinite(self.duration_s * self.fps):
-            raise ValueError(f"duration_s * fps must be finite, got "
-                             f"{self.duration_s!r} * {self.fps!r}")
-        if not (_is_real(self.noise_amp) and 0.0 <= self.noise_amp < math.inf):
-            raise ValueError(f"noise_amp must be finite and >= 0, got {self.noise_amp}")
-        if not (_is_real(self.blend) and 0.0 <= self.blend < 1.0):
-            raise ValueError(f"blend must be in [0, 1), got {self.blend}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_number(self.regime, "regime", (">=", 0), ("<", N_REGIMES), integer=True)
+        _check_number(self.duration_s, "duration_s", (">=", MIN_FRAGMENT_SECONDS))
+        _check_number(self.fps, "fps", (">=", 10), ("<=", 120))
+        _check_number(self.duration_s * self.fps, "duration_s * fps")
+        _check_number(self.noise_amp, "noise_amp", (">=", 0))
+        _check_number(self.blend, "blend", (">=", 0), ("<", 1))
+        _check_number(self.seed, "seed", (">=", 0), integer=True)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

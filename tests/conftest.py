@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 JOINTS = 24
+
+# An integer past float64's range: float() of it overflows.
+HUGE_INT = 10**400
 
 
 def rest_positions(n_frames, joints=JOINTS):
@@ -23,6 +28,16 @@ def wiggle_positions(n_frames, fps=30.0, seed=0, joints=JOINTS):
     phase = rng.uniform(0, 2 * np.pi, size=(joints, 3))
     osc = amp * np.sin(2 * np.pi * freq * t[:, None, None] + phase)
     return pose[None] + osc
+
+
+def write_huge_fps(path):
+    """Save a 200-frame sequence 'huge' at the path, skeleton JSON or the
+    container by its suffix, then set its fps to HUGE_INT in the file."""
+    from labankit import SkeletonSequence, save_sequence
+    save_sequence(SkeletonSequence("huge", 30.0, rest_positions(200), tier=0), path)
+    data = re.sub(rb'"fps": ?30\.0', b'"fps": %d' % HUGE_INT, path.read_bytes(), count=1)
+    path.write_bytes(data)
+    return path
 
 
 @pytest.fixture

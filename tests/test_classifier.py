@@ -331,20 +331,23 @@ def test_a_stack_trains_each_set_to_its_own_model_bit_for_bit():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"l2_lambda": math.nan}, "l2_lambda must be finite and >= 0"),
-    ({"l2_lambda": math.inf}, "l2_lambda must be finite and >= 0"),
-    ({"l2_lambda": -1.0}, "l2_lambda must be finite and >= 0"),
-    ({"grad_tol": math.nan}, "grad_tol must be finite and > 0"),
-    ({"grad_tol": math.inf}, "grad_tol must be finite and > 0"),
-    ({"grad_tol": 0.0}, "grad_tol must be finite and > 0"),
-    ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
-    ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
-    ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
+    ({"l2_lambda": math.nan}, "l2_lambda must be finite, got nan"),
+    ({"l2_lambda": math.inf}, "l2_lambda must be finite, got inf"),
+    ({"l2_lambda": -1.0}, "l2_lambda must be >= 0, got -1.0"),
+    ({"grad_tol": math.nan}, "grad_tol must be finite, got nan"),
+    ({"grad_tol": math.inf}, "grad_tol must be finite, got inf"),
+    ({"grad_tol": 0.0}, "grad_tol must be > 0, got 0.0"),
+    ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+    ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+    ({"max_iters": True}, "max_iters must be an integer, got True"),
     # True would train as lambda 1 and save a model that load_model refuses.
-    ({"l2_lambda": True}, "l2_lambda must be finite and >= 0, got True"),
-    ({"l2_lambda": np.False_}, "l2_lambda must be finite and >= 0, got False"),
-    ({"grad_tol": True}, "grad_tol must be finite and > 0, got True"),
-    ({"grad_tol": np.True_}, "grad_tol must be finite and > 0, got True"),
+    ({"l2_lambda": True}, "l2_lambda must be a number, got True"),
+    ({"l2_lambda": np.False_}, "l2_lambda must be a number, got np.False_"),
+    ({"grad_tol": True}, "grad_tol must be a number, got True"),
+    ({"grad_tol": np.True_}, "grad_tol must be a number, got np.True_"),
+    # 10**400, an integer past float64's range, overflowed in train.
+    ({"l2_lambda": 10**400}, "l2_lambda must be finite, got 10{400}$"),
+    ({"grad_tol": 10**400}, "grad_tol must be finite, got 10{400}$"),
 ])
 def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -354,7 +357,7 @@ def test_train_config_requires_finite_penalty_and_tolerance(kwargs, message):
 def test_a_model_refuses_a_bool_penalty_when_built_not_when_it_loads():
     # Accepted, True would be saved as a JSON true that load_model refuses.
     model = fixture_model(np.ones((4, 3)), np.zeros(4))
-    with pytest.raises(ValueError, match="l2_lambda must be finite and >= 0, got True"):
+    with pytest.raises(ValueError, match="l2_lambda must be a number, got True"):
         replace(model, l2_lambda=True)
     assert replace(model, l2_lambda=np.float64(0.5)).l2_lambda == 0.5
 
@@ -746,12 +749,12 @@ def _one_class(payload, class_count):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda p: _one_class(p, True), "class_count must be an int >= 2, got True"),
-    (lambda p: _one_class(p, 1), "class_count must be an int >= 2, got 1"),
-    (lambda p: {**p, "class_count": 4.0}, "class_count must be an int >= 2, got 4.0"),
+    (lambda p: _one_class(p, True), "class_count must be an integer, got True"),
+    (lambda p: _one_class(p, 1), "class_count must be >= 2, got 1"),
+    (lambda p: {**p, "class_count": 4.0}, "class_count must be an integer, got 4.0"),
     (lambda p: {**p, "task": 5}, "task must be a string, got 5"),
-    (lambda p: {**p, "l2_lambda": math.nan}, "l2_lambda must be finite and >= 0, got nan"),
-    (lambda p: {**p, "l2_lambda": -1}, "l2_lambda must be finite and >= 0, got -1.0"),
+    (lambda p: {**p, "l2_lambda": math.nan}, "l2_lambda must be finite, got nan"),
+    (lambda p: {**p, "l2_lambda": -1}, "l2_lambda must be >= 0, got -1.0"),
 ], ids=["class-count-true", "class-count-1", "class-count-4.0", "task-5", "l2-nan",
         "l2-negative"])
 def test_load_model_rejects_a_bad_task_class_count_or_penalty(tmp_path, edit, message):

@@ -16,7 +16,7 @@ import labankit
 from labankit import load_manifest, read_features_csv
 from labankit.cli import main
 
-from conftest import rest_positions
+from conftest import HUGE_INT, rest_positions, write_huge_fps
 
 
 def run(*argv):
@@ -216,6 +216,26 @@ def test_extract_fails_a_file_whose_features_overflow(tmp_path, capsys):
     assert log == (f"{tmp_path / 'huge.skel'}\tfragment at frame 0: feature "
                    f"dispersion.horizontal_extent.mean is inf\n")
     assert "huge.skel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".json", ".skel"])
+def test_extract_fails_a_file_whose_fps_is_an_integer_past_float64(tmp_path, capsys,
+                                                                   suffix):
+    # Its finiteness check used to raise OverflowError, which ended the
+    # whole run with a traceback: no CSV, no log, the good file's rows lost.
+    from labankit import RegimeSpec, generate, save_sequence
+    huge = write_huge_fps(tmp_path / f"huge{suffix}")
+    save_sequence(generate(RegimeSpec(1, duration_s=5.0, seed=8), source_id="good"),
+                  tmp_path / "good.skel")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"path": huge.name, "tier": 0}) + "\n"
+                        + json.dumps({"path": "good.skel", "tier": 1}) + "\n")
+    out = tmp_path / "features.csv"
+    assert run("extract", "--manifest", manifest, "--out", out) == 1
+    assert read_features_csv(out).source_ids == ("good",)
+    message = f"sequence 'huge': fps must be finite, got {HUGE_INT}"
+    assert (out.parent / (out.name + ".errors.log")).read_text() == f"{huge}\t{message}\n"
+    assert f"error: {huge}: {message}\n" in capsys.readouterr().err
 
 
 def _tier_case(tmp_path, file_tier, manifest_tier, suffix=".json"):
@@ -1019,10 +1039,10 @@ def test_non_finite_config_value_exits_2_naming_the_flag(small_dataset, tmp_path
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--duration", 2], "duration must be finite and >= 3 s"),
-    (["--duration", "nan"], "duration must be"),
-    (["--duration", "inf"], "duration must be"),
-    (["--fps", 500], "fps must be in [10, 120]"),
+    (["--duration", 2], "duration_s must be >= 3.0, got 2.0"),
+    (["--duration", "nan"], "--duration must be finite, got nan"),
+    (["--duration", "inf"], "--duration must be finite, got inf"),
+    (["--fps", 500], "fps must be <= 120, got 500.0"),
     (["--noise", "nan"], "--noise must be finite, got nan"),
     (["--noise", "inf"], "--noise must be finite, got inf"),
 ], ids=["duration-2", "duration-nan", "duration-inf", "fps-500", "noise-nan",

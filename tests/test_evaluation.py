@@ -129,7 +129,7 @@ def test_kfold_rejects_small_class():
 @pytest.mark.parametrize("k", [2.5, 2.0, True])
 def test_kfold_refuses_a_fold_count_that_is_not_an_integer(k):
     # 2.5 used to deal each class round-robin mod 2.5, truncated to 3 folds.
-    with pytest.raises(ValueError, match=f"k must be an integer >= 2, got {k!r}"):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
         stratified_kfold(np.zeros(6), k, 0)
     assert np.array_equal(stratified_kfold(np.zeros(6), np.int64(2), 0),
                           stratified_kfold(np.zeros(6), 2, 0))
@@ -146,7 +146,7 @@ def test_kfold_refuses_a_seed_that_is_not_an_integer(seed):
 
 def test_kfold_and_cross_validate_refuse_a_negative_seed_naming_it():
     # numpy refused it without naming the seed.
-    message = "seed must be a non-negative integer, got -1"
+    message = "seed must be >= 0, got -1"
     with pytest.raises(ValueError, match=message):
         stratified_kfold(np.zeros(6), 2, -1)
     X, tiers = separable_blobs(np.random.default_rng(6), per_class=6)
@@ -195,6 +195,18 @@ def test_confusion_refuses_a_class_count_that_is_not_an_integer(class_count):
             f"class_count must be an integer, got {class_count!r}")):
         confusion_matrix([0, 1], [1, 1], class_count)
     assert np.array_equal(confusion_matrix([0, 1], [1, 1], np.int64(2)), [[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("y_true, y_pred, message", [
+    ([0.0, 1.0], [0, 1], "true labels must be integers, got dtype float64"),
+    ([0, 1], [True, False], "predicted labels must be integers, got dtype bool"),
+    ([], [], "true labels must be integers, got dtype float64"),
+], ids=["float-true", "bool-predicted", "empty-lists"])
+def test_confusion_refuses_labels_that_are_not_integers_naming_them(y_true, y_pred,
+                                                                    message):
+    # They used to die in numpy's IndexError.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        confusion_matrix(y_true, y_pred, 2)
 
 
 def test_macro_f1_perfect_and_degenerate():
@@ -467,7 +479,7 @@ def test_cross_validate_rejects_small_class():
 
 def test_cross_validate_refuses_a_fold_count_that_is_not_an_integer():
     X, tiers = separable_blobs(np.random.default_rng(6), per_class=6)
-    with pytest.raises(ValueError, match="k must be an integer >= 2, got 2.5"):
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
         cross_validate(X, tiers, TASKS["four_way"], k=2.5, seed=0)
 
 

@@ -25,9 +25,10 @@ from labankit import (
     save_sequence,
     slice_fragments,
 )
+from labankit import skeleton
 
 import oracles
-from conftest import rest_positions, wiggle_positions
+from conftest import HUGE_INT, rest_positions, wiggle_positions, write_huge_fps
 
 
 def write_skeleton(path, frames, fps=30.0, tier=0, source_id="clip"):
@@ -126,6 +127,37 @@ def test_load_accepts_true_and_false_outside_the_frames(tmp_path):
     seq = load_sequence(path)
     assert seq.source_id == "true_false"
     assert np.array_equal(seq.positions, rest_positions(3))
+
+
+def test_load_walks_the_frames_only_for_a_bool_among_them(tmp_path, monkeypatch):
+    # Any "true" or "false" in the text used to send every frame through
+    # the walk, though only a bool coordinate needs it.
+    walks, json_numbers = [], skeleton._json_numbers
+
+    def walk(value, shape, where):
+        walks.append(where)
+        return json_numbers(value, shape, where)
+
+    monkeypatch.setattr(skeleton, "_json_numbers", walk)
+    path = write_skeleton(tmp_path / "tf.json", rest_positions(3).tolist(),
+                          source_id="true_false")
+    assert load_sequence(path).source_id == "true_false" and walks == []
+    frames = rest_positions(3).tolist()
+    frames[1][5][0] = True
+    path = write_skeleton(tmp_path / "bool.json", frames)
+    with pytest.raises(SkeletonError, match=re.escape(
+            f"{path}: frames[1][5][0] must be a number, got True")):
+        load_sequence(path)
+    assert walks[0] == f"{path}: frames"
+
+
+@pytest.mark.parametrize("suffix", [".json", ".skel"])
+def test_load_refuses_an_integer_fps_past_float64_naming_the_path(tmp_path, suffix):
+    # It used to end in an OverflowError from the finiteness check.
+    path = write_huge_fps(tmp_path / f"huge{suffix}")
+    with pytest.raises(SkeletonError, match=re.escape(
+            f"{path}: sequence 'huge': fps must be finite, got {HUGE_INT}") + "$"):
+        load_sequence(path)
 
 
 def test_load_rejects_all_bool_frames(tmp_path):
@@ -281,7 +313,7 @@ _NAN_BODY = _NAN_POSITIONS.astype("<f8").tobytes()
     ({"tier": _MISSING}, _BODY, "header line: missing key 'tier'"),
     ({"shape": _MISSING}, _BODY, "header line: missing key 'shape'"),
     ({}, _NAN_BODY, "non-finite coordinate at frame 1, joint 4"),
-    ({"fps": True}, _BODY, "fps must be positive and finite, got True"),
+    ({"fps": True}, _BODY, "fps must be a number, got True"),
     ({"source_id": 5}, _BODY, "source_id must be a string, got 5"),
     ({"tier": 7}, _BODY, "tier 7 not in"),
     ({"shape": [1, 24, 3]}, _BODY[:576], "need at least 2 frames, got 1"),
@@ -312,13 +344,19 @@ def test_sequence_and_fragment_accept_numeric_fps(fps):
     assert np.array_equal(matrix, frame_matrix(rest_positions(200), float(fps)))
 
 
-@pytest.mark.parametrize("fps", [True, False, np.bool_(True), 0, 0.0, -30.0, np.int64(-1),
-                                 float("nan"), np.float32("nan"), float("inf"),
-                                 np.float64("-inf"), "30", None])
-def test_sequence_and_fragment_reject_bad_fps(fps):
-    with pytest.raises(SkeletonError, match="fps must be positive and finite"):
+@pytest.mark.parametrize("fps, rule", [
+    (True, "a number"), (False, "a number"), (np.bool_(True), "a number"), (0, "> 0"),
+    (0.0, "> 0"), (-30.0, "> 0"), (np.int64(-1), "> 0"), (float("nan"), "finite"),
+    (np.float32("nan"), "finite"), (float("inf"), "finite"),
+    (np.float64("-inf"), "finite"), ("30", "a number"), (None, "a number"),
+    (10**400, "finite"),  # an integer past float64's range
+], ids=["True", "False", "fps2", "0", "0.0", "-30.0", "fps6", "nan", "fps8", "inf", "-inf",
+        "30", "None", "10**400"])
+def test_sequence_and_fragment_reject_bad_fps(fps, rule):
+    message = re.escape(f"fps must be {rule}, got {fps!r}")
+    with pytest.raises(SkeletonError, match=f"^sequence 's': {message}$"):
         SkeletonSequence("s", fps, rest_positions(200), tier=1)
-    with pytest.raises(SkeletonError, match="fps must be positive and finite"):
+    with pytest.raises(SkeletonError, match=f"^fragment: {message}$"):
         frame_matrix(rest_positions(200), fps)
 
 
@@ -406,9 +444,9 @@ def test_slice_cuts_finite_products_as_the_uncapped_counts_do(fps):
 
 def test_slice_rejects_bad_parameters():
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
-    with pytest.raises(ValueError, match="3.0 s floor"):
+    with pytest.raises(ValueError, match="length_s must be >= 3.0, got 2.0"):
         slice_fragments(seq, length_s=2.0, stride_s=2.0)
-    with pytest.raises(ValueError, match="stride"):
+    with pytest.raises(ValueError, match="stride_s must be > 0, got 0.0"):
         slice_fragments(seq, length_s=5.0, stride_s=0.0)
     for length_s, stride_s, message in [
         (math.nan, 5.0, "length_s must be finite, got nan"),
@@ -422,13 +460,15 @@ def test_slice_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize("name", ["length_s", "stride_s"])
-@pytest.mark.parametrize("value", [True, False, np.True_, "5", None],
-                         ids=["bool", "false", "numpy-bool", "str", "none"])
-def test_slice_refuses_a_length_or_stride_that_is_not_a_number(name, value):
-    # True would otherwise cut 1 s strides, and np.True_ converts to 1.0.
+@pytest.mark.parametrize("value, rule", [
+    (True, "a number"), (False, "a number"), (np.True_, "a number"), ("5", "a number"),
+    (None, "a number"), (10**400, "finite"),
+], ids=["bool", "false", "numpy-bool", "str", "none", "10**400"])
+def test_slice_refuses_a_length_or_stride_that_is_not_a_number(name, value, rule):
+    # True would otherwise cut 1 s strides, np.True_ converts to 1.0, and
+    # 10**400 overflowed converting to a float.
     seq = SkeletonSequence("s", 30.0, rest_positions(300), tier=0)
-    with pytest.raises(ValueError,
-                       match=re.escape(f"{name} must be a number of seconds, got {value!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
         slice_fragments(seq, **{"length_s": 5.0, "stride_s": 5.0, name: value})
 
 
@@ -497,7 +537,7 @@ def test_balance_deterministic_and_idempotent():
 
 def test_balance_refuses_a_negative_seed_naming_it():
     manifest = make_manifest({0: 4, 1: 4, 2: 4, 3: 4})
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         balance_dataset(manifest, per_class=2, seed=-1)
 
 
@@ -508,8 +548,8 @@ def test_balance_error_names_small_tier():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"per_class": 1.5}, "per_class must be an integer >= 1, got 1.5"),
-    ({"per_class": True}, "per_class must be an integer >= 1, got True"),
+    ({"per_class": 1.5}, "per_class must be an integer, got 1.5"),
+    ({"per_class": True}, "per_class must be an integer, got True"),
     ({"seed": 2.5}, "seed must be an integer, got 2.5"),
     ({"seed": True}, "seed must be an integer, got True"),
 ], ids=["per-class-float", "per-class-bool", "seed-float", "seed-bool"])
